@@ -47,10 +47,8 @@ from .features import (
 from .lstm import (
     Checkpoint,
     LstmParams,
-    LstmState,
     TrainConfig,
     backward,
-    cell_forward,
     init_params,
     load_checkpoint,
     predict,
@@ -79,8 +77,8 @@ __all__ = [
     "FusedDataset", "ScalerParams", "WindowedDataset",
     "fit_scaler", "fuse", "impute_mean", "inverse_transform",
     "make_windows", "scale_dataset", "transform",
-    "Checkpoint", "LstmParams", "LstmState", "TrainConfig",
-    "backward", "cell_forward", "init_params", "load_checkpoint",
+    "Checkpoint", "LstmParams", "TrainConfig",
+    "backward", "init_params", "load_checkpoint",
     "predict", "save_checkpoint", "sequence_forward", "train",
     "EvalReport", "VariantRecord",
     "accuracy", "mape", "render_table", "rmse", "run_comparison",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import EmptyInput, NonFiniteLoss, PipelineError
-from .evaluation import record_plot_csv, render_table, report_to_json, run_comparison
+from .evaluation import daily_sentiment, record_plot_csv, render_table, report_to_json, run_comparison
 from .features import apply_scaler, fuse, impute_for_split, invert_target, make_windows, scale_dataset
 from .lstm import TrainConfig, load_checkpoint, predict, save_checkpoint, train
 from .market_data import (
@@ -26,19 +26,12 @@ from .market_data import (
     DEFAULT_SCHEMA,
     OHLCV_FIELDS,
     Tweet,
-    align_to_trading_days,
     bars_to_json,
     parse_ohlcv_csv,
     parse_tweets_jsonl,
     tweet_to_json_line,
 )
-from .sentiment import (
-    Lexicon,
-    aggregate_daily,
-    daily_sentiment_csv,
-    load_lexicon,
-    score_corpus,
-)
+from .sentiment import Lexicon, daily_sentiment_csv, load_lexicon
 
 
 @dataclass
@@ -182,13 +175,6 @@ def _load_lexicon(cfg: RunConfig) -> Lexicon:
         return load_lexicon(fh)
 
 
-def _daily_records(cfg: RunConfig, series: BarSeries):
-    tweets, _ = _load_tweets(cfg)
-    lexicon = _load_lexicon(cfg)
-    buckets, dropped = align_to_trading_days(tweets, series.dates())
-    return aggregate_daily(score_corpus(buckets, lexicon)), dropped
-
-
 def cmd_ingest(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     series = _load_series(cfg)
@@ -214,8 +200,7 @@ def cmd_sentiment(cfg: RunConfig) -> int:
         tweets, _ = _load_tweets(cfg)
     except EmptyInput:
         tweets = []
-    buckets, dropped = align_to_trading_days(tweets, series.dates())
-    records = aggregate_daily(score_corpus(buckets, lexicon))
+    records, dropped = daily_sentiment(tweets, series, lexicon)
     (out / "daily_sentiment.csv").write_text(daily_sentiment_csv(records), encoding="utf-8")
     _write_resolved_config(cfg, out)
     print(f"daily sentiment: {len(records)} trading days, {dropped} tweets past final session dropped")
@@ -226,7 +211,8 @@ def cmd_sentiment(cfg: RunConfig) -> int:
 def _build_raw_dataset(cfg: RunConfig):
     series = impute_for_split(_load_series(cfg), cfg.split_fraction)
     if cfg.feature_mode == "hisa":
-        daily, _ = _daily_records(cfg, series)
+        tweets, _ = _load_tweets(cfg)
+        daily, _ = daily_sentiment(tweets, series, _load_lexicon(cfg))
     else:
         daily = []
     return fuse(
@@ -259,10 +245,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    if not cfg.checkpoint:
-        raise PipelineError("config key 'checkpoint' is required for this command")
-    if not Path(cfg.checkpoint).is_file():
-        raise PipelineError(f"input file not found: {cfg.checkpoint}")
+    _require(cfg, "checkpoint")
     out = _out_dir(cfg)
     checkpoint = load_checkpoint(cfg.checkpoint)
     if checkpoint.scaler is None:
@@ -271,10 +254,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     _, test_windows = make_windows(dataset, cfg.lookback)
     predicted = predict(checkpoint, test_windows)
     real = invert_target(test_windows.labels, checkpoint.scaler)
-    lines = ["date,real,predicted"]
-    for d, r, p in zip(dataset.dates[dataset.split_index:], real, predicted):
-        lines.append(f"{d.isoformat()},{float(r)!r},{float(p)!r}")
-    (out / "predictions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_text = record_plot_csv(dataset.dates[dataset.split_index:], real, predicted)
+    (out / "predictions.csv").write_text(csv_text, encoding="utf-8")
     _write_resolved_config(cfg, out)
     print(f"predicted {len(predicted)} test days with the {checkpoint.feature_mode} checkpoint")
     print(f"wrote {out / 'predictions.csv'}")
@@ -304,7 +285,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     for record in report.records:
         name = f"plot_{record.variant}_epochs{record.epochs}.csv"
-        (out / name).write_text(record_plot_csv(record), encoding="utf-8")
+        csv_text = record_plot_csv(record.dates, record.real, record.predicted)
+        (out / name).write_text(csv_text, encoding="utf-8")
     _write_resolved_config(cfg, out)
     print(render_table(report), end="")
     print(f"wrote {out / 'report.json'}")

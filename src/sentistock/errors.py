@@ -9,6 +9,10 @@ class PipelineError(Exception):
     """Base class for all validation and processing errors."""
 
 
+class ConfigError(PipelineError, ValueError):
+    """A setting is out of range (epochs, lookback, split fraction, ...)."""
+
+
 # ingestion
 
 class MissingColumn(PipelineError):
@@ -85,7 +89,11 @@ class NonFiniteLoss(PipelineError):
         super().__init__(message or f"training loss became non-finite at epoch {epoch}")
 
 
-class CheckpointVersionError(PipelineError):
+class CheckpointFormatError(PipelineError):
+    """The checkpoint document is not JSON or lacks or misshapes a field."""
+
+
+class CheckpointVersionError(CheckpointFormatError):
     """The checkpoint document declares a version this code cannot load."""
 
 

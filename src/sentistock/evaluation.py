@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, ZeroActual
+from .errors import ConfigError, EmptyInput, LengthMismatch, ZeroActual
 from .features import fuse, impute_for_split, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, predict, train
 from .market_data import BarSeries, Tweet, align_to_trading_days
@@ -114,11 +114,11 @@ def run_comparison(
     ``checkpoint_sink`` (variant, epochs, checkpoint) is invoked after each
     training run so callers can persist the trained models.
     """
-    if not epoch_sizes:
-        raise ValueError("epoch_sizes must not be empty")
+    if not epoch_sizes or min(epoch_sizes) < 1:
+        raise ConfigError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
 
     series = impute_for_split(historical, split_fraction)
-    daily = _daily_sentiment(sentiment, series, lexicon)
+    daily, _ = daily_sentiment(sentiment, series, lexicon)
 
     records = []
     for epochs in epoch_sizes:
@@ -154,11 +154,16 @@ def run_comparison(
     return EvalReport.from_records(records)
 
 
-def _daily_sentiment(
+def daily_sentiment(
     tweets: Sequence[Tweet], series: BarSeries, lexicon: Lexicon
-) -> list[DailySentiment]:
-    buckets, _ = align_to_trading_days(tweets, series.dates())
-    return aggregate_daily(score_corpus(buckets, lexicon))
+) -> tuple[list[DailySentiment], int]:
+    """Per-trading-day class percentages of ``series``'s sessions.
+
+    Returns (records, dropped): one record per trading date, and the count
+    of tweets dated after the final session.
+    """
+    buckets, dropped = align_to_trading_days(tweets, series.dates())
+    return aggregate_daily(score_corpus(buckets, lexicon)), dropped
 
 
 def render_table(report: EvalReport) -> str:
@@ -205,30 +210,9 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def report_from_json(text: str) -> EvalReport:
-    doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported report version {doc.get('version')!r}")
-    records = tuple(
-        VariantRecord(
-            variant=r["variant"],
-            epochs=r["epochs"],
-            accuracy_pct=r["accuracy_pct"],
-            mape_pct=r["mape_pct"],
-            rmse=r["rmse"],
-            dates=tuple(date.fromisoformat(d) for d in r["dates"]),
-            real=tuple(r["real"]),
-            predicted=tuple(r["predicted"]),
-        )
-        for r in doc["records"]
-    )
-    averages = tuple((v, doc["averages"][v]) for v in doc["averages"])
-    return EvalReport(records=records, averages=averages)
-
-
-def record_plot_csv(record: VariantRecord) -> str:
-    """Plot-ready CSV (date, real, predicted) for one variant-epoch run."""
+def record_plot_csv(dates: Sequence[date], real: Sequence[float], predicted: Sequence[float]) -> str:
+    """Plot-ready CSV (date, real, predicted), one row per test day."""
     lines = ["date,real,predicted"]
-    for d, r, p in zip(record.dates, record.real, record.predicted):
-        lines.append(f"{d.isoformat()},{r!r},{p!r}")
+    for d, r, p in zip(dates, real, predicted):
+        lines.append(f"{d.isoformat()},{float(r)!r},{float(p)!r}")
     return "\n".join(lines) + "\n"

@@ -14,16 +14,17 @@ training rows alone; test rows may legitimately land outside [0, 1].
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllMissingColumn,
+    ConfigError,
     DegenerateRange,
     MissingSentimentDate,
     ShapeMismatch,
@@ -218,11 +219,11 @@ def fuse(
     kept; call :func:`scale_dataset` before windowing for training.
     """
     if mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature mode {mode!r}")
+        raise ConfigError(f"unknown feature mode {mode!r}")
     if not 0.0 < split_fraction < 1.0:
-        raise ValueError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
+        raise ConfigError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
     if target_field not in NUMERIC_FIELDS:
-        raise ValueError(f"unknown target field {target_field!r}")
+        raise ConfigError(f"unknown target field {target_field!r}")
 
     bars = series.bars
     rows = len(bars) - 1
@@ -281,19 +282,12 @@ def scale_dataset(dataset: FusedDataset) -> FusedDataset:
     """
     if dataset.scaler is not None:
         raise ValueError("dataset is already scaled")
-    joint = np.column_stack([dataset.features, dataset.targets])
     scaler = fit_scaler(
-        joint,
+        np.column_stack([dataset.features, dataset.targets]),
         dataset.split_index,
         feature_names=dataset.feature_names + (TARGET_COLUMN,),
     )
-    scaled = transform(joint, scaler)
-    return replace(
-        dataset,
-        features=scaled[:, :-1],
-        targets=scaled[:, -1],
-        scaler=scaler,
-    )
+    return apply_scaler(dataset, scaler)
 
 
 def apply_scaler(dataset: FusedDataset, scaler: ScalerParams) -> FusedDataset:
@@ -327,7 +321,7 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     train = split_index - lookback, test = rows - split_index.
     """
     if lookback < 1:
-        raise ValueError(f"lookback must be positive, got {lookback}")
+        raise ConfigError(f"lookback must be positive, got {lookback}")
     rows = dataset.n_rows
     if rows < lookback + 2:
         raise TooFewRows(f"{rows} rows cannot support lookback {lookback} (need {lookback + 2})")
@@ -336,12 +330,9 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
             f"split_index {dataset.split_index} leaves no training window for lookback {lookback}"
         )
 
-    n_samples = rows - lookback
-    seqs = np.empty((n_samples, lookback, dataset.features.shape[1]), dtype=np.float64)
-    labels = np.empty(n_samples, dtype=np.float64)
-    for j in range(n_samples):
-        seqs[j] = dataset.features[j:j + lookback]
-        labels[j] = dataset.targets[j + lookback]
+    # Read-only views of the feature rows: window j is features[j:j + lookback].
+    seqs = sliding_window_view(dataset.features, lookback, axis=0)[:rows - lookback].transpose(0, 2, 1)
+    labels = dataset.targets[lookback:]
 
     n_train = dataset.split_index - lookback
     train = WindowedDataset(seqs[:n_train], labels[:n_train], lookback)
@@ -349,38 +340,7 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     return train, test
 
 
-# JSON persistence (versioned, field-named arrays) so runs are replayable.
-
-def dataset_to_json(dataset: FusedDataset) -> str:
-    doc = {
-        "version": 1,
-        "feature_mode": dataset.feature_mode,
-        "target_field": dataset.target_field,
-        "split_index": dataset.split_index,
-        "dates": [d.isoformat() for d in dataset.dates],
-        "feature_names": list(dataset.feature_names),
-        "features": dataset.features.tolist(),
-        "targets": dataset.targets.tolist(),
-        "scaler": scaler_to_dict(dataset.scaler) if dataset.scaler else None,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def dataset_from_json(text: str) -> FusedDataset:
-    doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported dataset document version {doc.get('version')!r}")
-    return FusedDataset(
-        dates=tuple(date.fromisoformat(d) for d in doc["dates"]),
-        feature_names=tuple(doc["feature_names"]),
-        features=np.array(doc["features"], dtype=np.float64),
-        targets=np.array(doc["targets"], dtype=np.float64),
-        feature_mode=doc["feature_mode"],
-        target_field=doc["target_field"],
-        split_index=doc["split_index"],
-        scaler=scaler_from_dict(doc["scaler"]) if doc.get("scaler") else None,
-    )
-
+# Scaler columns as stored in a checkpoint document.
 
 def scaler_to_dict(scaler: ScalerParams) -> dict:
     return {

@@ -22,15 +22,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    CheckpointFormatError,
     CheckpointVersionError,
+    ConfigError,
     NonFiniteActivation,
     NonFiniteLoss,
+    PipelineError,
     ShapeMismatch,
 )
 from .features import ScalerParams, WindowedDataset, invert_target, scaler_from_dict, scaler_to_dict
@@ -78,17 +81,6 @@ class LstmParams:
         """(name, array) pairs in the fixed order used everywhere."""
         return tuple((name, getattr(self, name)) for name in TENSOR_ORDER)
 
-    def copy(self) -> "LstmParams":
-        return replace(self, **{name: tensor.copy() for name, tensor in self.tensors()})
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Cell state C and hidden state h for one timestep."""
-
-    C: np.ndarray
-    h: np.ndarray
-
 
 @dataclass
 class GateCache:
@@ -119,17 +111,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be a positive integer")
+            raise ConfigError("epochs must be a positive integer")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+            raise ConfigError("batch_size must be a positive integer")
         if not self.grad_clip_norm > 0:
-            raise ValueError("grad_clip_norm must be positive")
+            raise ConfigError("grad_clip_norm must be positive")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.hidden_size < 1:
-            raise ValueError("hidden_size must be a positive integer")
+            raise ConfigError("hidden_size must be a positive integer")
 
 
 @dataclass
@@ -141,7 +133,6 @@ class Checkpoint:
     loss_history: tuple[float, ...]
     scaler: ScalerParams | None = None
     feature_mode: str | None = None
-    version: int = 1
 
     def __post_init__(self):
         if len(self.loss_history) != self.config.epochs:
@@ -200,19 +191,6 @@ def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) 
     C = f * C_prev + i * g
     h = o * np.tanh(C)
     return GateCache(z=z, f=f, i=i, o=o, g=g, C_prev=C_prev, C=C, h=h)
-
-
-def cell_forward(x_t: np.ndarray, prev: LstmState, params: LstmParams) -> tuple[LstmState, GateCache]:
-    """Single LSTM cell step for one sample (x_t is a 1-D input vector)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape != (params.input_size,):
-        raise ShapeMismatch(f"x_t shape {x_t.shape} != ({params.input_size},)")
-    if prev.C.shape != (params.hidden_size,) or prev.h.shape != (params.hidden_size,):
-        raise ShapeMismatch("state vectors must have length hidden_size")
-    cache = _step(x_t[None, :], prev.h[None, :], prev.C[None, :], params)
-    if not (np.all(np.isfinite(cache.C)) and np.all(np.isfinite(cache.h))):
-        raise NonFiniteActivation("cell produced NaN or infinity")
-    return LstmState(C=cache.C[0], h=cache.h[0]), cache
 
 
 def _forward_batch(
@@ -437,19 +415,11 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
 
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
     doc = {
-        "version": checkpoint.version,
+        "version": 1,
         "input_size": checkpoint.params.input_size,
         "hidden_size": checkpoint.params.hidden_size,
         "params": {name: tensor.ravel().tolist() for name, tensor in checkpoint.params.tensors()},
-        "config": {
-            "epochs": checkpoint.config.epochs,
-            "learning_rate": checkpoint.config.learning_rate,
-            "batch_size": checkpoint.config.batch_size,
-            "seed": checkpoint.config.seed,
-            "grad_clip_norm": checkpoint.config.grad_clip_norm,
-            "optimizer": checkpoint.config.optimizer,
-            "hidden_size": checkpoint.config.hidden_size,
-        },
+        "config": asdict(checkpoint.config),
         "scaler": scaler_to_dict(checkpoint.scaler) if checkpoint.scaler else None,
         "feature_mode": checkpoint.feature_mode,
         "loss_history": list(checkpoint.loss_history),
@@ -457,35 +427,45 @@ def checkpoint_to_json(checkpoint: Checkpoint) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def checkpoint_from_json(text: str) -> Checkpoint:
-    doc = json.loads(text)
+def checkpoint_from_json(text: str | bytes) -> Checkpoint:
+    """Rebuild a checkpoint; a document this code cannot read raises
+    :class:`CheckpointFormatError` (its subclass for an unknown version)."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError("checkpoint document is not a JSON object")
     version = doc.get("version")
     if version != 1:
         raise CheckpointVersionError(f"cannot load checkpoint version {version!r}")
-    input_size = int(doc["input_size"])
-    hidden_size = int(doc["hidden_size"])
-    z = input_size + hidden_size
-    shapes = {
-        "W_f": (hidden_size, z), "W_i": (hidden_size, z),
-        "W_o": (hidden_size, z), "W_g": (hidden_size, z),
-        "b_f": (hidden_size,), "b_i": (hidden_size,),
-        "b_o": (hidden_size,), "b_g": (hidden_size,),
-        "W_y": (1, hidden_size), "b_y": (1,),
-    }
-    tensors = {
-        name: np.array(doc["params"][name], dtype=np.float64).reshape(shape)
-        for name, shape in shapes.items()
-    }
-    params = LstmParams(input_size=input_size, hidden_size=hidden_size, **tensors)
-    config = TrainConfig(**doc["config"])
-    scaler = scaler_from_dict(doc["scaler"]) if doc.get("scaler") else None
-    return Checkpoint(
-        params=params,
-        config=config,
-        loss_history=tuple(doc["loss_history"]),
-        scaler=scaler,
-        feature_mode=doc.get("feature_mode"),
-    )
+    try:
+        input_size = int(doc["input_size"])
+        hidden_size = int(doc["hidden_size"])
+        z = input_size + hidden_size
+        shapes = {
+            "W_f": (hidden_size, z), "W_i": (hidden_size, z),
+            "W_o": (hidden_size, z), "W_g": (hidden_size, z),
+            "b_f": (hidden_size,), "b_i": (hidden_size,),
+            "b_o": (hidden_size,), "b_g": (hidden_size,),
+            "W_y": (1, hidden_size), "b_y": (1,),
+        }
+        tensors = {
+            name: np.array(doc["params"][name], dtype=np.float64).reshape(shape)
+            for name, shape in shapes.items()
+        }
+        params = LstmParams(input_size=input_size, hidden_size=hidden_size, **tensors)
+        config = TrainConfig(**doc["config"])
+        scaler = scaler_from_dict(doc["scaler"]) if doc.get("scaler") else None
+        return Checkpoint(
+            params=params,
+            config=config,
+            loss_history=tuple(doc["loss_history"]),
+            scaler=scaler,
+            feature_mode=doc.get("feature_mode"),
+        )
+    except (KeyError, TypeError, ValueError, PipelineError) as exc:
+        raise CheckpointFormatError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -494,5 +474,6 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes, so that a file that is not UTF-8 fails inside the decoder too.
+    with open(path, "rb") as fh:
         return checkpoint_from_json(fh.read())

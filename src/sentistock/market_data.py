@@ -101,12 +101,6 @@ class BarSeries:
     def dates(self) -> tuple[date, ...]:
         return tuple(b.date for b in self.bars)
 
-    def column(self, field: str) -> list[float | None]:
-        """Values of one numeric field across all bars, in date order."""
-        if field not in NUMERIC_FIELDS:
-            raise ValueError(f"unknown numeric field {field!r}")
-        return [getattr(b, field) for b in self.bars]
-
     def __len__(self) -> int:
         return len(self.bars)
 
@@ -281,8 +275,7 @@ def align_to_trading_days(
     return buckets, dropped
 
 
-# Serialization of parsed bars: a small versioned JSON document, used by the
-# CLI to persist validated intermediates and by round-trip tests.
+# Serialization of validated intermediates, written by the ingest command.
 
 def bars_to_json(series: BarSeries) -> str:
     doc = {
@@ -294,20 +287,6 @@ def bars_to_json(series: BarSeries) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def bars_from_json(text: str) -> BarSeries:
-    doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported bar-series document version {doc.get('version')!r}")
-    bars = tuple(
-        OhlcvBar(
-            date=date.fromisoformat(item["date"]),
-            **{f: item.get(f) for f in NUMERIC_FIELDS},
-        )
-        for item in doc["bars"]
-    )
-    return BarSeries(symbol=doc.get("symbol", ""), bars=bars)
 
 
 def tweet_to_json_line(tweet: Tweet) -> str:

@@ -119,6 +119,34 @@ class TestPredict:
         assert run(["predict", "--config", fixture_config]) == 2
 
 
+def checkpoint_without_config(config, tmp_path) -> str:
+    assert run(["train", "--config", config]) == 0
+    doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    del doc["config"]
+    return json.dumps(doc)
+
+
+class TestBadSettingsExit2:
+    @pytest.mark.parametrize("argv, checkpoint", [
+        pytest.param(["train", "--epochs", "0"], None, id="train-epochs-0"),
+        pytest.param(["train", "--lookback", "0"], None, id="train-lookback-0"),
+        pytest.param(["train", "--split-fraction", "1.5"], None, id="train-split-fraction-1.5"),
+        pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
+        pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
+        pytest.param(["predict"], lambda config, tmp_path: "not json\n", id="predict-non-json-checkpoint"),
+        pytest.param(["predict"], checkpoint_without_config, id="predict-checkpoint-without-config"),
+    ])
+    def test_one_error_line(self, argv, checkpoint, fixture_config, tmp_path, capsys):
+        if checkpoint is not None:
+            path = tmp_path / "bad_checkpoint.json"
+            path.write_text(checkpoint(fixture_config, tmp_path))
+            argv = argv + ["--checkpoint", path]
+        capsys.readouterr()
+        assert run(argv + ["--config", fixture_config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 class TestCompare:
     def test_table_and_artifacts(self, fixture_config, tmp_path, capsys):
         assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2,3"]) == 0

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date
 
@@ -11,7 +12,6 @@ from sentistock.evaluation import (
     accuracy,
     mape,
     render_table,
-    report_from_json,
     report_to_json,
     rmse,
     run_comparison,
@@ -126,7 +126,18 @@ class TestEvalReport:
 
     def test_json_roundtrip(self):
         report = reference_report()
-        again = report_from_json(report_to_json(report))
+        doc = json.loads(report_to_json(report))
+        assert doc["version"] == 1
+        records = tuple(
+            VariantRecord(**{
+                **r,
+                "dates": tuple(date.fromisoformat(d) for d in r["dates"]),
+                "real": tuple(r["real"]),
+                "predicted": tuple(r["predicted"]),
+            })
+            for r in doc["records"]
+        )
+        again = EvalReport(records=records, averages=tuple(doc["averages"].items()))
         assert again == report
 
 

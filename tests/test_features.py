@@ -13,8 +13,6 @@ from sentistock.errors import (
 from sentistock.features import (
     FusedDataset,
     ScalerParams,
-    dataset_from_json,
-    dataset_to_json,
     fit_scaler,
     fuse,
     impute_mean,
@@ -279,19 +277,3 @@ class TestMakeWindows:
         train, test = make_windows(ds, lookback=2)
         assert set(train.labels.tolist()) == {ds.targets[r] for r in range(2, 8)}
         assert set(test.labels.tolist()) == {ds.targets[r] for r in range(8, 12)}
-
-
-class TestDatasetJson:
-    def test_roundtrip(self):
-        series, _, _ = make_coupled_fixture(n_days=30)
-        ds = scale_dataset(fuse(series, varied_sentiment(series.dates()), mode="dlpm"))
-        again = dataset_from_json(dataset_to_json(ds))
-        assert again.dates == ds.dates
-        assert np.array_equal(again.features, ds.features)
-        assert np.array_equal(again.targets, ds.targets)
-        assert again.scaler == ds.scaler
-        assert again.split_index == ds.split_index
-
-    def test_version_check(self):
-        with pytest.raises(ValueError):
-            dataset_from_json('{"version": 9}')

@@ -13,10 +13,8 @@ from sentistock.features import ScalerParams, WindowedDataset, invert_target
 from sentistock.lstm import (
     Checkpoint,
     LstmParams,
-    LstmState,
     TrainConfig,
     backward,
-    cell_forward,
     checkpoint_from_json,
     checkpoint_to_json,
     clip_gradients,
@@ -84,50 +82,55 @@ class TestInitParams:
 
 
 class TestCellForward:
+    """The cell step, seen through ``sequence_forward`` and its per-step caches."""
+
     def test_zero_weights_halve_everything(self):
+        # Only W_g reads x, so step 1 leaves a non-zero cell state and
+        # step 2 (x = 0) runs with every gate pre-activation at zero.
         p = zero_params()
-        prev = LstmState(C=np.array([1.0, -2.0, 0.5]), h=np.zeros(3))
-        state, cache = cell_forward(np.array([3.0, -1.0]), prev, p)
+        p.W_g[:, 0] = [1.0, -2.0, 0.5]
+        _, caches = sequence_forward(np.array([[3.0, -1.0], [0.0, 0.0]]), p)
+        prev, cache = caches
+        assert np.all(prev.C != 0.0)
         assert np.allclose(cache.f, 0.5) and np.allclose(cache.i, 0.5)
         assert np.allclose(cache.o, 0.5) and np.allclose(cache.g, 0.0)
-        assert np.allclose(state.C, 0.5 * prev.C)
-        assert np.allclose(state.h, 0.5 * np.tanh(0.5 * prev.C))
+        assert np.allclose(cache.C, 0.5 * prev.C)
+        assert np.allclose(cache.h, 0.5 * np.tanh(0.5 * prev.C))
 
     def test_zero_state_zero_weights_gives_zero(self):
         p = zero_params()
-        prev = LstmState(C=np.zeros(3), h=np.zeros(3))
-        state, _ = cell_forward(np.array([5.0, 7.0]), prev, p)
-        assert np.array_equal(state.h, np.zeros(3))
+        _, caches = sequence_forward(np.array([[5.0, 7.0]]), p)
+        assert np.array_equal(caches[0].h, np.zeros((1, 3)))
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(12)
         p = init_params(1, 2, seed=12)
         for _ in range(20):
-            x = rng.normal(size=1)
-            prev = LstmState(C=rng.normal(size=2), h=rng.normal(size=2))
-            state, _ = cell_forward(x, prev, p)
-            h_ref, c_ref = scalar_cell_reference(x, prev.h, prev.C, p)
-            assert np.max(np.abs(state.h - np.array(h_ref))) < 1e-12
-            assert np.max(np.abs(state.C - np.array(c_ref))) < 1e-12
+            seq = rng.normal(size=(4, 1))
+            pred, caches = sequence_forward(seq, p)
+            h_ref, c_ref = [0.0, 0.0], [0.0, 0.0]
+            for x, cache in zip(seq, caches):
+                h_ref, c_ref = scalar_cell_reference(x, h_ref, c_ref, p)
+                assert np.max(np.abs(cache.h[0] - np.array(h_ref))) < 1e-12
+                assert np.max(np.abs(cache.C[0] - np.array(c_ref))) < 1e-12
+            assert abs(pred - scalar_sequence_reference(seq, p)) < 1e-12
 
     def test_shape_mismatch(self):
         p = zero_params()
-        prev = LstmState(C=np.zeros(3), h=np.zeros(3))
         with pytest.raises(ShapeMismatch):
-            cell_forward(np.zeros(5), prev, p)
+            sequence_forward(np.zeros((1, 5)), p)
 
     def test_non_finite_input_detected(self):
         p = init_params(2, 3, seed=0)
-        prev = LstmState(C=np.zeros(3), h=np.zeros(3))
         with pytest.raises(NonFiniteActivation):
-            cell_forward(np.array([np.nan, 1.0]), prev, p)
+            sequence_forward(np.array([[np.nan, 1.0]]), p)
 
     def test_gate_ranges_randomized(self):
         rng = np.random.default_rng(8)
         p = init_params(3, 6, seed=8)
-        prev = LstmState(C=rng.normal(size=6), h=rng.normal(size=6))
-        for _ in range(50):
-            _, cache = cell_forward(rng.normal(scale=5.0, size=3), prev, p)
+        _, caches = sequence_forward(rng.normal(scale=5.0, size=(50, 3)), p)
+        assert len(caches) == 50
+        for cache in caches:
             for gate in (cache.f, cache.i, cache.o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
             assert np.all(cache.g > -1.0) and np.all(cache.g < 1.0)
@@ -143,9 +146,8 @@ class TestSequenceForward:
     def test_single_timestep_equals_cell_plus_projection(self):
         p = init_params(2, 3, seed=5)
         x = np.array([[0.4, -0.2]])
-        pred, _ = sequence_forward(x, p)
-        state, _ = cell_forward(x[0], LstmState(C=np.zeros(3), h=np.zeros(3)), p)
-        assert pred == pytest.approx(float(state.h @ p.W_y[0] + p.b_y[0]), abs=1e-15)
+        pred, (cache,) = sequence_forward(x, p)
+        assert pred == pytest.approx(float(cache.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
 
     def test_order_sensitivity_witness(self):
         p = init_params(2, 3, seed=6)

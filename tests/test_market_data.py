@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -17,7 +18,6 @@ from sentistock.market_data import (
     OhlcvBar,
     Tweet,
     align_to_trading_days,
-    bars_from_json,
     bars_to_json,
     parse_ohlcv_csv,
     parse_tweets_jsonl,
@@ -122,11 +122,20 @@ class TestParseOhlcvCsv:
         assert len(again) == len(series)
 
 
+def series_from_bars_document(text: str) -> BarSeries:
+    """Rebuild a series from the document ``bars_to_json`` writes."""
+    doc = json.loads(text)
+    assert doc["version"] == 1
+    bars = tuple(
+        OhlcvBar(**{**item, "date": date.fromisoformat(item["date"])}) for item in doc["bars"]
+    )
+    return BarSeries(symbol=doc["symbol"], bars=bars)
+
+
 class TestBarSerialization:
     def test_json_roundtrip_identity(self):
         series, _, _ = make_coupled_fixture(n_days=30)
-        again = bars_from_json(bars_to_json(series))
-        assert again == series
+        assert series_from_bars_document(bars_to_json(series)) == series
 
     def test_roundtrip_with_missing_cells(self):
         bars = (
@@ -136,7 +145,10 @@ class TestBarSerialization:
                      adj_close=10.5, volume=120.0),
         )
         series = BarSeries(symbol="X", bars=bars)
-        assert bars_from_json(bars_to_json(series)) == series
+        doc = json.loads(bars_to_json(series))
+        assert doc["bars"][0]["open"] is None
+        assert doc["bars"][0]["adj_close"] is None and doc["bars"][0]["volume"] is None
+        assert series_from_bars_document(bars_to_json(series)) == series
 
     def test_csv_roundtrip_identity(self):
         series, _, _ = make_coupled_fixture(n_days=30)
