@@ -23,6 +23,10 @@ class DuplicateDate(PipelineError):
     """Two OHLCV rows share the same calendar date."""
 
 
+class NotUtf8(PipelineError):
+    """An input file (CSV, JSONL, or lexicon TSV) holds bytes that are not UTF-8."""
+
+
 class EmptyInput(PipelineError):
     """An input stream yielded no usable records."""
 

@@ -109,35 +109,50 @@ def run_comparison(
     """Train and score both feature modes at every epoch size.
 
     Each run shares the seed, hidden size, lookback, and split; only the
-    feature set and epoch count differ. Records come out epoch-major with
-    the historical-only baseline first, mirroring the reporting table.
-    ``checkpoint_sink`` (variant, epochs, checkpoint) is invoked after each
-    training run so callers can persist the trained models.
+    feature set and epoch count differ. Each mode is trained once, to the
+    largest epoch size, and the checkpoint at every smaller size is taken on
+    the way; it is the one a separate run of that many epochs would give.
+    Records come out epoch-major with the historical-only baseline first,
+    mirroring the reporting table. ``checkpoint_sink`` (variant, epochs,
+    checkpoint) is invoked once per record, in record order, so callers can
+    persist the trained models.
     """
     if not epoch_sizes or min(epoch_sizes) < 1:
         raise ConfigError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
 
     series = impute_for_split(historical, split_fraction)
     daily, _ = daily_sentiment(sentiment, series, lexicon)
+    config = replace(base_config, epochs=max(epoch_sizes))
+
+    snapshots: dict[tuple[str, int], Checkpoint] = {}
+
+    def keep(checkpoint: Checkpoint) -> None:
+        if checkpoint.config.epochs in epoch_sizes:
+            snapshots[checkpoint.feature_mode, checkpoint.config.epochs] = checkpoint
+
+    test_sets = {}
+    for variant in ("dlpm", "hisa"):
+        dataset = fuse(
+            series,
+            daily,
+            mode=variant,
+            target_field=target_field,
+            split_fraction=split_fraction,
+        )
+        scaled = scale_dataset(dataset)
+        train_windows, test_windows = make_windows(scaled, lookback)
+        train(train_windows, config, scaler=scaled.scaler, feature_mode=variant, on_epoch=keep)
+        real = invert_target(test_windows.labels, scaled.scaler)
+        test_sets[variant] = (test_windows, real, dataset.dates[dataset.split_index:])
 
     records = []
     for epochs in epoch_sizes:
         for variant in ("dlpm", "hisa"):
-            dataset = fuse(
-                series,
-                daily,
-                mode=variant,
-                target_field=target_field,
-                split_fraction=split_fraction,
-            )
-            scaled = scale_dataset(dataset)
-            train_windows, test_windows = make_windows(scaled, lookback)
-            config = replace(base_config, epochs=epochs)
-            checkpoint = train(train_windows, config, scaler=scaled.scaler, feature_mode=variant)
+            checkpoint = snapshots[variant, epochs]
             if checkpoint_sink is not None:
                 checkpoint_sink(variant, epochs, checkpoint)
+            test_windows, real, dates = test_sets[variant]
             predicted = predict(checkpoint, test_windows)
-            real = invert_target(test_windows.labels, scaled.scaler)
             m = mape(real, predicted)
             records.append(
                 VariantRecord(
@@ -146,7 +161,7 @@ def run_comparison(
                     accuracy_pct=100.0 - m,
                     mape_pct=m,
                     rmse=rmse(real, predicted),
-                    dates=dataset.dates[dataset.split_index:],
+                    dates=dates,
                     real=tuple(real.tolist()),
                     predicted=tuple(predicted.tolist()),
                 )

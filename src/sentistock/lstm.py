@@ -1,9 +1,10 @@
 """From-scratch LSTM regressor: forward pass, BPTT, optimizers, training.
 
 One LSTM layer feeds a linear output unit. Everything runs in double
-precision on plain numpy, single-threaded, and is bit-reproducible given a
-seed: parameter init, batch shuffling, and optimizer state all derive from
-the config seed and nothing else.
+precision on plain numpy and is bit-reproducible given a seed and a fixed
+BLAS thread count: parameter init, batch shuffling, and optimizer state all
+derive from the config seed and nothing else. (The matrix products go
+through BLAS, whose summation order may depend on its thread count.)
 
 Gate equations, with z = concat(x_t, h_{t-1}):
 
@@ -20,10 +21,11 @@ model works in normalized target space).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,13 +174,11 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids exp overflow for large-magnitude inputs.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) never overflows. It is exp(-x) for x >= 0 and exp(x)
+    # otherwise, so this is 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit
+    # for bit. minimum(x, -x) rather than -abs(x) keeps a NaN's sign bit.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) -> GateCache:
@@ -346,6 +346,7 @@ def train(
     config: TrainConfig,
     scaler: ScalerParams | None = None,
     feature_mode: str | None = None,
+    on_epoch: Callable[[Checkpoint], None] | None = None,
 ) -> Checkpoint:
     """Train on windowed sequences with MSE loss on normalized targets.
 
@@ -354,6 +355,12 @@ def train(
     encountered (before each batch's update). ``scaler`` and
     ``feature_mode`` are carried into the checkpoint so predictions can be
     denormalized and replayed later.
+
+    ``on_epoch``, when given, receives after every epoch e a checkpoint of
+    the model so far: its own copy of the parameters, ``config.epochs = e``
+    and the first e losses. The random draws do not depend on
+    ``config.epochs`` (init, then one permutation per epoch), so that
+    checkpoint is the one ``train`` returns when run with ``epochs = e``.
     """
     n = len(windows)
     if n == 0:
@@ -382,6 +389,16 @@ def train(
             grads = clip_gradients(grads, config.grad_clip_norm)
             optimizer.step(params, grads)
         loss_history.append(sq_sum / n)
+        if on_epoch is not None:
+            on_epoch(
+                Checkpoint(
+                    params=copy.deepcopy(params),
+                    config=replace(config, epochs=epoch + 1),
+                    loss_history=tuple(loss_history),
+                    scaler=scaler,
+                    feature_mode=feature_mode,
+                )
+            )
 
     return Checkpoint(
         params=params,

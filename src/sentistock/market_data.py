@@ -12,9 +12,10 @@ import io
 import json
 import math
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from datetime import date, datetime
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DateParseError,
@@ -23,6 +24,7 @@ from .errors import (
     EmptyTradingCalendar,
     InvalidBar,
     MissingColumn,
+    NotUtf8,
 )
 
 PRICE_FIELDS = ("open", "high", "low", "close", "adj_close")
@@ -105,6 +107,23 @@ class BarSeries:
         return len(self.bars)
 
 
+@contextmanager
+def _utf8_text(stream: BinaryIO, kind: str, newline: str | None = None) -> Iterator[io.TextIOWrapper]:
+    """Read the caller's binary ``stream`` as UTF-8 text, leaving it open.
+
+    Bytes that are not UTF-8 raise :class:`NotUtf8` naming ``kind``.
+    """
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+    try:
+        yield text
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.start + 1].hex()
+        raise NotUtf8(f"{kind} is not UTF-8 text: byte 0x{bad} ({exc.reason})") from exc
+    finally:
+        # Unwrap, or collecting the wrapper would close the caller's stream.
+        text.detach()
+
+
 def parse_ohlcv_csv(
     stream: BinaryIO,
     schema_map: Mapping[str, str] | None = None,
@@ -125,17 +144,17 @@ def parse_ohlcv_csv(
     if missing:
         raise MissingColumn(f"schema map lacks fields: {', '.join(missing)}")
 
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-    reader = csv.DictReader(text)
-    if reader.fieldnames is None:
-        raise EmptyInput("CSV stream has no header row")
-    header = [h.strip() for h in reader.fieldnames]
-    for field in OHLCV_FIELDS:
-        if schema[field] not in header:
-            raise MissingColumn(f"column {schema[field]!r} (for {field}) not in header {header}")
+    with _utf8_text(stream, "OHLCV CSV", newline="") as text:
+        reader = csv.DictReader(text)
+        if reader.fieldnames is None:
+            raise EmptyInput("CSV stream has no header row")
+        header = [h.strip() for h in reader.fieldnames]
+        for field in OHLCV_FIELDS:
+            if schema[field] not in header:
+                raise MissingColumn(f"column {schema[field]!r} (for {field}) not in header {header}")
 
-    rows = [{k.strip(): (v if v is not None else "") for k, v in raw.items() if k is not None}
-            for raw in reader]
+        rows = [{k.strip(): (v if v is not None else "") for k, v in raw.items() if k is not None}
+                for raw in reader]
     if not rows:
         raise EmptyInput("CSV contains a header but no data rows")
 
@@ -205,18 +224,18 @@ def parse_tweets_jsonl(stream: BinaryIO) -> tuple[list[Tweet], int]:
     timestamp/text/id field, or carry an empty text are skipped and counted;
     blank lines are ignored silently. Input order is preserved.
     """
-    text = io.TextIOWrapper(stream, encoding="utf-8")
     tweets: list[Tweet] = []
     skipped = 0
-    for line in text:
-        line = line.strip()
-        if not line:
-            continue
-        tweet = _parse_tweet_line(line)
-        if tweet is None:
-            skipped += 1
-        else:
-            tweets.append(tweet)
+    with _utf8_text(stream, "tweet JSONL") as text:
+        for line in text:
+            line = line.strip()
+            if not line:
+                continue
+            tweet = _parse_tweet_line(line)
+            if tweet is None:
+                skipped += 1
+            else:
+                tweets.append(tweet)
     if not tweets:
         raise EmptyInput(f"no valid tweet lines found ({skipped} skipped)")
     return tweets, skipped

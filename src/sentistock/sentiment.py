@@ -21,7 +21,6 @@ exactly zero. No dead-band.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from datetime import date
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .errors import DuplicateTerm, MalformedRow, PolarityOutOfRange
-from .market_data import Tweet
+from .market_data import Tweet, _utf8_text
 
 LABELS = ("positive", "negative", "neutral")
 
@@ -189,11 +188,12 @@ def load_lexicon(stream: BinaryIO) -> Lexicon:
     lowercased before duplicate detection, and a word may not appear as
     both a term and a negator.
     """
-    text = io.TextIOWrapper(stream, encoding="utf-8")
+    with _utf8_text(stream, "lexicon TSV") as text:
+        lines = text.readlines()
     terms: dict[str, LexiconEntry] = {}
     negators: set[str] = set()
     first = True
-    for lineno, line in enumerate(text, start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue

@@ -42,6 +42,20 @@ def reference_score_polarity(tokens, lexicon: Lexicon) -> float:
     return max(-1.0, min(1.0, mean))
 
 
+def masked_sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """Logistic function split by a boolean mask on the sign of x.
+
+    1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere
+    (NaN included), so neither branch overflows.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def scalar_cell_reference(x, h_prev, C_prev, params: LstmParams):
     """One LSTM step computed with pure-Python scalar loops.
 

@@ -147,6 +147,22 @@ class TestBadSettingsExit2:
         assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+class TestNotUtf8Exit2:
+    @pytest.mark.parametrize("command, flag, name, kind", [
+        pytest.param("ingest", "--historical", "prices.csv", "OHLCV CSV", id="ingest-historical"),
+        pytest.param("ingest", "--tweets", "tweets.jsonl", "tweet JSONL", id="ingest-tweets"),
+        pytest.param("sentiment", "--lexicon", "lexicon.tsv", "lexicon TSV", id="sentiment-lexicon"),
+    ])
+    def test_one_error_line(self, command, flag, name, kind, fixture_config, tmp_path, capsys):
+        path = tmp_path / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        capsys.readouterr()
+        assert run([command, "--config", fixture_config, flag, path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and kind in err[0], err
+
+
 class TestCompare:
     def test_table_and_artifacts(self, fixture_config, tmp_path, capsys):
         assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2,3"]) == 0

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -10,13 +11,15 @@ from sentistock.evaluation import (
     EvalReport,
     VariantRecord,
     accuracy,
+    daily_sentiment,
     mape,
     render_table,
     report_to_json,
     rmse,
     run_comparison,
 )
-from sentistock.lstm import TrainConfig
+from sentistock.features import fuse, impute_for_split, invert_target, make_windows, scale_dataset
+from sentistock.lstm import TrainConfig, checkpoint_to_json, predict, train
 
 from fixtures import make_coupled_fixture
 
@@ -152,6 +155,34 @@ def small_config():
                        grad_clip_norm=5.0, optimizer="adam", hidden_size=8)
 
 
+def separate_runs(series, tweets, lexicon, epoch_sizes, config, lookback):
+    """The comparison with one training run from scratch per (epochs, variant).
+
+    Returns the serialized checkpoints as (variant, epochs, json) in record
+    order, and the serialized report.
+    """
+    series = impute_for_split(series, 0.75)
+    daily, _ = daily_sentiment(tweets, series, lexicon)
+    checkpoints, records = [], []
+    for epochs in epoch_sizes:
+        for variant in ("dlpm", "hisa"):
+            dataset = fuse(series, daily, mode=variant)
+            scaled = scale_dataset(dataset)
+            train_windows, test_windows = make_windows(scaled, lookback)
+            checkpoint = train(train_windows, replace(config, epochs=epochs),
+                               scaler=scaled.scaler, feature_mode=variant)
+            checkpoints.append((variant, epochs, checkpoint_to_json(checkpoint)))
+            predicted = predict(checkpoint, test_windows)
+            real = invert_target(test_windows.labels, scaled.scaler)
+            m = mape(real, predicted)
+            records.append(VariantRecord(
+                variant=variant, epochs=epochs, accuracy_pct=100.0 - m, mape_pct=m,
+                rmse=rmse(real, predicted), dates=dataset.dates[dataset.split_index:],
+                real=tuple(real.tolist()), predicted=tuple(predicted.tolist()),
+            ))
+    return checkpoints, report_to_json(EvalReport.from_records(records))
+
+
 class TestRunComparison:
     def test_structure(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
@@ -196,6 +227,18 @@ class TestRunComparison:
         run_comparison(series, tweets, lexicon, [2, 3], small_config, lookback=6,
                        checkpoint_sink=lambda v, e, cp: seen.append((v, e, cp.config.epochs)))
         assert seen == [("dlpm", 2, 2), ("hisa", 2, 2), ("dlpm", 3, 3), ("hisa", 3, 3)]
+
+    @pytest.mark.parametrize("epoch_sizes", [[3, 1, 2], [2, 2]])
+    def test_snapshots_equal_separate_runs(self, epoch_sizes, small_inputs, small_config):
+        series, tweets, lexicon = small_inputs
+        seen = []
+        report = run_comparison(series, tweets, lexicon, epoch_sizes, small_config, lookback=6,
+                                checkpoint_sink=lambda v, e, cp: seen.append((v, e, checkpoint_to_json(cp))))
+        expected_checkpoints, expected_report = separate_runs(
+            series, tweets, lexicon, epoch_sizes, small_config, lookback=6)
+        assert seen == expected_checkpoints
+        assert report_to_json(report) == expected_report
+        assert [r.epochs for r in report.records] == [e for e in epoch_sizes for _ in ("dlpm", "hisa")]
 
     def test_empty_epoch_sizes_rejected(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from sentistock.lstm import (
     predict,
     sequence_forward,
     train,
+    _sigmoid,
 )
 
 from oracles import (
     finite_difference_gradients,
+    masked_sigmoid_reference,
     relative_tensor_error,
     scalar_cell_reference,
     scalar_sequence_reference,
@@ -79,6 +82,16 @@ class TestInitParams:
         p = init_params(3, 4, seed=0)
         limit = math.sqrt(6.0 / (7 + 4))
         assert np.max(np.abs(p.W_f)) <= limit
+
+
+class TestSigmoid:
+    def test_bit_identical_to_masked_reference(self):
+        special = [0.0, 1e-300, 36.0, 745.0, 1000.0, np.inf, np.nan]
+        arrays = [np.array(special + [-v for v in special])]
+        rng = np.random.default_rng(11)
+        arrays += [scale * rng.standard_normal((16, 32)) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+        for x in arrays:
+            assert np.array_equal(_sigmoid(x).view(np.int64), masked_sigmoid_reference(x).view(np.int64))
 
 
 class TestCellForward:
@@ -211,6 +224,19 @@ class TestTrain:
         assert checkpoint_to_json(a) == checkpoint_to_json(b)
         for (_, ta), (_, tb) in zip(a.params.tensors(), b.params.tensors()):
             assert np.array_equal(ta, tb)
+
+    def test_on_epoch_checkpoints_equal_shorter_runs(self):
+        windows, scaler, _ = sine_windows()
+        cfg = TrainConfig(epochs=4, learning_rate=0.01, batch_size=8, seed=3, hidden_size=6)
+        seen = []
+        final = train(windows, cfg, scaler=scaler, feature_mode="dlpm", on_epoch=seen.append)
+        expected = [
+            checkpoint_to_json(train(windows, replace(cfg, epochs=e), scaler=scaler, feature_mode="dlpm"))
+            for e in range(1, 5)
+        ]
+        # Serialized only now: a snapshot sharing the live tensors would show the final weights.
+        assert [checkpoint_to_json(cp) for cp in seen] == expected
+        assert checkpoint_to_json(final) == expected[-1]
 
     def test_loss_history_length(self):
         windows, _, _ = sine_windows()

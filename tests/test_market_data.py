@@ -40,7 +40,9 @@ class TestParseOhlcvCsv:
             "2020-01-01,10,11,9,10.5,10.5,100\n"
             "2020-01-02,10.5,11.5,9.5,11,11,200\n"
         )
-        series = parse_ohlcv_csv(csv_stream(HEADER + body))
+        stream = csv_stream(HEADER + body)
+        series = parse_ohlcv_csv(stream)
+        assert stream.closed is False  # the caller's stream stays the caller's
         assert len(series) == 3
         assert series.dates() == (date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3))
         assert series.bars[0].open == 10.0
@@ -161,7 +163,9 @@ class TestParseTweetsJsonl:
             '{"timestamp": "2020-01-01T10:00:00Z", "text": "hello", "id": "1"}\n'
             '{"timestamp": "2020-01-01T11:00:00+05:30", "text": "world", "id": "2"}\n'
         )
-        tweets, skipped = parse_tweets_jsonl(io.BytesIO(text.encode()))
+        stream = io.BytesIO(text.encode())
+        tweets, skipped = parse_tweets_jsonl(stream)
+        assert stream.closed is False
         assert [t.id for t in tweets] == ["1", "2"]
         assert skipped == 0
         assert tweets[0].timestamp.tzinfo is not None

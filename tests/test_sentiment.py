@@ -185,7 +185,9 @@ class TestDailySentimentType:
 class TestLoadLexicon:
     def test_basic_load(self):
         tsv = "good\t0.7\t1.0\tterm\nnot\t0\t1.0\tnegator\n"
-        lexicon = load_lexicon(io.BytesIO(tsv.encode()))
+        stream = io.BytesIO(tsv.encode())
+        lexicon = load_lexicon(stream)
+        assert stream.closed is False  # the caller's stream stays the caller's
         assert lexicon.terms["good"].polarity == 0.7
         assert "not" in lexicon.negators
 
