@@ -20,8 +20,8 @@ params = init_params(INPUT, HIDDEN, seed=3)
 sequence = rng.normal(size=(LOOKBACK, INPUT))
 label = 0.8
 
-prediction, caches = sequence_forward(sequence, params)
-analytic = backward(caches, 2.0 * (prediction - label), params)
+prediction, steps = sequence_forward(sequence, params)
+analytic = backward(steps, 2.0 * (prediction - label), params)
 
 
 def loss():

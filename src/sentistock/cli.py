@@ -67,9 +67,9 @@ class RunConfig:
     def schema_map(self) -> dict[str, str]:
         return {f: getattr(self, f"column_{f}") for f in OHLCV_FIELDS}
 
-    def train_config(self, epochs: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
-            epochs=self.epochs if epochs is None else epochs,
+            epochs=self.epochs,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             seed=self.seed,

@@ -141,19 +141,31 @@ def impute_mean(series: BarSeries, train_end: date) -> BarSeries:
     return BarSeries(symbol=series.symbol, bars=tuple(filled))
 
 
+def split_point(rows: int, split_fraction: float) -> int:
+    """Feature rows on the train side: floor(split_fraction * rows).
+
+    Raises :class:`ConfigError` for a fraction outside (0, 1) and
+    :class:`TooFewRows` when either side would be empty.
+    """
+    if not 0.0 < split_fraction < 1.0:
+        raise ConfigError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
+    index = math.floor(split_fraction * rows)
+    if index < 1 or index >= rows:
+        raise TooFewRows(
+            f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
+        )
+    return index
+
+
 def impute_for_split(series: BarSeries, split_fraction: float) -> BarSeries:
     """Impute with the training range implied by the fuse split.
 
-    fuse() will put the first floor(split_fraction * (bars - 1)) feature
-    rows in the train side; imputation means must come from those bars
-    only so no test information leaks backward.
+    fuse() puts the first split_point(bars - 1, split_fraction) feature rows
+    in the train side; imputation means must come from those bars only so
+    no test information leaks backward.
     """
-    rows = len(series.bars) - 1
-    if rows < 2:
-        return series
-    split_index = math.floor(split_fraction * rows)
-    split_index = max(1, min(split_index, rows - 1))
-    return impute_mean(series, series.bars[split_index - 1].date)
+    train_rows = split_point(len(series.bars) - 1, split_fraction)
+    return impute_mean(series, series.bars[train_rows - 1].date)
 
 
 def fit_scaler(
@@ -220,15 +232,12 @@ def fuse(
     """
     if mode not in FEATURE_MODES:
         raise ConfigError(f"unknown feature mode {mode!r}")
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
     if target_field not in NUMERIC_FIELDS:
         raise ConfigError(f"unknown target field {target_field!r}")
 
     bars = series.bars
     rows = len(bars) - 1
-    if rows < 2:
-        raise TooFewRows(f"{len(bars)} bars yield {max(rows, 0)} rows; need at least 2")
+    train_rows = split_point(rows, split_fraction)
 
     name_cols = HISA_FEATURES if mode == "hisa" else DLPM_FEATURES
     price_cols = [c for c in name_cols if c in NUMERIC_FIELDS]
@@ -257,11 +266,6 @@ def fuse(
             matrix[t] = tuple(getattr(bar, c) for c in DLPM_FEATURES)
         targets[t] = getattr(bars[t + 1], target_field)
 
-    split_index = math.floor(split_fraction * rows)
-    if split_index < 1 or split_index >= rows:
-        raise TooFewRows(
-            f"split_fraction {split_fraction} on {rows} rows leaves an empty train or test side"
-        )
     return FusedDataset(
         dates=tuple(b.date for b in bars[:rows]),
         feature_names=tuple(name_cols),
@@ -269,7 +273,7 @@ def fuse(
         targets=targets,
         feature_mode=mode,
         target_field=target_field,
-        split_index=split_index,
+        split_index=train_rows,
         scaler=None,
     )
 

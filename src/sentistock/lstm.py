@@ -10,10 +10,18 @@ Gate equations, with z = concat(x_t, h_{t-1}):
 
     f = sigmoid(W_f z + b_f)        forget gate
     i = sigmoid(W_i z + b_i)        input gate
-    g = tanh(W_g z + b_g)           candidate cell update
     o = sigmoid(W_o z + b_o)        output gate
+    g = tanh(W_g z + b_g)           candidate cell update
     C_t = f * C_{t-1} + i * g
     h_t = o * tanh(C_t)
+
+The four gates are stored stacked: one weight W of shape (4H, F+H) and one
+bias b of shape (4H,), whose row blocks [kH, (k+1)H) are f, i, o, g in that
+order. A step is then one product z W^T + b, with the sigmoid applied to the
+first 3H columns and tanh to the last H; backpropagation likewise forms one
+(batch, 4H) gradient at the pre-activations and multiplies it once by z and
+once by W. The checkpoint document still names each gate's block
+(W_f ... b_g), so it reads the same as before the stacking.
 
 The prediction for a sequence is W_y h_T + b_y (no output activation; the
 model works in normalized target space).
@@ -25,7 +33,7 @@ import copy
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +48,6 @@ from .errors import (
 )
 from .features import ScalerParams, WindowedDataset, invert_target, scaler_from_dict, scaler_to_dict
 
-TENSOR_ORDER = ("W_f", "W_i", "W_o", "W_g", "b_f", "b_i", "b_o", "b_g", "W_y", "b_y")
 OPTIMIZERS = ("adam", "sgd")
 
 ADAM_BETA1 = 0.9
@@ -50,16 +57,14 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class LstmParams:
-    """Gate weights/biases plus the linear output projection."""
+    """The stacked gate weights and bias plus the linear output projection.
 
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_g: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    ``W`` is (4H, F+H) and ``b`` is (4H,); rows [kH, (k+1)H) hold gate k of
+    f, i, o, g.
+    """
+
+    W: np.ndarray
+    b: np.ndarray
     W_y: np.ndarray
     b_y: np.ndarray
     input_size: int
@@ -67,12 +72,10 @@ class LstmParams:
 
     def __post_init__(self):
         h, z = self.hidden_size, self.input_size + self.hidden_size
-        for name in ("W_f", "W_i", "W_o", "W_g"):
-            if getattr(self, name).shape != (h, z):
-                raise ShapeMismatch(f"{name} must be ({h}, {z}), got {getattr(self, name).shape}")
-        for name in ("b_f", "b_i", "b_o", "b_g"):
-            if getattr(self, name).shape != (h,):
-                raise ShapeMismatch(f"{name} must be ({h},)")
+        if self.W.shape != (4 * h, z) or self.b.shape != (4 * h,):
+            raise ShapeMismatch(
+                f"gate stack must be W ({4 * h}, {z}) and b ({4 * h},), got {self.W.shape} and {self.b.shape}"
+            )
         if self.W_y.shape != (1, h) or self.b_y.shape != (1,):
             raise ShapeMismatch("output projection must be (1, hidden) with scalar bias")
         for name, tensor in self.tensors():
@@ -81,21 +84,17 @@ class LstmParams:
 
     def tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(name, array) pairs in the fixed order used everywhere."""
-        return tuple((name, getattr(self, name)) for name in TENSOR_ORDER)
+        return (("W", self.W), ("b", self.b), ("W_y", self.W_y), ("b_y", self.b_y))
 
 
-@dataclass
-class GateCache:
-    """Per-timestep activations kept for the backward pass.
+class Step(NamedTuple):
+    """One timestep's values kept for the backward pass, batched (batch, .).
 
-    Arrays are batched: shape (batch, .) even for a single sequence.
+    ``gates`` holds the activated f, i, o, g blocks side by side (batch, 4H).
     """
 
     z: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray
     C_prev: np.ndarray
     C: np.ndarray
     h: np.ndarray
@@ -142,35 +141,24 @@ class Checkpoint:
 
 
 def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
-    """Xavier-uniform gate weights from a seeded generator.
+    """Xavier-uniform weights from a seeded generator.
 
-    Draw order is fixed (W_f, W_i, W_o, W_g, W_y) so identical seeds give
-    bit-identical parameters. The forget-gate bias starts at 1.0, every
-    other bias at 0.
+    One draw fills the gate stack W, then one fills W_y, so identical seeds
+    give bit-identical parameters. Every gate block gets the Xavier limit of
+    its own (H, F+H) shape, so W is the four per-gate draws stacked. The
+    forget block of b starts at 1.0, every other bias at 0.
     """
     if input_size < 1 or hidden_size < 1:
         raise ValueError("input_size and hidden_size must be positive")
     rng = np.random.default_rng(seed)
-    z = input_size + hidden_size
-
-    def xavier(rows: int, cols: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
-
-    return LstmParams(
-        W_f=xavier(hidden_size, z),
-        W_i=xavier(hidden_size, z),
-        W_o=xavier(hidden_size, z),
-        W_g=xavier(hidden_size, z),
-        b_f=np.ones(hidden_size),
-        b_i=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size),
-        b_g=np.zeros(hidden_size),
-        W_y=xavier(1, hidden_size),
-        b_y=np.zeros(1),
-        input_size=input_size,
-        hidden_size=hidden_size,
-    )
+    h, z = hidden_size, input_size + hidden_size
+    gate_limit = math.sqrt(6.0 / (h + z))
+    W = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
+    out_limit = math.sqrt(6.0 / (1 + h))
+    W_y = rng.uniform(-out_limit, out_limit, size=(1, h))
+    b = np.zeros(4 * h)
+    b[:h] = 1.0
+    return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -181,117 +169,101 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) -> GateCache:
+def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) -> Step:
     """One batched LSTM step; x is (batch, input)."""
+    H = p.hidden_size
     z = np.concatenate([x, h_prev], axis=1)
-    f = _sigmoid(z @ p.W_f.T + p.b_f)
-    i = _sigmoid(z @ p.W_i.T + p.b_i)
-    o = _sigmoid(z @ p.W_o.T + p.b_o)
-    g = np.tanh(z @ p.W_g.T + p.b_g)
+    gates = z @ p.W.T + p.b
+    gates[:, :3 * H] = _sigmoid(gates[:, :3 * H])
+    np.tanh(gates[:, 3 * H:], out=gates[:, 3 * H:])
+    f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
     C = f * C_prev + i * g
     h = o * np.tanh(C)
-    return GateCache(z=z, f=f, i=i, o=o, g=g, C_prev=C_prev, C=C, h=h)
+    return Step(z, gates, C_prev, C, h)
 
 
 def _forward_batch(
     X: np.ndarray,
     params: LstmParams,
-    keep_caches: bool = True,
-) -> tuple[np.ndarray, list[GateCache], np.ndarray]:
+    keep_steps: bool = True,
+) -> tuple[np.ndarray, list[Step]]:
     """Run a batch of sequences; X is (batch, lookback, features).
 
-    Returns (predictions, caches, final hidden state). Caches are empty
-    when keep_caches is False (inference path).
+    Returns (predictions, steps). The steps are empty when keep_steps is
+    False (inference path).
     """
     if X.ndim != 3:
         raise ShapeMismatch(f"expected (batch, lookback, features), got {X.shape}")
     if X.shape[2] != params.input_size:
         raise ShapeMismatch(f"feature count {X.shape[2]} != input_size {params.input_size}")
-    batch, steps, _ = X.shape
+    batch, lookback, _ = X.shape
     h = np.zeros((batch, params.hidden_size))
     C = np.zeros((batch, params.hidden_size))
-    caches: list[GateCache] = []
-    for t in range(steps):
-        cache = _step(X[:, t, :], h, C, params)
-        h, C = cache.h, cache.C
-        if keep_caches:
-            caches.append(cache)
+    steps: list[Step] = []
+    for t in range(lookback):
+        step = _step(X[:, t, :], h, C, params)
+        h, C = step.h, step.C
+        if keep_steps:
+            steps.append(step)
     yhat = h @ params.W_y[0] + params.b_y[0]
-    return yhat, caches, h
+    return yhat, steps
 
 
-def sequence_forward(sequence: np.ndarray, params: LstmParams) -> tuple[float, list[GateCache]]:
+def sequence_forward(sequence: np.ndarray, params: LstmParams) -> tuple[float, list[Step]]:
     """Forward one sequence (lookback, features) from a zero initial state."""
     sequence = np.asarray(sequence, dtype=np.float64)
     if sequence.ndim != 2:
         raise ShapeMismatch(f"sequence must be 2-D, got shape {sequence.shape}")
     if sequence.shape[0] < 1:
         raise ShapeMismatch("sequence must contain at least one timestep")
-    yhat, caches, _ = _forward_batch(sequence[None, :, :], params)
+    yhat, steps = _forward_batch(sequence[None, :, :], params)
     prediction = float(yhat[0])
     if not math.isfinite(prediction):
         raise NonFiniteActivation("forward pass produced a non-finite prediction")
-    return prediction, caches
+    return prediction, steps
 
 
-def backward(
-    caches: Sequence[GateCache],
-    d_prediction: float,
-    params: LstmParams,
-    clip_norm: float | None = None,
-) -> dict[str, np.ndarray]:
-    """Backpropagation through time for one sequence.
+def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
+    """Backpropagation through time over the steps of a forward pass.
 
-    ``d_prediction`` is dLoss/dPrediction at the output unit; the caller
-    owns the loss (squared error in training: 2 * (prediction - label)).
-    When ``clip_norm`` is given, the global L2 norm over all parameter
-    gradients is clipped to it after accumulation.
+    ``d_prediction`` is dLoss/dPrediction at the output unit, a scalar for
+    one sequence or one entry per sequence of a batch; the caller owns the
+    loss (squared error in training: 2 * (prediction - label)). Gradients
+    are summed over the batch and keyed like ``params.tensors()``.
     """
-    grads = _bptt(caches, np.array([float(d_prediction)]), params)
-    if clip_norm is not None:
-        grads = clip_gradients(grads, clip_norm)
-    return grads
+    if not steps:
+        raise ShapeMismatch("steps are empty; run a forward pass first")
+    dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
+    if dyhat.shape != (steps[-1].h.shape[0],):
+        raise ShapeMismatch("d_prediction batch size does not match the forward pass")
 
-
-def _bptt(caches: Sequence[GateCache], dyhat: np.ndarray, params: LstmParams) -> dict[str, np.ndarray]:
-    if not caches:
-        raise ShapeMismatch("caches are empty; run a forward pass first")
-    if dyhat.shape != (caches[-1].h.shape[0],):
-        raise ShapeMismatch("d_prediction batch size does not match caches")
-
-    F = params.input_size
+    H, F = params.hidden_size, params.input_size
+    W_h = params.W[:, F:]
     grads = {name: np.zeros_like(tensor) for name, tensor in params.tensors()}
 
-    grads["W_y"][0] = dyhat @ caches[-1].h
+    grads["W_y"][0] = dyhat @ steps[-1].h
     grads["b_y"][0] = dyhat.sum()
     dh = dyhat[:, None] * params.W_y[0]
     dC = np.zeros_like(dh)
 
-    for cache in reversed(caches):
-        tanhC = np.tanh(cache.C)
-        do = dh * tanhC
-        dC = dC + dh * cache.o * (1.0 - tanhC * tanhC)
-        df = dC * cache.C_prev
-        di = dC * cache.g
-        dg = dC * cache.i
+    for z, gates, C_prev, C, _ in reversed(steps):
+        f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
+        tanhC = np.tanh(C)
+        dC = dC + dh * o * (1.0 - tanhC * tanhC)
 
-        dzf = df * cache.f * (1.0 - cache.f)
-        dzi = di * cache.i * (1.0 - cache.i)
-        dzo = do * cache.o * (1.0 - cache.o)
-        dzg = dg * (1.0 - cache.g * cache.g)
+        # dA: the loss gradient at the gate pre-activations, blocks f, i, o, g.
+        dA = np.empty_like(gates)
+        np.multiply(dC, C_prev, out=dA[:, :H])
+        np.multiply(dC, g, out=dA[:, H:2 * H])
+        np.multiply(dh, tanhC, out=dA[:, 2 * H:3 * H])
+        sig = gates[:, :3 * H]
+        dA[:, :3 * H] *= sig * (1.0 - sig)
+        np.multiply(dC * i, 1.0 - g * g, out=dA[:, 3 * H:])
 
-        grads["W_f"] += dzf.T @ cache.z
-        grads["W_i"] += dzi.T @ cache.z
-        grads["W_o"] += dzo.T @ cache.z
-        grads["W_g"] += dzg.T @ cache.z
-        grads["b_f"] += dzf.sum(axis=0)
-        grads["b_i"] += dzi.sum(axis=0)
-        grads["b_o"] += dzo.sum(axis=0)
-        grads["b_g"] += dzg.sum(axis=0)
-
-        dz = dzf @ params.W_f + dzi @ params.W_i + dzo @ params.W_o + dzg @ params.W_g
-        dh = dz[:, F:]
-        dC = dC * cache.f
+        grads["W"] += dA.T @ z
+        grads["b"] += dA.sum(axis=0)
+        dh = dA @ W_h
+        dC = dC * f
 
     return grads
 
@@ -378,14 +350,14 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            yhat, caches, _ = _forward_batch(X[idx], params)
+            yhat, steps = _forward_batch(X[idx], params)
             err = yhat - y[idx]
             batch_sq = float(np.sum(err * err))
             if not math.isfinite(batch_sq):
                 raise NonFiniteLoss(epoch)
             sq_sum += batch_sq
             dyhat = (2.0 / len(idx)) * err
-            grads = _bptt(caches, dyhat, params)
+            grads = backward(steps, dyhat, params)
             grads = clip_gradients(grads, config.grad_clip_norm)
             optimizer.step(params, grads)
         loss_history.append(sq_sum / n)
@@ -422,20 +394,30 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
         raise ShapeMismatch(
             f"window feature count {X.shape[2]} != model input size {checkpoint.params.input_size}"
         )
-    yhat, _, _ = _forward_batch(X, checkpoint.params, keep_caches=False)
+    yhat, _ = _forward_batch(X, checkpoint.params, keep_steps=False)
     if checkpoint.scaler is None:
         return yhat
     return invert_target(yhat, checkpoint.scaler)
 
 
 # Checkpoint persistence: versioned JSON with flattened row-major weights.
+# The document keeps one array per gate; this order maps the gate names to
+# the row blocks of W and b.
+_GATE_BLOCKS = ("f", "i", "o", "g")
+
 
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
+    p = checkpoint.params
+    H = p.hidden_size
+    arrays = {"W_y": p.W_y, "b_y": p.b_y}
+    for k, gate in enumerate(_GATE_BLOCKS):
+        arrays[f"W_{gate}"] = p.W[k * H:(k + 1) * H]
+        arrays[f"b_{gate}"] = p.b[k * H:(k + 1) * H]
     doc = {
         "version": 1,
-        "input_size": checkpoint.params.input_size,
-        "hidden_size": checkpoint.params.hidden_size,
-        "params": {name: tensor.ravel().tolist() for name, tensor in checkpoint.params.tensors()},
+        "input_size": p.input_size,
+        "hidden_size": H,
+        "params": {name: tensor.ravel().tolist() for name, tensor in arrays.items()},
         "config": asdict(checkpoint.config),
         "scaler": scaler_to_dict(checkpoint.scaler) if checkpoint.scaler else None,
         "feature_mode": checkpoint.feature_mode,
@@ -459,19 +441,21 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
     try:
         input_size = int(doc["input_size"])
         hidden_size = int(doc["hidden_size"])
-        z = input_size + hidden_size
-        shapes = {
-            "W_f": (hidden_size, z), "W_i": (hidden_size, z),
-            "W_o": (hidden_size, z), "W_g": (hidden_size, z),
-            "b_f": (hidden_size,), "b_i": (hidden_size,),
-            "b_o": (hidden_size,), "b_g": (hidden_size,),
-            "W_y": (1, hidden_size), "b_y": (1,),
-        }
-        tensors = {
-            name: np.array(doc["params"][name], dtype=np.float64).reshape(shape)
-            for name, shape in shapes.items()
-        }
-        params = LstmParams(input_size=input_size, hidden_size=hidden_size, **tensors)
+        arrays = doc["params"]
+
+        def array(name: str) -> np.ndarray:
+            return np.array(arrays[name], dtype=np.float64)
+
+        # Each gate block is reshaped on its own, so entries one gate lacks
+        # and another has to spare cannot pass as a well-shaped stack.
+        params = LstmParams(
+            W=np.concatenate([array(f"W_{g}").reshape(hidden_size, -1) for g in _GATE_BLOCKS]),
+            b=np.concatenate([array(f"b_{g}").reshape(hidden_size) for g in _GATE_BLOCKS]),
+            W_y=array("W_y").reshape(1, -1),
+            b_y=array("b_y"),
+            input_size=input_size,
+            hidden_size=hidden_size,
+        )
         config = TrainConfig(**doc["config"])
         scaler = scaler_from_dict(doc["scaler"]) if doc.get("scaler") else None
         return Checkpoint(

@@ -60,6 +60,9 @@ def scalar_cell_reference(x, h_prev, C_prev, params: LstmParams):
     """One LSTM step computed with pure-Python scalar loops.
 
     Independent of every numpy vectorization choice in the production cell.
+    Unit j of each gate reads row j of that gate's block of the stacked
+    ``params.W`` and ``params.b``: f at rows [0, H), i at [H, 2H), o at
+    [2H, 3H) and g at [3H, 4H).
     Returns (h, C) as lists of floats.
     """
 
@@ -68,12 +71,16 @@ def scalar_cell_reference(x, h_prev, C_prev, params: LstmParams):
 
     z = list(x) + list(h_prev)
     H = params.hidden_size
+
+    def pre(row):
+        return sum(params.W[row][k] * z[k] for k in range(len(z))) + params.b[row]
+
     h_out, C_out = [], []
     for j in range(H):
-        f = sigmoid(sum(params.W_f[j][k] * z[k] for k in range(len(z))) + params.b_f[j])
-        i = sigmoid(sum(params.W_i[j][k] * z[k] for k in range(len(z))) + params.b_i[j])
-        o = sigmoid(sum(params.W_o[j][k] * z[k] for k in range(len(z))) + params.b_o[j])
-        g = math.tanh(sum(params.W_g[j][k] * z[k] for k in range(len(z))) + params.b_g[j])
+        f = sigmoid(pre(0 * H + j))
+        i = sigmoid(pre(1 * H + j))
+        o = sigmoid(pre(2 * H + j))
+        g = math.tanh(pre(3 * H + j))
         C = f * C_prev[j] + i * g
         h_out.append(o * math.tanh(C))
         C_out.append(C)
@@ -116,6 +123,21 @@ def finite_difference_gradients(sequence, label, params: LstmParams, eps=1e-5):
             gflat[k] = (up - down) / (2.0 * eps)
         grads[name] = grad
     return grads
+
+
+def per_gate(grads, hidden_size):
+    """Gradients with the stacked W and b split into their gate blocks.
+
+    Rows [0, H), [H, 2H), [2H, 3H) and [3H, 4H) become W_f, W_i, W_o, W_g
+    (and b_f ... b_g), so a gradient check holds each gate to its own scale
+    and a small gate's error cannot hide behind a large one's norm.
+    """
+    H = hidden_size
+    blocks = {"W_y": grads["W_y"], "b_y": grads["b_y"]}
+    for k, gate in enumerate("fiog"):
+        blocks[f"W_{gate}"] = grads["W"][k * H:(k + 1) * H]
+        blocks[f"b_{gate}"] = grads["b"][k * H:(k + 1) * H]
+    return blocks
 
 
 def relative_tensor_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from sentistock.market_data import Tweet, align_to_trading_days
 from sentistock.sentiment import Lexicon, LexiconEntry, aggregate_daily, score_text
 
 from fixtures import make_coupled_fixture, write_cli_fixture
-from oracles import finite_difference_gradients, reference_score_polarity, relative_tensor_error
+from oracles import finite_difference_gradients, per_gate, reference_score_polarity, relative_tensor_error
 
 
 @contextmanager
@@ -55,9 +55,9 @@ def test_criterion_1_gradient_correctness():
             params = init_params(3, 4, seed=seed)
             sequence = rng.normal(size=(5, 3))
             label = float(rng.normal())
-            prediction, caches = sequence_forward(sequence, params)
-            analytic = backward(caches, 2.0 * (prediction - label), params)
-            numeric = finite_difference_gradients(sequence, label, params, eps=1e-5)
+            prediction, steps = sequence_forward(sequence, params)
+            analytic = per_gate(backward(steps, 2.0 * (prediction - label), params), 4)
+            numeric = per_gate(finite_difference_gradients(sequence, label, params, eps=1e-5), 4)
             for name, tensor in analytic.items():
                 err = relative_tensor_error(tensor, numeric[name])
                 assert err < 1e-5, f"seed {seed}, tensor {name}: relative error {err:.2e}"

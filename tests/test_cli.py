@@ -119,11 +119,16 @@ class TestPredict:
         assert run(["predict", "--config", fixture_config]) == 2
 
 
-def checkpoint_without_config(config, tmp_path) -> str:
-    assert run(["train", "--config", config]) == 0
-    doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
-    del doc["config"]
-    return json.dumps(doc)
+def edited_checkpoint(edit):
+    """A builder for a trained checkpoint document changed by ``edit``."""
+
+    def build(config, tmp_path) -> str:
+        assert run(["train", "--config", config]) == 0
+        doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+        edit(doc)
+        return json.dumps(doc)
+
+    return build
 
 
 class TestBadSettingsExit2:
@@ -134,7 +139,14 @@ class TestBadSettingsExit2:
         pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
         pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
         pytest.param(["predict"], lambda config, tmp_path: "not json\n", id="predict-non-json-checkpoint"),
-        pytest.param(["predict"], checkpoint_without_config, id="predict-checkpoint-without-config"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.pop("config")),
+                     id="predict-checkpoint-without-config"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["W_f"].append(0.0)),
+                     id="predict-W_f-extra-entry"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"].pop("W_i")),
+                     id="predict-without-W_i"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["b_o"].pop()),
+                     id="predict-b_o-wrong-length"),
     ])
     def test_one_error_line(self, argv, checkpoint, fixture_config, tmp_path, capsys):
         if checkpoint is not None:

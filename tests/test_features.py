@@ -5,6 +5,7 @@ import pytest
 
 from sentistock.errors import (
     AllMissingColumn,
+    ConfigError,
     DegenerateRange,
     MissingSentimentDate,
     ShapeMismatch,
@@ -15,6 +16,7 @@ from sentistock.features import (
     ScalerParams,
     fit_scaler,
     fuse,
+    impute_for_split,
     impute_mean,
     inverse_transform,
     make_windows,
@@ -182,6 +184,19 @@ class TestFuse:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             fuse(series_of([10, 11]), [], mode="dlpm")
+
+    @pytest.mark.parametrize("n_bars, fraction, error", [
+        (2, 0.75, TooFewRows),
+        (11, 0.05, TooFewRows),
+        (11, 0.0, ConfigError),
+        (11, 1.5, ConfigError),
+    ])
+    def test_imputation_refuses_the_splits_fuse_refuses(self, n_bars, fraction, error):
+        series = series_of(range(10, 10 + n_bars))
+        with pytest.raises(error):
+            fuse(series, [], mode="dlpm", split_fraction=fraction)
+        with pytest.raises(error):
+            impute_for_split(series, fraction)
 
     def test_targets_identical_across_modes(self):
         # Even with sentiment held constant on every row, the two modes must

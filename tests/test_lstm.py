@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -24,12 +25,14 @@ from sentistock.lstm import (
     predict,
     sequence_forward,
     train,
+    _forward_batch,
     _sigmoid,
 )
 
 from oracles import (
     finite_difference_gradients,
     masked_sigmoid_reference,
+    per_gate,
     relative_tensor_error,
     scalar_cell_reference,
     scalar_sequence_reference,
@@ -39,13 +42,16 @@ from oracles import (
 def zero_params(input_size=2, hidden_size=3):
     z = input_size + hidden_size
     return LstmParams(
-        W_f=np.zeros((hidden_size, z)), W_i=np.zeros((hidden_size, z)),
-        W_o=np.zeros((hidden_size, z)), W_g=np.zeros((hidden_size, z)),
-        b_f=np.zeros(hidden_size), b_i=np.zeros(hidden_size),
-        b_o=np.zeros(hidden_size), b_g=np.zeros(hidden_size),
+        W=np.zeros((4 * hidden_size, z)), b=np.zeros(4 * hidden_size),
         W_y=np.zeros((1, hidden_size)), b_y=np.zeros(1),
         input_size=input_size, hidden_size=hidden_size,
     )
+
+
+def gates(step, hidden_size):
+    """The activated f, i, o, g blocks of one step, each (batch, hidden)."""
+    H = hidden_size
+    return tuple(step.gates[:, k * H:(k + 1) * H] for k in range(4))
 
 
 def sine_windows(n_samples=20, lookback=5):
@@ -70,18 +76,26 @@ class TestInitParams:
 
     def test_shapes(self):
         p = init_params(3, 4, seed=0)
-        assert p.W_f.shape == (4, 7)
+        assert p.W.shape == (16, 7)
+        assert p.b.shape == (16,)
         assert p.W_y.shape == (1, 4)
 
     def test_forget_bias_ones(self):
         p = init_params(3, 4, seed=0)
-        assert p.b_f.tolist() == [1.0, 1.0, 1.0, 1.0]
-        assert p.b_i.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert p.b[:4].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert p.b[4:].tolist() == [0.0] * 12
 
     def test_xavier_bounds(self):
         p = init_params(3, 4, seed=0)
         limit = math.sqrt(6.0 / (7 + 4))
-        assert np.max(np.abs(p.W_f)) <= limit
+        assert np.max(np.abs(p.W)) <= limit
+
+    def test_misshaped_stack_rejected(self):
+        p = zero_params(2, 3)
+        with pytest.raises(ShapeMismatch):
+            replace(p, W=np.zeros((3, 5)))
+        with pytest.raises(ShapeMismatch):
+            replace(p, b=np.zeros(3))
 
 
 class TestSigmoid:
@@ -95,37 +109,39 @@ class TestSigmoid:
 
 
 class TestCellForward:
-    """The cell step, seen through ``sequence_forward`` and its per-step caches."""
+    """The cell step, seen through ``sequence_forward`` and its per-step records."""
 
     def test_zero_weights_halve_everything(self):
-        # Only W_g reads x, so step 1 leaves a non-zero cell state and
-        # step 2 (x = 0) runs with every gate pre-activation at zero.
+        # Only the g block (rows 9-11) reads x, so step 1 leaves a non-zero
+        # cell state and step 2 (x = 0) runs with every gate pre-activation
+        # at zero.
         p = zero_params()
-        p.W_g[:, 0] = [1.0, -2.0, 0.5]
-        _, caches = sequence_forward(np.array([[3.0, -1.0], [0.0, 0.0]]), p)
-        prev, cache = caches
+        p.W[9:12, 0] = [1.0, -2.0, 0.5]
+        _, steps = sequence_forward(np.array([[3.0, -1.0], [0.0, 0.0]]), p)
+        prev, step = steps
+        f, i, o, g = gates(step, 3)
         assert np.all(prev.C != 0.0)
-        assert np.allclose(cache.f, 0.5) and np.allclose(cache.i, 0.5)
-        assert np.allclose(cache.o, 0.5) and np.allclose(cache.g, 0.0)
-        assert np.allclose(cache.C, 0.5 * prev.C)
-        assert np.allclose(cache.h, 0.5 * np.tanh(0.5 * prev.C))
+        assert np.allclose(f, 0.5) and np.allclose(i, 0.5)
+        assert np.allclose(o, 0.5) and np.allclose(g, 0.0)
+        assert np.allclose(step.C, 0.5 * prev.C)
+        assert np.allclose(step.h, 0.5 * np.tanh(0.5 * prev.C))
 
     def test_zero_state_zero_weights_gives_zero(self):
         p = zero_params()
-        _, caches = sequence_forward(np.array([[5.0, 7.0]]), p)
-        assert np.array_equal(caches[0].h, np.zeros((1, 3)))
+        _, steps = sequence_forward(np.array([[5.0, 7.0]]), p)
+        assert np.array_equal(steps[0].h, np.zeros((1, 3)))
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(12)
         p = init_params(1, 2, seed=12)
         for _ in range(20):
             seq = rng.normal(size=(4, 1))
-            pred, caches = sequence_forward(seq, p)
+            pred, steps = sequence_forward(seq, p)
             h_ref, c_ref = [0.0, 0.0], [0.0, 0.0]
-            for x, cache in zip(seq, caches):
+            for x, step in zip(seq, steps):
                 h_ref, c_ref = scalar_cell_reference(x, h_ref, c_ref, p)
-                assert np.max(np.abs(cache.h[0] - np.array(h_ref))) < 1e-12
-                assert np.max(np.abs(cache.C[0] - np.array(c_ref))) < 1e-12
+                assert np.max(np.abs(step.h[0] - np.array(h_ref))) < 1e-12
+                assert np.max(np.abs(step.C[0] - np.array(c_ref))) < 1e-12
             assert abs(pred - scalar_sequence_reference(seq, p)) < 1e-12
 
     def test_shape_mismatch(self):
@@ -141,12 +157,13 @@ class TestCellForward:
     def test_gate_ranges_randomized(self):
         rng = np.random.default_rng(8)
         p = init_params(3, 6, seed=8)
-        _, caches = sequence_forward(rng.normal(scale=5.0, size=(50, 3)), p)
-        assert len(caches) == 50
-        for cache in caches:
-            for gate in (cache.f, cache.i, cache.o):
+        _, steps = sequence_forward(rng.normal(scale=5.0, size=(50, 3)), p)
+        assert len(steps) == 50
+        for step in steps:
+            f, i, o, g = gates(step, 6)
+            for gate in (f, i, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
-            assert np.all(cache.g > -1.0) and np.all(cache.g < 1.0)
+            assert np.all(g > -1.0) and np.all(g < 1.0)
 
 
 class TestSequenceForward:
@@ -159,8 +176,8 @@ class TestSequenceForward:
     def test_single_timestep_equals_cell_plus_projection(self):
         p = init_params(2, 3, seed=5)
         x = np.array([[0.4, -0.2]])
-        pred, (cache,) = sequence_forward(x, p)
-        assert pred == pytest.approx(float(cache.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
+        pred, (step,) = sequence_forward(x, p)
+        assert pred == pytest.approx(float(step.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
 
     def test_order_sensitivity_witness(self):
         p = init_params(2, 3, seed=6)
@@ -183,8 +200,9 @@ class TestSequenceForward:
 class TestBackward:
     def test_zero_upstream_gradient(self):
         p = init_params(3, 4, seed=1)
-        _, caches = sequence_forward(np.random.default_rng(1).normal(size=(5, 3)), p)
-        grads = backward(caches, 0.0, p)
+        _, steps = sequence_forward(np.random.default_rng(1).normal(size=(5, 3)), p)
+        grads = backward(steps, 0.0, p)
+        assert [name for name, _ in p.tensors()] == list(grads)
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_matches_finite_differences(self):
@@ -192,18 +210,40 @@ class TestBackward:
         p = init_params(3, 4, seed=3)
         seq = rng.normal(size=(5, 3))
         label = float(rng.normal())
-        pred, caches = sequence_forward(seq, p)
-        analytic = backward(caches, 2.0 * (pred - label), p)
-        numeric = finite_difference_gradients(seq, label, p)
+        pred, steps = sequence_forward(seq, p)
+        analytic = per_gate(backward(steps, 2.0 * (pred - label), p), 4)
+        numeric = per_gate(finite_difference_gradients(seq, label, p), 4)
+        assert len(analytic) == 10
         for name in analytic:
             assert relative_tensor_error(analytic[name], numeric[name]) < 1e-5, name
+
+    def test_batch_gradient_is_sum_over_sequences(self):
+        rng = np.random.default_rng(5)
+        p = init_params(3, 4, seed=5)
+        X = rng.normal(size=(3, 5, 3))
+        upstream = rng.normal(size=3)
+        _, steps = _forward_batch(X, p)
+        batched = backward(steps, upstream, p)
+        summed = {name: np.zeros_like(t) for name, t in p.tensors()}
+        for seq, d in zip(X, upstream):
+            _, seq_steps = sequence_forward(seq, p)
+            for name, g in backward(seq_steps, d, p).items():
+                summed[name] += g
+        for name in summed:
+            assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), name
+
+    def test_upstream_batch_size_must_match(self):
+        p = init_params(3, 4, seed=5)
+        _, steps = sequence_forward(np.ones((2, 3)), p)
+        with pytest.raises(ShapeMismatch):
+            backward(steps, np.ones(2), p)
 
     def test_clip_hits_exact_norm(self):
         rng = np.random.default_rng(4)
         p = init_params(3, 4, seed=4)
         seq = rng.normal(size=(5, 3))
-        pred, caches = sequence_forward(seq, p)
-        grads = backward(caches, 1e6 * 2.0 * (pred - 3.0), p, clip_norm=5.0)
+        pred, steps = sequence_forward(seq, p)
+        grads = clip_gradients(backward(steps, 1e6 * 2.0 * (pred - 3.0), p), 5.0)
         assert gradient_norm(grads) == pytest.approx(5.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
@@ -310,6 +350,21 @@ class TestCheckpointPersistence:
         assert again.config == cp.config
         assert again.scaler == cp.scaler
         assert again.loss_history == cp.loss_history
+
+    def test_gate_names_map_to_row_blocks(self):
+        H, F = 2, 3
+        p = zero_params(input_size=F, hidden_size=H)
+        for k in range(4):
+            p.W[k * H:(k + 1) * H] = k
+            p.b[k * H:(k + 1) * H] = k
+        cp = Checkpoint(params=p, config=TrainConfig(epochs=1, hidden_size=H), loss_history=(0.0,))
+        text = checkpoint_to_json(cp)
+        arrays = json.loads(text)["params"]
+        for k, gate in enumerate("fiog"):
+            assert arrays[f"W_{gate}"] == [float(k)] * (H * (F + H)), gate
+            assert arrays[f"b_{gate}"] == [float(k)] * H, gate
+        again = checkpoint_from_json(text)
+        assert np.array_equal(again.params.W, p.W) and np.array_equal(again.params.b, p.b)
 
     def test_unknown_version_refused(self):
         windows, _, _ = sine_windows()
