@@ -10,7 +10,7 @@ that the from-scratch LSTM trains on correct gradients.
 
 import numpy as np
 
-from sentistock import backward, init_params, sequence_forward
+from sentistock import backward, forward, init_params
 
 HIDDEN, INPUT, LOOKBACK = 4, 3, 5
 EPS = 1e-5
@@ -20,13 +20,15 @@ params = init_params(INPUT, HIDDEN, seed=3)
 sequence = rng.normal(size=(LOOKBACK, INPUT))
 label = 0.8
 
-prediction, steps = sequence_forward(sequence, params)
+# forward runs a batch of sequences; this one sequence is a batch of one.
+predictions, steps = forward(sequence[None], params)
+prediction = float(predictions[0])
 analytic = backward(steps, 2.0 * (prediction - label), params)
 
 
 def loss():
-    value, _ = sequence_forward(sequence, params)
-    return (value - label) ** 2
+    values, _ = forward(sequence[None], params)
+    return (values[0] - label) ** 2
 
 
 print(f"instance: hidden={HIDDEN} input={INPUT} lookback={LOOKBACK}, prediction={prediction:+.4f}\n")

@@ -75,7 +75,7 @@ config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=1,
 report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
 
 print(render_table(report))
-gap = report.average_for("hisa") - report.average_for("dlpm")
+gap = report.averages["hisa"] - report.averages["dlpm"]
 print(f"average-accuracy gap (hisa - dlpm): {gap:+.2f} percentage points")
 print("\nReal-vs-predicted series for external plotting live on each record")
 print("(dates, real, predicted), or use the CLI compare command's CSVs.")

@@ -36,30 +36,26 @@ from .features import (
     FusedDataset,
     ScalerParams,
     WindowedDataset,
-    fit_scaler,
     fuse,
     impute_mean,
-    inverse_transform,
     make_windows,
     scale_dataset,
-    transform,
 )
 from .lstm import (
     Checkpoint,
     LstmParams,
     TrainConfig,
     backward,
+    forward,
     init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
-    sequence_forward,
     train,
 )
 from .evaluation import (
     EvalReport,
     VariantRecord,
-    accuracy,
     mape,
     render_table,
     rmse,
@@ -75,11 +71,10 @@ __all__ = [
     "DailySentiment", "Lexicon", "LexiconEntry", "SentimentScore",
     "aggregate_daily", "load_lexicon", "score_corpus", "score_text", "tokenize",
     "FusedDataset", "ScalerParams", "WindowedDataset",
-    "fit_scaler", "fuse", "impute_mean", "inverse_transform",
-    "make_windows", "scale_dataset", "transform",
+    "fuse", "impute_mean", "make_windows", "scale_dataset",
     "Checkpoint", "LstmParams", "TrainConfig",
-    "backward", "init_params", "load_checkpoint",
-    "predict", "save_checkpoint", "sequence_forward", "train",
+    "backward", "forward", "init_params", "load_checkpoint",
+    "predict", "save_checkpoint", "train",
     "EvalReport", "VariantRecord",
-    "accuracy", "mape", "render_table", "rmse", "run_comparison",
+    "mape", "render_table", "rmse", "run_comparison",
 ]

@@ -26,6 +26,7 @@ from .market_data import (
     DEFAULT_SCHEMA,
     OHLCV_FIELDS,
     Tweet,
+    _utf8_text,
     bars_to_json,
     parse_ohlcv_csv,
     parse_tweets_jsonl,
@@ -68,19 +69,11 @@ class RunConfig:
         return {f: getattr(self, f"column_{f}") for f in OHLCV_FIELDS}
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            grad_clip_norm=self.grad_clip_norm,
-            optimizer=self.optimizer,
-            hidden_size=self.hidden_size,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
-_INT_KEYS = {"lookback", "hidden_size", "batch_size", "seed", "epochs"}
-_FLOAT_KEYS = {"learning_rate", "grad_clip_norm", "split_fraction"}
+# A value is parsed by the type of its key's default: int, float or tuple.
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _PATH_KEYS = {"historical", "tweets", "lexicon", "checkpoint", "out"}
 
 
@@ -88,10 +81,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge config-file values and flag overrides over the defaults."""
     values: dict = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(path, encoding="utf-8")
-        if not read:
-            raise PipelineError(f"config file not found: {path}")
+        # No interpolation: every value is literal, '%' included.
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+        try:
+            with open(path, "rb") as fh, _utf8_text(fh, "config INI") as text:
+                parser.read_file(text, source=path)
+        except FileNotFoundError as exc:
+            raise PipelineError(f"config file not found: {path}") from exc
+        except configparser.Error as exc:
+            # configparser's messages span several lines; the CLI prints one.
+            raise PipelineError(" ".join(str(exc).split())) from exc
         if not parser.has_section("run"):
             raise PipelineError(f"config file {path} has no [run] section")
         base = Path(path).resolve().parent
@@ -100,8 +99,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             values[key] = _coerce(key, value, Path.cwd())
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - _DEFAULTS.keys())
     if unknown:
         raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
     return RunConfig(**values)
@@ -110,12 +108,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 def _coerce(key: str, raw, base: Path):
     if isinstance(raw, str):
         raw = raw.strip()
+    kind = type(_DEFAULTS.get(key))
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "epoch_sizes":
+        if kind in (int, float):
+            return kind(raw)
+        if kind is tuple:
             if isinstance(raw, str):
                 parts = [p for p in raw.replace(",", " ").split() if p]
                 return tuple(int(p) for p in parts)
@@ -144,7 +141,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _write_resolved_config(cfg: RunConfig, out: Path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.add_section("run")
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)

@@ -24,7 +24,7 @@ class DuplicateDate(PipelineError):
 
 
 class NotUtf8(PipelineError):
-    """An input file (CSV, JSONL, or lexicon TSV) holds bytes that are not UTF-8."""
+    """An input file (CSV, JSONL, lexicon TSV, or config INI) holds bytes that are not UTF-8."""
 
 
 class EmptyInput(PipelineError):
@@ -80,10 +80,6 @@ class TooFewRows(PipelineError):
 
 
 # model
-
-class NonFiniteActivation(PipelineError):
-    """A forward pass produced NaN or infinity."""
-
 
 class NonFiniteLoss(PipelineError):
     """Training loss became NaN or infinite; carries the offending epoch."""

@@ -30,11 +30,6 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
 
 
-def accuracy(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """100 - MAPE, the regression accuracy used throughout reporting."""
-    return 100.0 - mape(actual, predicted)
-
-
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     a, p = _paired(actual, predicted)
     return float(np.sqrt(np.mean((a - p) ** 2)))
@@ -70,29 +65,19 @@ class VariantRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All variant-epoch records plus per-variant average accuracy."""
+    """All variant-epoch records plus each variant's average accuracy, in record order."""
 
     records: tuple[VariantRecord, ...]
-    averages: tuple[tuple[str, float], ...]
+    averages: dict[str, float]
 
     @classmethod
     def from_records(cls, records: Sequence[VariantRecord]) -> "EvalReport":
         """Build a report, computing each variant's arithmetic mean accuracy."""
-        variants = []
-        for rec in records:
-            if rec.variant not in variants:
-                variants.append(rec.variant)
-        averages = []
-        for variant in variants:
+        averages = {}
+        for variant in dict.fromkeys(rec.variant for rec in records):
             accs = [r.accuracy_pct for r in records if r.variant == variant]
-            averages.append((variant, sum(accs) / len(accs)))
-        return cls(records=tuple(records), averages=tuple(averages))
-
-    def average_for(self, variant: str) -> float:
-        for name, value in self.averages:
-            if name == variant:
-                return value
-        raise KeyError(variant)
+            averages[variant] = sum(accs) / len(accs)
+        return cls(records=tuple(records), averages=averages)
 
 
 def run_comparison(
@@ -192,7 +177,7 @@ def render_table(report: EvalReport) -> str:
         for rec in report.records:
             if rec.epochs == epochs:
                 rows.append((str(epochs), rec.variant, f"{rec.accuracy_pct:.2f}%"))
-    for variant, avg in report.averages:
+    for variant, avg in report.averages.items():
         rows.append(("Average", variant, f"{avg:.2f}%"))
 
     widths = [max(len(r[c]) for r in rows) for c in range(3)]
@@ -220,7 +205,7 @@ def report_to_json(report: EvalReport) -> str:
             }
             for r in report.records
         ],
-        "averages": {variant: value for variant, value in report.averages},
+        "averages": report.averages,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 

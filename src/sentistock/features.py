@@ -91,10 +91,6 @@ class FusedDataset:
         if self.feature_names != expected:
             raise ShapeMismatch(f"{self.feature_mode} mode requires columns {expected}")
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.dates)
-
 
 @dataclass(frozen=True)
 class WindowedDataset:
@@ -168,54 +164,6 @@ def impute_for_split(series: BarSeries, split_fraction: float) -> BarSeries:
     return impute_mean(series, series.bars[train_rows - 1].date)
 
 
-def fit_scaler(
-    features: np.ndarray,
-    train_rows: int,
-    feature_names: Sequence[str] | None = None,
-) -> ScalerParams:
-    """Column-wise min/max over the first ``train_rows`` rows only."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got shape {features.shape}")
-    if not 0 < train_rows <= features.shape[0]:
-        raise TooFewRows(f"train_rows {train_rows} not in 1..{features.shape[0]}")
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"f{i}" for i in range(features.shape[1])
-    )
-    train = features[:train_rows]
-    return ScalerParams(
-        feature_names=names,
-        mins=tuple(train.min(axis=0).tolist()),
-        maxs=tuple(train.max(axis=0).tolist()),
-    )
-
-
-def transform(features: np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    """x' = (x - min) / (max - min), columnwise. No clipping: test rows may
-    fall outside [0, 1]."""
-    features = np.asarray(features, dtype=np.float64)
-    _check_columns(features, scaler)
-    mins = np.array(scaler.mins)
-    maxs = np.array(scaler.maxs)
-    return (features - mins) / (maxs - mins)
-
-
-def inverse_transform(features: np.ndarray, scaler: ScalerParams) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
-    _check_columns(features, scaler)
-    mins = np.array(scaler.mins)
-    maxs = np.array(scaler.maxs)
-    return features * (maxs - mins) + mins
-
-
-def _check_columns(features: np.ndarray, scaler: ScalerParams) -> None:
-    if features.ndim != 2 or features.shape[1] != len(scaler.feature_names):
-        raise ShapeMismatch(
-            f"matrix shape {features.shape} does not match scaler with "
-            f"{len(scaler.feature_names)} columns"
-        )
-
-
 def fuse(
     series: BarSeries,
     sentiment: Sequence[DailySentiment],
@@ -286,16 +234,19 @@ def scale_dataset(dataset: FusedDataset) -> FusedDataset:
     """
     if dataset.scaler is not None:
         raise ValueError("dataset is already scaled")
-    scaler = fit_scaler(
-        np.column_stack([dataset.features, dataset.targets]),
-        dataset.split_index,
+    train = np.column_stack([dataset.features, dataset.targets])[:dataset.split_index]
+    scaler = ScalerParams(
         feature_names=dataset.feature_names + (TARGET_COLUMN,),
+        mins=tuple(train.min(axis=0).tolist()),
+        maxs=tuple(train.max(axis=0).tolist()),
     )
+    del train  # apply_scaler stacks its own copy; holding this one raised peak RSS
     return apply_scaler(dataset, scaler)
 
 
 def apply_scaler(dataset: FusedDataset, scaler: ScalerParams) -> FusedDataset:
-    """Normalize a raw dataset with a previously fitted scaler (replay path)."""
+    """x' = (x - min) / (max - min) per column, target included, with a fitted
+    scaler. No clipping: test rows may fall outside [0, 1]."""
     if dataset.scaler is not None:
         raise ValueError("dataset is already scaled")
     expected = dataset.feature_names + (TARGET_COLUMN,)
@@ -304,7 +255,9 @@ def apply_scaler(dataset: FusedDataset, scaler: ScalerParams) -> FusedDataset:
             f"scaler columns {scaler.feature_names} do not match dataset columns {expected}"
         )
     joint = np.column_stack([dataset.features, dataset.targets])
-    scaled = transform(joint, scaler)
+    mins = np.array(scaler.mins)
+    maxs = np.array(scaler.maxs)
+    scaled = (joint - mins) / (maxs - mins)
     return replace(dataset, features=scaled[:, :-1], targets=scaled[:, -1], scaler=scaler)
 
 
@@ -326,7 +279,7 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     """
     if lookback < 1:
         raise ConfigError(f"lookback must be positive, got {lookback}")
-    rows = dataset.n_rows
+    rows = len(dataset.dates)
     if rows < lookback + 2:
         raise TooFewRows(f"{rows} rows cannot support lookback {lookback} (need {lookback + 2})")
     if dataset.split_index - lookback < 1:

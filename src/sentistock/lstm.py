@@ -24,7 +24,8 @@ once by W. The checkpoint document still names each gate's block
 (W_f ... b_g), so it reads the same as before the stacking.
 
 The prediction for a sequence is W_y h_T + b_y (no output activation; the
-model works in normalized target space).
+model works in normalized target space). :func:`forward` runs a batch of
+sequences; a single sequence is a batch of one (``seq[None]``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigError,
-    NonFiniteActivation,
     NonFiniteLoss,
     PipelineError,
     ShapeMismatch,
@@ -182,12 +182,12 @@ def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) 
     return Step(z, gates, C_prev, C, h)
 
 
-def _forward_batch(
+def forward(
     X: np.ndarray,
     params: LstmParams,
     keep_steps: bool = True,
 ) -> tuple[np.ndarray, list[Step]]:
-    """Run a batch of sequences; X is (batch, lookback, features).
+    """Run a batch of sequences from a zero state; X is (batch, lookback, features).
 
     Returns (predictions, steps). The steps are empty when keep_steps is
     False (inference path).
@@ -207,20 +207,6 @@ def _forward_batch(
             steps.append(step)
     yhat = h @ params.W_y[0] + params.b_y[0]
     return yhat, steps
-
-
-def sequence_forward(sequence: np.ndarray, params: LstmParams) -> tuple[float, list[Step]]:
-    """Forward one sequence (lookback, features) from a zero initial state."""
-    sequence = np.asarray(sequence, dtype=np.float64)
-    if sequence.ndim != 2:
-        raise ShapeMismatch(f"sequence must be 2-D, got shape {sequence.shape}")
-    if sequence.shape[0] < 1:
-        raise ShapeMismatch("sequence must contain at least one timestep")
-    yhat, steps = _forward_batch(sequence[None, :, :], params)
-    prediction = float(yhat[0])
-    if not math.isfinite(prediction):
-        raise NonFiniteActivation("forward pass produced a non-finite prediction")
-    return prediction, steps
 
 
 def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
@@ -350,7 +336,7 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            yhat, steps = _forward_batch(X[idx], params)
+            yhat, steps = forward(X[idx], params)
             err = yhat - y[idx]
             batch_sq = float(np.sum(err * err))
             if not math.isfinite(batch_sq):
@@ -390,11 +376,7 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
     if len(windows) == 0:
         return np.empty(0, dtype=np.float64)
     X = np.asarray(windows.sequences, dtype=np.float64)
-    if X.shape[2] != checkpoint.params.input_size:
-        raise ShapeMismatch(
-            f"window feature count {X.shape[2]} != model input size {checkpoint.params.input_size}"
-        )
-    yhat, _ = _forward_batch(X, checkpoint.params, keep_steps=False)
+    yhat, _ = forward(X, checkpoint.params, keep_steps=False)
     if checkpoint.scaler is None:
         return yhat
     return invert_target(yhat, checkpoint.scaler)

@@ -30,8 +30,6 @@ from typing import BinaryIO, Iterable, Mapping, Sequence
 from .errors import DuplicateTerm, MalformedRow, PolarityOutOfRange
 from .market_data import Tweet, _utf8_text
 
-LABELS = ("positive", "negative", "neutral")
-
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -61,33 +59,19 @@ class Lexicon:
     terms: Mapping[str, LexiconEntry]
     negators: frozenset[str]
 
-    def __len__(self) -> int:
-        return len(self.terms) + len(self.negators)
-
 
 @dataclass(frozen=True)
 class SentimentScore:
     polarity: float
-    label: str
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        expected = _label_for(self.polarity)
-        if self.label != expected:
-            raise ValueError(f"label {self.label!r} contradicts polarity {self.polarity}")
-
-    @classmethod
-    def from_polarity(cls, polarity: float) -> "SentimentScore":
-        return cls(polarity=polarity, label=_label_for(polarity))
-
-
-def _label_for(polarity: float) -> str:
-    if polarity > 0:
-        return "positive"
-    if polarity < 0:
-        return "negative"
-    return "neutral"
+    @property
+    def label(self) -> str:
+        """The class by sign: positive, negative, or neutral at exactly 0."""
+        if self.polarity > 0:
+            return "positive"
+        if self.polarity < 0:
+            return "negative"
+        return "neutral"
 
 
 @dataclass(frozen=True)
@@ -139,8 +123,8 @@ def score_text(tokens: Sequence[str], lexicon: Lexicon) -> SentimentScore:
                 clauses.append(_clip(score))
                 pending = []
     if not clauses:
-        return SentimentScore.from_polarity(0.0)
-    return SentimentScore.from_polarity(_clip(sum(clauses) / len(clauses)))
+        return SentimentScore(0.0)
+    return SentimentScore(_clip(sum(clauses) / len(clauses)))
 
 
 def _clip(x: float) -> float:

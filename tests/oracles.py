@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from sentistock.lstm import LstmParams, sequence_forward
+from sentistock.lstm import LstmParams, forward
 from sentistock.sentiment import Lexicon
 
 
@@ -105,8 +105,8 @@ def finite_difference_gradients(sequence, label, params: LstmParams, eps=1e-5):
     """
 
     def loss(p):
-        prediction, _ = sequence_forward(sequence, p)
-        return (prediction - label) ** 2
+        prediction, _ = forward(sequence[None], p)
+        return (prediction[0] - label) ** 2
 
     grads = {}
     for name, tensor in params.tensors():

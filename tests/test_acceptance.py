@@ -15,23 +15,23 @@ from sentistock.cli import main as cli_main
 from sentistock.evaluation import (
     EvalReport,
     VariantRecord,
-    accuracy,
     mape,
     render_table,
     run_comparison,
 )
 from sentistock.features import (
+    DLPM_FEATURES,
+    FusedDataset,
     ScalerParams,
     WindowedDataset,
-    fit_scaler,
-    inverse_transform,
-    transform,
+    invert_target,
+    scale_dataset,
 )
-from sentistock.lstm import TrainConfig, backward, init_params, predict, sequence_forward, train
+from sentistock.lstm import TrainConfig, backward, forward, init_params, predict, train
 from sentistock.market_data import Tweet, align_to_trading_days
 from sentistock.sentiment import Lexicon, LexiconEntry, aggregate_daily, score_text
 
-from fixtures import make_coupled_fixture, write_cli_fixture
+from fixtures import make_coupled_fixture, trading_days, write_cli_fixture
 from oracles import finite_difference_gradients, per_gate, reference_score_polarity, relative_tensor_error
 
 
@@ -55,8 +55,8 @@ def test_criterion_1_gradient_correctness():
             params = init_params(3, 4, seed=seed)
             sequence = rng.normal(size=(5, 3))
             label = float(rng.normal())
-            prediction, steps = sequence_forward(sequence, params)
-            analytic = per_gate(backward(steps, 2.0 * (prediction - label), params), 4)
+            prediction, steps = forward(sequence[None], params)
+            analytic = per_gate(backward(steps, 2.0 * (prediction[0] - label), params), 4)
             numeric = per_gate(finite_difference_gradients(sequence, label, params, eps=1e-5), 4)
             for name, tensor in analytic.items():
                 err = relative_tensor_error(tensor, numeric[name])
@@ -146,16 +146,21 @@ def test_criterion_5_conservation_suites():
             n = int(rng.integers(1, 40))
             polarities = rng.uniform(-1, 1, size=n)
             polarities[rng.uniform(size=n) < 0.25] = 0.0
-            scores = [SentimentScore.from_polarity(float(p)) for p in polarities]
+            scores = [SentimentScore(float(p)) for p in polarities]
             (record,) = aggregate_daily({date(2020, 1, 6): scores})
             assert abs(record.pos_pct + record.neg_pct + record.neu_pct - 100.0) <= 1e-9
 
-        # Scaler round-trip within 1e-12.
+        # Target scaling round-trip within 1e-12.
+        days = tuple(trading_days(30))
         for _ in range(50):
-            matrix = rng.uniform(-100, 100, size=(30, 4))
-            scaler = fit_scaler(matrix, train_rows=20)
-            back = inverse_transform(transform(matrix, scaler), scaler)
-            assert np.max(np.abs(back - matrix)) < 1e-12
+            targets = rng.uniform(-100, 100, size=30)
+            dataset = FusedDataset(
+                dates=days, feature_names=DLPM_FEATURES, features=rng.uniform(-100, 100, size=(30, 4)),
+                targets=targets, feature_mode="dlpm", target_field="close", split_index=20,
+            )
+            scaled = scale_dataset(dataset)
+            back = invert_target(scaled.targets, scaled.scaler)
+            assert np.max(np.abs(back - targets)) < 1e-12
 
         # Tweet alignment conserves counts.
         calendar = [date(2020, 1, d) for d in (6, 7, 8, 9, 10)]
@@ -172,14 +177,14 @@ def test_criterion_5_conservation_suites():
             buckets, dropped = align_to_trading_days(tweets, calendar)
             assert sum(len(v) for v in buckets.values()) + dropped == len(tweets)
 
-        # accuracy + MAPE = 100 exactly.
-        for _ in range(200):
-            n = int(rng.integers(1, 25))
-            actual = rng.uniform(1, 500, size=n)
-            predicted = actual + rng.normal(0, 25, size=n)
-            m = mape(actual, predicted)
-            assert accuracy(actual, predicted) == 100.0 - m
-            assert accuracy(actual, predicted) + m == 100.0
+        # accuracy + MAPE = 100 exactly on every record of a comparison.
+        series, tweets, lexicon = make_coupled_fixture(n_days=70, seed=55)
+        config = TrainConfig(epochs=1, learning_rate=0.02, batch_size=16, seed=55, hidden_size=4)
+        report = run_comparison(series, tweets, lexicon, [1, 2, 3], config, lookback=6)
+        for rec in report.records:
+            assert rec.mape_pct == mape(rec.real, rec.predicted)
+            assert rec.accuracy_pct == 100.0 - rec.mape_pct
+            assert rec.accuracy_pct + rec.mape_pct == 100.0
 
 
 def test_criterion_6_protocol_shape(tmp_path, capsys):
@@ -213,8 +218,8 @@ def test_criterion_7_directional_claim():
             config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=seed,
                                  grad_clip_norm=5.0, optimizer="adam", hidden_size=32)
             report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
-            hisa = report.average_for("hisa")
-            dlpm = report.average_for("dlpm")
+            hisa = report.averages["hisa"]
+            dlpm = report.averages["dlpm"]
             wins += hisa >= dlpm
             margins.append(hisa - dlpm)
         print(f"    wins {wins}/10, margins min {min(margins):+.3f} mean {np.mean(margins):+.3f}")

@@ -119,8 +119,19 @@ class TestPredict:
         assert run(["predict", "--config", fixture_config]) == 2
 
 
+def bad_checkpoint(build):
+    """Set-up step: write ``build(config, tmp_path)`` as a checkpoint file and pass it."""
+
+    def prepare(config, tmp_path) -> list:
+        path = tmp_path / "bad_checkpoint.json"
+        path.write_text(build(config, tmp_path))
+        return ["--checkpoint", path]
+
+    return prepare
+
+
 def edited_checkpoint(edit):
-    """A builder for a trained checkpoint document changed by ``edit``."""
+    """Set-up step: pass a trained checkpoint document changed by ``edit``."""
 
     def build(config, tmp_path) -> str:
         assert run(["train", "--config", config]) == 0
@@ -128,17 +139,28 @@ def edited_checkpoint(edit):
         edit(doc)
         return json.dumps(doc)
 
-    return build
+    return bad_checkpoint(build)
+
+
+def edited_config(edit):
+    """Set-up step: replace the config file's bytes with ``edit(bytes)``."""
+
+    def prepare(config, tmp_path) -> list:
+        config.write_bytes(edit(config.read_bytes()))
+        return []
+
+    return prepare
 
 
 class TestBadSettingsExit2:
-    @pytest.mark.parametrize("argv, checkpoint", [
+    @pytest.mark.parametrize("argv, prepare", [
         pytest.param(["train", "--epochs", "0"], None, id="train-epochs-0"),
         pytest.param(["train", "--lookback", "0"], None, id="train-lookback-0"),
         pytest.param(["train", "--split-fraction", "1.5"], None, id="train-split-fraction-1.5"),
         pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
         pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
-        pytest.param(["predict"], lambda config, tmp_path: "not json\n", id="predict-non-json-checkpoint"),
+        pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "not json\n"),
+                     id="predict-non-json-checkpoint"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc.pop("config")),
                      id="predict-checkpoint-without-config"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["W_f"].append(0.0)),
@@ -147,12 +169,13 @@ class TestBadSettingsExit2:
                      id="predict-without-W_i"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["b_o"].pop()),
                      id="predict-b_o-wrong-length"),
+        pytest.param(["ingest"], edited_config(lambda ini: ini + b"seed = 8\n"), id="config-duplicate-key"),
+        pytest.param(["ingest"], edited_config(lambda ini: ini.replace(b"[run]\n", b"")),
+                     id="config-without-section-header"),
     ])
-    def test_one_error_line(self, argv, checkpoint, fixture_config, tmp_path, capsys):
-        if checkpoint is not None:
-            path = tmp_path / "bad_checkpoint.json"
-            path.write_text(checkpoint(fixture_config, tmp_path))
-            argv = argv + ["--checkpoint", path]
+    def test_one_error_line(self, argv, prepare, fixture_config, tmp_path, capsys):
+        if prepare is not None:
+            argv = argv + prepare(fixture_config, tmp_path)
         capsys.readouterr()
         assert run(argv + ["--config", fixture_config]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -164,6 +187,7 @@ class TestNotUtf8Exit2:
         pytest.param("ingest", "--historical", "prices.csv", "OHLCV CSV", id="ingest-historical"),
         pytest.param("ingest", "--tweets", "tweets.jsonl", "tweet JSONL", id="ingest-tweets"),
         pytest.param("sentiment", "--lexicon", "lexicon.tsv", "lexicon TSV", id="sentiment-lexicon"),
+        pytest.param("ingest", "--config", "config.ini", "config INI", id="ingest-config"),
     ])
     def test_one_error_line(self, command, flag, name, kind, fixture_config, tmp_path, capsys):
         path = tmp_path / name
@@ -229,3 +253,14 @@ class TestConfigHandling:
         assert run(["train", "--config", fixture_config, "--seed", "123"]) == 0
         text = (tmp_path / "out" / "resolved_config.ini").read_text()
         assert "seed = 123" in text
+
+    def test_percent_in_config_value_is_literal(self, fixture_config, tmp_path):
+        fixture_config.write_text(fixture_config.read_text() + "symbol = 100%\n")
+        assert run(["ingest", "--config", fixture_config]) == 0
+        assert json.loads((tmp_path / "out" / "bars.json").read_text())["symbol"] == "100%"
+        assert "symbol = 100%\n" in (tmp_path / "out" / "resolved_config.ini").read_text()
+
+    def test_percent_in_out_flag_is_literal(self, fixture_config, tmp_path):
+        out = tmp_path / "dir%x"
+        assert run(["ingest", "--config", fixture_config, "--out", out]) == 0
+        assert f"out = {out}\n" in (out / "resolved_config.ini").read_text()

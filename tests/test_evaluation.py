@@ -10,7 +10,6 @@ from sentistock.errors import EmptyInput, LengthMismatch, ZeroActual
 from sentistock.evaluation import (
     EvalReport,
     VariantRecord,
-    accuracy,
     daily_sentiment,
     mape,
     render_table,
@@ -45,27 +44,10 @@ class TestMape:
 
 
 class TestAccuracy:
-    def test_perfect(self):
-        assert accuracy([10.0], [10.0]) == 100.0
-
-    def test_ten_percent_error(self):
-        assert accuracy([100.0, 200.0], [110.0, 180.0]) == pytest.approx(90.0, abs=1e-12)
-
     def test_average_of_reference_accuracies(self):
         # Reference check on the averaging rule: mean(95.41, 97.18, 92.38) -> 94.99.
         mean = (95.41 + 97.18 + 92.38) / 3
         assert f"{mean:.2f}" == "94.99"
-
-    def test_accuracy_plus_mape_is_100_exactly(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            a = rng.uniform(1, 100, size=n)
-            p = a + rng.normal(0, 10, size=n)
-            m = mape(a, p)
-            acc = accuracy(a, p)
-            assert acc == 100.0 - m
-            assert acc + m == 100.0
 
 
 class TestRmse:
@@ -112,8 +94,9 @@ def reference_report() -> EvalReport:
 class TestEvalReport:
     def test_averages_are_arithmetic_means(self):
         report = reference_report()
-        assert report.average_for("dlpm") == pytest.approx((91.59 + 94.56 + 83.46) / 3, abs=1e-12)
-        assert report.average_for("hisa") == pytest.approx((95.41 + 97.18 + 92.38) / 3, abs=1e-12)
+        assert list(report.averages) == ["dlpm", "hisa"]  # record order
+        assert report.averages["dlpm"] == pytest.approx((91.59 + 94.56 + 83.46) / 3, abs=1e-12)
+        assert report.averages["hisa"] == pytest.approx((95.41 + 97.18 + 92.38) / 3, abs=1e-12)
 
     def test_render_has_eight_data_rows(self):
         table = render_table(reference_report())
@@ -140,7 +123,7 @@ class TestEvalReport:
             })
             for r in doc["records"]
         )
-        again = EvalReport(records=records, averages=tuple(doc["averages"].items()))
+        again = EvalReport(records=records, averages=doc["averages"])
         assert again == report
 
 
@@ -220,6 +203,7 @@ class TestRunComparison:
         report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
         for rec in report.records:
             assert rec.accuracy_pct == 100.0 - rec.mape_pct
+            assert rec.accuracy_pct + rec.mape_pct == 100.0
 
     def test_checkpoint_sink_called_per_run(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs

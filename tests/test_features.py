@@ -12,16 +12,16 @@ from sentistock.errors import (
     TooFewRows,
 )
 from sentistock.features import (
+    DLPM_FEATURES,
     FusedDataset,
     ScalerParams,
-    fit_scaler,
+    apply_scaler,
     fuse,
     impute_for_split,
     impute_mean,
-    inverse_transform,
+    invert_target,
     make_windows,
     scale_dataset,
-    transform,
 )
 from sentistock.market_data import BarSeries, OhlcvBar
 from sentistock.sentiment import DailySentiment
@@ -47,6 +47,20 @@ def series_of(opens, start=date(2020, 1, 1)):
         else:
             bars.append(bar(day, open_=float(o)))
     return BarSeries(symbol="T", bars=tuple(bars))
+
+
+def dlpm_dataset(features, targets, split_index):
+    """An unscaled dlpm dataset over the given rows."""
+    targets = np.asarray(targets, dtype=float)
+    return FusedDataset(
+        dates=tuple(trading_days(len(targets))),
+        feature_names=DLPM_FEATURES,
+        features=np.asarray(features, dtype=float),
+        targets=targets,
+        feature_mode="dlpm",
+        target_field="close",
+        split_index=split_index,
+    )
 
 
 def neutral_sentiment(days):
@@ -108,46 +122,60 @@ class TestImputeMean:
 
 
 class TestScaler:
+    """Fitting through scale_dataset, the replay through apply_scaler, the
+    inverse through invert_target; the target is the last scaler column."""
+
+    FEATURES = [[2.0, 20.0, 1.0, 5.0],
+                [4.0, 10.0, 3.0, 5.5],
+                [6.0, 30.0, 2.0, 6.0],
+                [8.0, 0.0, 50.0, -7.0]]
+    TARGETS = [7.0, 8.0, 9.0, 1000.0]
+
     def test_fit_extrema(self):
-        params = fit_scaler(np.array([[2.0], [4.0], [6.0]]), train_rows=3)
-        assert params.mins == (2.0,) and params.maxs == (6.0,)
+        scaler = scale_dataset(dlpm_dataset(self.FEATURES, self.TARGETS, split_index=3)).scaler
+        assert scaler.mins == (2.0, 10.0, 1.0, 5.0, 7.0)
+        assert scaler.maxs == (6.0, 30.0, 3.0, 6.0, 9.0)
 
     def test_fit_ignores_test_rows(self):
-        params = fit_scaler(np.array([[2.0], [4.0], [9.0]]), train_rows=2)
-        assert params.maxs == (4.0,)
+        scaler = scale_dataset(dlpm_dataset(self.FEATURES, self.TARGETS, split_index=2)).scaler
+        assert scaler.maxs == (4.0, 20.0, 3.0, 5.5, 8.0)
 
     def test_constant_column_rejected(self):
+        features = [[2.0, 5.0, 1.0, 5.0], [4.0, 5.0, 3.0, 6.0], [6.0, 9.0, 2.0, 7.0]]
         with pytest.raises(DegenerateRange):
-            fit_scaler(np.array([[5.0], [5.0]]), train_rows=2)
+            scale_dataset(dlpm_dataset(features, [1.0, 2.0, 3.0], split_index=2))
 
     def test_transform_formula(self):
-        params = fit_scaler(np.array([[2.0], [4.0], [6.0]]), train_rows=3)
-        out = transform(np.array([[2.0], [4.0], [6.0]]), params)
-        assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
+        scaled = scale_dataset(dlpm_dataset(self.FEATURES, self.TARGETS, split_index=3))
+        assert scaled.features[:3, 0].tolist() == [0.0, 0.5, 1.0]
+        assert scaled.targets[:3].tolist() == [0.0, 0.5, 1.0]
 
     def test_out_of_range_value_not_clipped(self):
-        params = ScalerParams(("x",), (2.0,), (6.0,))
-        assert transform(np.array([[8.0]]), params)[0, 0] == 1.5
+        scaled = scale_dataset(dlpm_dataset(self.FEATURES, self.TARGETS, split_index=3))
+        assert scaled.features[3, 0] == 1.5
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(2)
-        mat = rng.uniform(-50, 50, size=(40, 5))
-        params = fit_scaler(mat, train_rows=30)
-        back = inverse_transform(transform(mat, params), params)
-        assert np.max(np.abs(back - mat)) < 1e-12
+        targets = rng.uniform(-50, 50, size=40)
+        scaled = scale_dataset(dlpm_dataset(rng.uniform(-50, 50, size=(40, 4)), targets, split_index=30))
+        back = invert_target(scaled.targets, scaled.scaler)
+        assert np.max(np.abs(back - targets)) < 1e-12
 
     def test_shape_mismatch(self):
-        params = ScalerParams(("a", "b"), (0.0, 0.0), (1.0, 1.0))
+        scaler = ScalerParams(("a", "b"), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ShapeMismatch):
-            transform(np.zeros((3, 3)), params)
+            apply_scaler(dlpm_dataset(np.zeros((3, 4)), np.zeros(3), split_index=2), scaler)
 
     def test_scaler_independent_of_test_rows(self):
         rng = np.random.default_rng(3)
-        mat = rng.uniform(0, 1, size=(30, 4))
-        params = fit_scaler(mat, train_rows=20)
-        mat2 = mat.copy()
-        mat2[20:] = rng.uniform(100, 200, size=(10, 4))
-        assert fit_scaler(mat2, train_rows=20) == params
+        features, targets = rng.uniform(0, 1, size=(30, 4)), rng.uniform(0, 1, size=30)
+        scaled = scale_dataset(dlpm_dataset(features, targets, split_index=20))
+        features[20:] = rng.uniform(100, 200, size=(10, 4))
+        targets[20:] = rng.uniform(100, 200, size=10)
+        replayed = apply_scaler(dlpm_dataset(features, targets, split_index=20), scaled.scaler)
+        assert scale_dataset(dlpm_dataset(features, targets, split_index=20)).scaler == scaled.scaler
+        assert np.array_equal(replayed.features[:20], scaled.features[:20])
+        assert np.array_equal(replayed.targets[:20], scaled.targets[:20])
 
 
 class TestFuse:
@@ -155,7 +183,7 @@ class TestFuse:
         series = series_of([10, 11, 12, 13, 14])
         daily = varied_sentiment(series.dates())
         ds = fuse(series, daily, mode="hisa", target_field="close", split_fraction=0.75)
-        assert ds.n_rows == 4
+        assert len(ds.dates) == 4
         assert ds.features.shape == (4, 3)
         expected = [series.bars[t + 1].close for t in range(4)]
         assert ds.targets.tolist() == expected
@@ -165,7 +193,7 @@ class TestFuse:
     def test_split_index_three_quarter_fraction(self):
         series = series_of(list(range(10, 23)))  # 13 bars -> 12 rows
         ds = fuse(series, varied_sentiment(series.dates()), split_fraction=0.75)
-        assert ds.n_rows == 12
+        assert len(ds.dates) == 12
         assert ds.split_index == 9
 
     def test_dlpm_ignores_sentiment(self):
@@ -240,18 +268,8 @@ class TestScaleDataset:
 
 class TestMakeWindows:
     def make(self, rows, split):
-        days = trading_days(rows)
         rng = np.random.default_rng(0)
-        return FusedDataset(
-            dates=tuple(days),
-            feature_names=("open", "high", "low", "close"),
-            features=rng.uniform(size=(rows, 4)),
-            targets=np.arange(rows, dtype=float) + 100.0,
-            feature_mode="dlpm",
-            target_field="close",
-            split_index=split,
-            scaler=None,
-        )
+        return dlpm_dataset(rng.uniform(size=(rows, 4)), np.arange(rows, dtype=float) + 100.0, split)
 
     def test_hand_enumerated_counts(self):
         ds = self.make(10, 7)

@@ -7,7 +7,6 @@ import pytest
 
 from sentistock.errors import (
     CheckpointVersionError,
-    NonFiniteActivation,
     NonFiniteLoss,
     ShapeMismatch,
 )
@@ -20,12 +19,11 @@ from sentistock.lstm import (
     checkpoint_from_json,
     checkpoint_to_json,
     clip_gradients,
+    forward,
     gradient_norm,
     init_params,
     predict,
-    sequence_forward,
     train,
-    _forward_batch,
     _sigmoid,
 )
 
@@ -109,7 +107,7 @@ class TestSigmoid:
 
 
 class TestCellForward:
-    """The cell step, seen through ``sequence_forward`` and its per-step records."""
+    """The cell step, seen through ``forward`` on a batch of one and its per-step records."""
 
     def test_zero_weights_halve_everything(self):
         # Only the g block (rows 9-11) reads x, so step 1 leaves a non-zero
@@ -117,7 +115,7 @@ class TestCellForward:
         # at zero.
         p = zero_params()
         p.W[9:12, 0] = [1.0, -2.0, 0.5]
-        _, steps = sequence_forward(np.array([[3.0, -1.0], [0.0, 0.0]]), p)
+        _, steps = forward(np.array([[3.0, -1.0], [0.0, 0.0]])[None], p)
         prev, step = steps
         f, i, o, g = gates(step, 3)
         assert np.all(prev.C != 0.0)
@@ -128,7 +126,7 @@ class TestCellForward:
 
     def test_zero_state_zero_weights_gives_zero(self):
         p = zero_params()
-        _, steps = sequence_forward(np.array([[5.0, 7.0]]), p)
+        _, steps = forward(np.array([[5.0, 7.0]])[None], p)
         assert np.array_equal(steps[0].h, np.zeros((1, 3)))
 
     def test_matches_scalar_reference(self):
@@ -136,28 +134,23 @@ class TestCellForward:
         p = init_params(1, 2, seed=12)
         for _ in range(20):
             seq = rng.normal(size=(4, 1))
-            pred, steps = sequence_forward(seq, p)
+            pred, steps = forward(seq[None], p)
             h_ref, c_ref = [0.0, 0.0], [0.0, 0.0]
             for x, step in zip(seq, steps):
                 h_ref, c_ref = scalar_cell_reference(x, h_ref, c_ref, p)
                 assert np.max(np.abs(step.h[0] - np.array(h_ref))) < 1e-12
                 assert np.max(np.abs(step.C[0] - np.array(c_ref))) < 1e-12
-            assert abs(pred - scalar_sequence_reference(seq, p)) < 1e-12
+            assert abs(pred[0] - scalar_sequence_reference(seq, p)) < 1e-12
 
     def test_shape_mismatch(self):
         p = zero_params()
         with pytest.raises(ShapeMismatch):
-            sequence_forward(np.zeros((1, 5)), p)
-
-    def test_non_finite_input_detected(self):
-        p = init_params(2, 3, seed=0)
-        with pytest.raises(NonFiniteActivation):
-            sequence_forward(np.array([[np.nan, 1.0]]), p)
+            forward(np.zeros((1, 5))[None], p)
 
     def test_gate_ranges_randomized(self):
         rng = np.random.default_rng(8)
         p = init_params(3, 6, seed=8)
-        _, steps = sequence_forward(rng.normal(scale=5.0, size=(50, 3)), p)
+        _, steps = forward(rng.normal(scale=5.0, size=(1, 50, 3)), p)
         assert len(steps) == 50
         for step in steps:
             f, i, o, g = gates(step, 6)
@@ -170,37 +163,37 @@ class TestSequenceForward:
     def test_zero_weights_predict_bias(self):
         p = zero_params()
         p.b_y[0] = 0.37
-        pred, _ = sequence_forward(np.ones((4, 2)), p)
-        assert pred == 0.37
+        pred, _ = forward(np.ones((1, 4, 2)), p)
+        assert pred[0] == 0.37
 
     def test_single_timestep_equals_cell_plus_projection(self):
         p = init_params(2, 3, seed=5)
         x = np.array([[0.4, -0.2]])
-        pred, (step,) = sequence_forward(x, p)
-        assert pred == pytest.approx(float(step.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
+        pred, (step,) = forward(x[None], p)
+        assert pred[0] == pytest.approx(float(step.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
 
     def test_order_sensitivity_witness(self):
         p = init_params(2, 3, seed=6)
         rng = np.random.default_rng(6)
         seq = rng.normal(size=(5, 2))
-        forward = scalar_sequence_reference(seq, p)
+        in_order = scalar_sequence_reference(seq, p)
         reversed_ = scalar_sequence_reference(seq[::-1], p)
-        assert forward != reversed_
-        pred, _ = sequence_forward(seq, p)
-        assert pred == pytest.approx(forward, abs=1e-12)
+        assert in_order != reversed_
+        pred, _ = forward(seq[None], p)
+        assert pred[0] == pytest.approx(in_order, abs=1e-12)
 
     def test_matches_scalar_reference_end_to_end(self):
         p = init_params(3, 4, seed=7)
         rng = np.random.default_rng(7)
         seq = rng.normal(size=(6, 3))
-        pred, _ = sequence_forward(seq, p)
-        assert pred == pytest.approx(scalar_sequence_reference(seq, p), abs=1e-12)
+        pred, _ = forward(seq[None], p)
+        assert pred[0] == pytest.approx(scalar_sequence_reference(seq, p), abs=1e-12)
 
 
 class TestBackward:
     def test_zero_upstream_gradient(self):
         p = init_params(3, 4, seed=1)
-        _, steps = sequence_forward(np.random.default_rng(1).normal(size=(5, 3)), p)
+        _, steps = forward(np.random.default_rng(1).normal(size=(1, 5, 3)), p)
         grads = backward(steps, 0.0, p)
         assert [name for name, _ in p.tensors()] == list(grads)
         assert all(np.all(g == 0.0) for g in grads.values())
@@ -210,8 +203,8 @@ class TestBackward:
         p = init_params(3, 4, seed=3)
         seq = rng.normal(size=(5, 3))
         label = float(rng.normal())
-        pred, steps = sequence_forward(seq, p)
-        analytic = per_gate(backward(steps, 2.0 * (pred - label), p), 4)
+        pred, steps = forward(seq[None], p)
+        analytic = per_gate(backward(steps, 2.0 * (pred[0] - label), p), 4)
         numeric = per_gate(finite_difference_gradients(seq, label, p), 4)
         assert len(analytic) == 10
         for name in analytic:
@@ -222,11 +215,11 @@ class TestBackward:
         p = init_params(3, 4, seed=5)
         X = rng.normal(size=(3, 5, 3))
         upstream = rng.normal(size=3)
-        _, steps = _forward_batch(X, p)
+        _, steps = forward(X, p)
         batched = backward(steps, upstream, p)
         summed = {name: np.zeros_like(t) for name, t in p.tensors()}
         for seq, d in zip(X, upstream):
-            _, seq_steps = sequence_forward(seq, p)
+            _, seq_steps = forward(seq[None], p)
             for name, g in backward(seq_steps, d, p).items():
                 summed[name] += g
         for name in summed:
@@ -234,7 +227,7 @@ class TestBackward:
 
     def test_upstream_batch_size_must_match(self):
         p = init_params(3, 4, seed=5)
-        _, steps = sequence_forward(np.ones((2, 3)), p)
+        _, steps = forward(np.ones((1, 2, 3)), p)
         with pytest.raises(ShapeMismatch):
             backward(steps, np.ones(2), p)
 
@@ -242,8 +235,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         p = init_params(3, 4, seed=4)
         seq = rng.normal(size=(5, 3))
-        pred, steps = sequence_forward(seq, p)
-        grads = clip_gradients(backward(steps, 1e6 * 2.0 * (pred - 3.0), p), 5.0)
+        pred, steps = forward(seq[None], p)
+        grads = clip_gradients(backward(steps, 1e6 * 2.0 * (pred[0] - 3.0), p), 5.0)
         assert gradient_norm(grads) == pytest.approx(5.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):

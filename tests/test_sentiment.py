@@ -120,20 +120,17 @@ class TestScoreText:
 
 
 class TestSentimentScoreType:
-    def test_from_polarity_labels(self):
-        assert SentimentScore.from_polarity(0.2).label == "positive"
-        assert SentimentScore.from_polarity(-0.2).label == "negative"
-        assert SentimentScore.from_polarity(0.0).label == "neutral"
-
-    def test_contradictory_label_rejected(self):
-        with pytest.raises(ValueError):
-            SentimentScore(polarity=0.5, label="negative")
+    def test_label_follows_sign(self):
+        assert SentimentScore(0.2).label == "positive"
+        assert SentimentScore(-0.2).label == "negative"
+        assert SentimentScore(0.0).label == "neutral"
+        assert SentimentScore(-0.0).label == "neutral"
 
 
 class TestAggregateDaily:
     def test_mixed_day(self):
         day = date(2020, 1, 6)
-        scores = [SentimentScore.from_polarity(p) for p in (0.5, -0.2, 0.0)]
+        scores = [SentimentScore(p) for p in (0.5, -0.2, 0.0)]
         (rec,) = aggregate_daily({day: scores})
         assert rec.pos_pct == pytest.approx(100 / 3)
         assert rec.neg_pct == pytest.approx(100 / 3)
@@ -142,7 +139,7 @@ class TestAggregateDaily:
 
     def test_all_positive(self):
         day = date(2020, 1, 6)
-        scores = [SentimentScore.from_polarity(0.3)] * 4
+        scores = [SentimentScore(0.3)] * 4
         (rec,) = aggregate_daily({day: scores})
         assert (rec.pos_pct, rec.neg_pct, rec.neu_pct, rec.tweet_count) == (100.0, 0.0, 0.0, 4)
 
@@ -161,7 +158,7 @@ class TestAggregateDaily:
             n = int(rng.integers(1, 30))
             pols = rng.uniform(-1, 1, size=n)
             pols[rng.uniform(size=n) < 0.2] = 0.0
-            scores = [SentimentScore.from_polarity(float(p)) for p in pols]
+            scores = [SentimentScore(float(p)) for p in pols]
             (rec,) = aggregate_daily({date(2020, 1, 6): scores})
             assert abs(rec.pos_pct + rec.neg_pct + rec.neu_pct - 100.0) <= 1e-9
             counts = (
