@@ -344,10 +344,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

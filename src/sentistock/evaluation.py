@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInput, LengthMismatch, ZeroActual
+from .errors import EmptyInput, PipelineError
 from .features import fuse, impute_for_split, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, predict, train
 from .market_data import BarSeries, Tweet, align_to_trading_days
@@ -26,7 +26,7 @@ def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean absolute percentage error: 100 * mean(|a - p| / |a|)."""
     a, p = _paired(actual, predicted)
     if np.any(a == 0.0):
-        raise ZeroActual("actual series contains a zero; MAPE is undefined")
+        raise PipelineError("actual series contains a zero; MAPE is undefined")
     return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
 
 
@@ -39,7 +39,7 @@ def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actual, dtype=np.float64)
     p = np.asarray(predicted, dtype=np.float64)
     if a.shape != p.shape or a.ndim != 1:
-        raise LengthMismatch(f"series shapes differ: {a.shape} vs {p.shape}")
+        raise PipelineError(f"series shapes differ: {a.shape} vs {p.shape}")
     if a.size == 0:
         raise EmptyInput("metric requires at least one point")
     return a, p
@@ -60,7 +60,7 @@ class VariantRecord:
 
     def __post_init__(self):
         if not (len(self.dates) == len(self.real) == len(self.predicted)):
-            raise LengthMismatch("dates/real/predicted lengths differ")
+            raise PipelineError("dates/real/predicted lengths differ")
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def run_comparison(
     persist the trained models.
     """
     if not epoch_sizes or min(epoch_sizes) < 1:
-        raise ConfigError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
+        raise PipelineError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
 
     series = impute_for_split(historical, split_fraction)
     daily, _ = daily_sentiment(sentiment, series, lexicon)

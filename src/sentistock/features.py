@@ -22,14 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    AllMissingColumn,
-    ConfigError,
-    DegenerateRange,
-    MissingSentimentDate,
-    ShapeMismatch,
-    TooFewRows,
-)
+from .errors import PipelineError
 from .market_data import BarSeries, NUMERIC_FIELDS
 from .sentiment import DailySentiment
 
@@ -49,10 +42,10 @@ class ScalerParams:
 
     def __post_init__(self):
         if not (len(self.feature_names) == len(self.mins) == len(self.maxs)):
-            raise ShapeMismatch("scaler name/min/max lengths differ")
+            raise PipelineError("scaler name/min/max lengths differ")
         for name, lo, hi in zip(self.feature_names, self.mins, self.maxs):
             if not hi > lo:
-                raise DegenerateRange(f"column {name!r} has max {hi} <= min {lo}")
+                raise PipelineError(f"column {name!r} has max {hi} <= min {lo}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +70,19 @@ class FusedDataset:
     def __post_init__(self):
         rows = len(self.dates)
         if self.features.shape != (rows, len(self.feature_names)):
-            raise ShapeMismatch(
+            raise PipelineError(
                 f"features shape {self.features.shape} does not match "
                 f"{rows} dates x {len(self.feature_names)} columns"
             )
         if self.targets.shape != (rows,):
-            raise ShapeMismatch(f"targets shape {self.targets.shape} != ({rows},)")
+            raise PipelineError(f"targets shape {self.targets.shape} != ({rows},)")
         if not 0 < self.split_index < rows:
-            raise TooFewRows(f"split_index {self.split_index} does not partition {rows} rows")
+            raise PipelineError(f"split_index {self.split_index} does not partition {rows} rows")
         expected = HISA_FEATURES if self.feature_mode == "hisa" else DLPM_FEATURES
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.feature_names != expected:
-            raise ShapeMismatch(f"{self.feature_mode} mode requires columns {expected}")
+            raise PipelineError(f"{self.feature_mode} mode requires columns {expected}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,9 @@ class WindowedDataset:
 
     def __post_init__(self):
         if self.sequences.ndim != 3 or self.sequences.shape[1] != self.lookback:
-            raise ShapeMismatch(f"sequences shape {self.sequences.shape} inconsistent with lookback {self.lookback}")
+            raise PipelineError(f"sequences shape {self.sequences.shape} inconsistent with lookback {self.lookback}")
         if self.labels.shape != (self.sequences.shape[0],):
-            raise ShapeMismatch("one label per sequence required")
+            raise PipelineError("one label per sequence required")
 
     def __len__(self) -> int:
         return self.sequences.shape[0]
@@ -121,7 +114,7 @@ def impute_mean(series: BarSeries, train_end: date) -> BarSeries:
     for field in NUMERIC_FIELDS:
         present = [getattr(b, field) for b in train_bars if getattr(b, field) is not None]
         if not present:
-            raise AllMissingColumn(
+            raise PipelineError(
                 f"field {field!r} has no present value in the training range ending {train_end}"
             )
         means[field] = sum(present) / len(present)
@@ -140,14 +133,14 @@ def impute_mean(series: BarSeries, train_end: date) -> BarSeries:
 def split_point(rows: int, split_fraction: float) -> int:
     """Feature rows on the train side: floor(split_fraction * rows).
 
-    Raises :class:`ConfigError` for a fraction outside (0, 1) and
-    :class:`TooFewRows` when either side would be empty.
+    Raises :class:`PipelineError` for a fraction outside (0, 1) or when
+    either side would be empty.
     """
     if not 0.0 < split_fraction < 1.0:
-        raise ConfigError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
+        raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
     index = math.floor(split_fraction * rows)
     if index < 1 or index >= rows:
-        raise TooFewRows(
+        raise PipelineError(
             f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
         )
     return index
@@ -179,9 +172,9 @@ def fuse(
     kept; call :func:`scale_dataset` before windowing for training.
     """
     if mode not in FEATURE_MODES:
-        raise ConfigError(f"unknown feature mode {mode!r}")
+        raise PipelineError(f"unknown feature mode {mode!r}")
     if target_field not in NUMERIC_FIELDS:
-        raise ConfigError(f"unknown target field {target_field!r}")
+        raise PipelineError(f"unknown target field {target_field!r}")
 
     bars = series.bars
     rows = len(bars) - 1
@@ -208,7 +201,7 @@ def fuse(
         if mode == "hisa":
             day = by_date.get(bar.date)
             if day is None:
-                raise MissingSentimentDate(f"no sentiment record for trading date {bar.date}")
+                raise PipelineError(f"no sentiment record for trading date {bar.date}")
             matrix[t] = (bar.open, day.pos_pct, day.neg_pct)
         else:
             matrix[t] = tuple(getattr(bar, c) for c in DLPM_FEATURES)
@@ -251,7 +244,7 @@ def apply_scaler(dataset: FusedDataset, scaler: ScalerParams) -> FusedDataset:
         raise ValueError("dataset is already scaled")
     expected = dataset.feature_names + (TARGET_COLUMN,)
     if scaler.feature_names != expected:
-        raise ShapeMismatch(
+        raise PipelineError(
             f"scaler columns {scaler.feature_names} do not match dataset columns {expected}"
         )
     joint = np.column_stack([dataset.features, dataset.targets])
@@ -278,12 +271,12 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     train = split_index - lookback, test = rows - split_index.
     """
     if lookback < 1:
-        raise ConfigError(f"lookback must be positive, got {lookback}")
+        raise PipelineError(f"lookback must be positive, got {lookback}")
     rows = len(dataset.dates)
     if rows < lookback + 2:
-        raise TooFewRows(f"{rows} rows cannot support lookback {lookback} (need {lookback + 2})")
+        raise PipelineError(f"{rows} rows cannot support lookback {lookback} (need {lookback + 2})")
     if dataset.split_index - lookback < 1:
-        raise TooFewRows(
+        raise PipelineError(
             f"split_index {dataset.split_index} leaves no training window for lookback {lookback}"
         )
 

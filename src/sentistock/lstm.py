@@ -38,14 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    CheckpointFormatError,
-    CheckpointVersionError,
-    ConfigError,
-    NonFiniteLoss,
-    PipelineError,
-    ShapeMismatch,
-)
+from .errors import NonFiniteLoss, PipelineError
 from .features import ScalerParams, WindowedDataset, invert_target, scaler_from_dict, scaler_to_dict
 
 OPTIMIZERS = ("adam", "sgd")
@@ -73,14 +66,14 @@ class LstmParams:
     def __post_init__(self):
         h, z = self.hidden_size, self.input_size + self.hidden_size
         if self.W.shape != (4 * h, z) or self.b.shape != (4 * h,):
-            raise ShapeMismatch(
+            raise PipelineError(
                 f"gate stack must be W ({4 * h}, {z}) and b ({4 * h},), got {self.W.shape} and {self.b.shape}"
             )
         if self.W_y.shape != (1, h) or self.b_y.shape != (1,):
-            raise ShapeMismatch("output projection must be (1, hidden) with scalar bias")
+            raise PipelineError("output projection must be (1, hidden) with scalar bias")
         for name, tensor in self.tensors():
             if not np.all(np.isfinite(tensor)):
-                raise ShapeMismatch(f"{name} contains non-finite entries")
+                raise PipelineError(f"{name} contains non-finite entries")
 
     def tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(name, array) pairs in the fixed order used everywhere."""
@@ -112,17 +105,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError("epochs must be a positive integer")
+            raise PipelineError("epochs must be a positive integer")
         if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+            raise PipelineError("learning_rate must be positive")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be a positive integer")
+            raise PipelineError("batch_size must be a positive integer")
         if not self.grad_clip_norm > 0:
-            raise ConfigError("grad_clip_norm must be positive")
+            raise PipelineError("grad_clip_norm must be positive")
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise PipelineError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.hidden_size < 1:
-            raise ConfigError("hidden_size must be a positive integer")
+            raise PipelineError("hidden_size must be a positive integer")
+        if self.seed < 0:
+            raise PipelineError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -193,9 +188,9 @@ def forward(
     False (inference path).
     """
     if X.ndim != 3:
-        raise ShapeMismatch(f"expected (batch, lookback, features), got {X.shape}")
+        raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")
     if X.shape[2] != params.input_size:
-        raise ShapeMismatch(f"feature count {X.shape[2]} != input_size {params.input_size}")
+        raise PipelineError(f"feature count {X.shape[2]} != input_size {params.input_size}")
     batch, lookback, _ = X.shape
     h = np.zeros((batch, params.hidden_size))
     C = np.zeros((batch, params.hidden_size))
@@ -218,10 +213,10 @@ def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[st
     are summed over the batch and keyed like ``params.tensors()``.
     """
     if not steps:
-        raise ShapeMismatch("steps are empty; run a forward pass first")
+        raise PipelineError("steps are empty; run a forward pass first")
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if dyhat.shape != (steps[-1].h.shape[0],):
-        raise ShapeMismatch("d_prediction batch size does not match the forward pass")
+        raise PipelineError("d_prediction batch size does not match the forward pass")
 
     H, F = params.hidden_size, params.input_size
     W_h = params.W[:, F:]
@@ -410,16 +405,16 @@ def checkpoint_to_json(checkpoint: Checkpoint) -> str:
 
 def checkpoint_from_json(text: str | bytes) -> Checkpoint:
     """Rebuild a checkpoint; a document this code cannot read raises
-    :class:`CheckpointFormatError` (its subclass for an unknown version)."""
+    :class:`PipelineError`."""
     try:
         doc = json.loads(text)
-    except ValueError as exc:
-        raise CheckpointFormatError(f"checkpoint is not a JSON document: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise PipelineError(f"checkpoint is not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CheckpointFormatError("checkpoint document is not a JSON object")
+        raise PipelineError("checkpoint document is not a JSON object")
     version = doc.get("version")
     if version != 1:
-        raise CheckpointVersionError(f"cannot load checkpoint version {version!r}")
+        raise PipelineError(f"cannot load checkpoint version {version!r}")
     try:
         input_size = int(doc["input_size"])
         hidden_size = int(doc["hidden_size"])
@@ -447,8 +442,8 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
             scaler=scaler,
             feature_mode=doc.get("feature_mode"),
         )
-    except (KeyError, TypeError, ValueError, PipelineError) as exc:
-        raise CheckpointFormatError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
+        raise PipelineError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:

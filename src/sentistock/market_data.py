@@ -17,15 +17,7 @@ from dataclasses import dataclass, asdict
 from datetime import date, datetime
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    DateParseError,
-    DuplicateDate,
-    EmptyInput,
-    EmptyTradingCalendar,
-    InvalidBar,
-    MissingColumn,
-    NotUtf8,
-)
+from .errors import EmptyInput, PipelineError
 
 PRICE_FIELDS = ("open", "high", "low", "close", "adj_close")
 NUMERIC_FIELDS = PRICE_FIELDS + ("volume",)
@@ -59,11 +51,11 @@ class OhlcvBar:
         if not isinstance(self.date, date) or isinstance(self.date, datetime):
             raise TypeError(f"date must be a datetime.date, got {type(self.date).__name__}")
         if self.volume is not None and self.volume < 0:
-            raise InvalidBar(f"{self.date}: negative volume {self.volume}")
+            raise PipelineError(f"{self.date}: negative volume {self.volume}")
         for name in NUMERIC_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise InvalidBar(f"{self.date}: non-finite {name} {value!r}")
+                raise PipelineError(f"{self.date}: non-finite {name} {value!r}")
 
     def violates_price_box(self) -> bool:
         """True when low/high do not bracket open/close (all four present)."""
@@ -96,7 +88,7 @@ class BarSeries:
     def __post_init__(self):
         for prev, cur in zip(self.bars, self.bars[1:]):
             if cur.date == prev.date:
-                raise DuplicateDate(f"duplicate date {cur.date} in series {self.symbol!r}")
+                raise PipelineError(f"duplicate date {cur.date} in series {self.symbol!r}")
             if cur.date < prev.date:
                 raise ValueError(f"bars out of order at {cur.date}")
 
@@ -111,14 +103,14 @@ class BarSeries:
 def _utf8_text(stream: BinaryIO, kind: str, newline: str | None = None) -> Iterator[io.TextIOWrapper]:
     """Read the caller's binary ``stream`` as UTF-8 text, leaving it open.
 
-    Bytes that are not UTF-8 raise :class:`NotUtf8` naming ``kind``.
+    Bytes that are not UTF-8 raise :class:`PipelineError` naming ``kind``.
     """
     text = io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
     try:
         yield text
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start:exc.start + 1].hex()
-        raise NotUtf8(f"{kind} is not UTF-8 text: byte 0x{bad} ({exc.reason})") from exc
+        raise PipelineError(f"{kind} is not UTF-8 text: byte 0x{bad} ({exc.reason})") from exc
     finally:
         # Unwrap, or collecting the wrapper would close the caller's stream.
         text.detach()
@@ -142,7 +134,7 @@ def parse_ohlcv_csv(
         schema.update(schema_map)
     missing = [f for f in OHLCV_FIELDS if f not in schema]
     if missing:
-        raise MissingColumn(f"schema map lacks fields: {', '.join(missing)}")
+        raise PipelineError(f"schema map lacks fields: {', '.join(missing)}")
 
     with _utf8_text(stream, "OHLCV CSV", newline="") as text:
         reader = csv.DictReader(text)
@@ -151,7 +143,7 @@ def parse_ohlcv_csv(
         header = [h.strip() for h in reader.fieldnames]
         for field in OHLCV_FIELDS:
             if schema[field] not in header:
-                raise MissingColumn(f"column {schema[field]!r} (for {field}) not in header {header}")
+                raise PipelineError(f"column {schema[field]!r} (for {field}) not in header {header}")
 
         rows = [{k.strip(): (v if v is not None else "") for k, v in raw.items() if k is not None}
                 for raw in reader]
@@ -167,7 +159,7 @@ def parse_ohlcv_csv(
             values[field] = _parse_numeric_cell(row.get(schema[field], ""))
         bar = OhlcvBar(date=d, **values)
         if bar.violates_price_box():
-            raise InvalidBar(
+            raise PipelineError(
                 f"{d}: low/high do not bracket open/close "
                 f"(o={bar.open} h={bar.high} l={bar.low} c={bar.close})"
             )
@@ -200,7 +192,7 @@ def _parse_date_column(raw: Sequence[str]) -> list[date]:
         else:
             return parsed
     bad = next((c for c in raw if _parse_iso_date(c.strip()) is None), raw[0])
-    raise DateParseError(f"date cell {bad!r} is neither ISO-8601 nor DD-MM-YYYY")
+    raise PipelineError(f"date cell {bad!r} is neither ISO-8601 nor DD-MM-YYYY")
 
 
 def _parse_iso_date(cell: str):
@@ -277,7 +269,7 @@ def align_to_trading_days(
     """
     calendar = list(trading_dates)
     if not calendar:
-        raise EmptyTradingCalendar("trading calendar is empty")
+        raise PipelineError("trading calendar is empty")
     for prev, cur in zip(calendar, calendar[1:]):
         if cur <= prev:
             raise ValueError(f"trading dates not strictly ascending at {cur}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
-from .errors import DuplicateTerm, MalformedRow, PolarityOutOfRange
+from .errors import PipelineError
 from .market_data import Tweet, _utf8_text
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -45,11 +45,11 @@ class LexiconEntry:
 
     def __post_init__(self):
         if not self.term or any(c.isspace() for c in self.term) or self.term != self.term.lower():
-            raise MalformedRow(f"bad lexicon term {self.term!r} (lowercase, no whitespace)")
+            raise PipelineError(f"bad lexicon term {self.term!r} (lowercase, no whitespace)")
         if not -1.0 <= self.polarity <= 1.0:
-            raise PolarityOutOfRange(f"{self.term}: polarity {self.polarity} outside [-1, 1]")
+            raise PipelineError(f"{self.term}: polarity {self.polarity} outside [-1, 1]")
         if not (self.intensity > 0 and math.isfinite(self.intensity)):
-            raise MalformedRow(f"{self.term}: intensity must be a positive real, got {self.intensity}")
+            raise PipelineError(f"{self.term}: intensity must be a positive real, got {self.intensity}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,9 @@ def aggregate_daily(scored: Mapping[date, Sequence[SentimentScore]]) -> list[Dai
         if n == 0:
             out.append(DailySentiment(day, 0.0, 0.0, 100.0, 0))
             continue
-        pos = sum(1 for s in scores if s.label == "positive")
-        neg = sum(1 for s in scores if s.label == "negative")
+        labels = [s.label for s in scores]
+        pos = labels.count("positive")
+        neg = labels.count("negative")
         neu = n - pos - neg
         out.append(
             DailySentiment(day, 100.0 * pos / n, 100.0 * neg / n, 100.0 * neu / n, n)
@@ -187,24 +188,24 @@ def load_lexicon(stream: BinaryIO) -> Lexicon:
             continue
         first = False
         if len(cols) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
+            raise PipelineError(f"line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
         word, pol_s, inten_s, flag = cols
         try:
             polarity = float(pol_s)
             intensity = float(inten_s)
         except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: non-numeric polarity/intensity") from exc
+            raise PipelineError(f"line {lineno}: non-numeric polarity/intensity") from exc
         word = word.lower()
         if word in terms or word in negators:
-            raise DuplicateTerm(f"line {lineno}: duplicate term {word!r}")
+            raise PipelineError(f"line {lineno}: duplicate term {word!r}")
         if flag == "negator":
             if not word or any(c.isspace() for c in word):
-                raise MalformedRow(f"line {lineno}: bad negator token {word!r}")
+                raise PipelineError(f"line {lineno}: bad negator token {word!r}")
             negators.add(word)
         elif flag == "term":
             terms[word] = LexiconEntry(term=word, polarity=polarity, intensity=intensity)
         else:
-            raise MalformedRow(f"line {lineno}: flag must be 'term' or 'negator', got {flag!r}")
+            raise PipelineError(f"line {lineno}: flag must be 'term' or 'negator', got {flag!r}")
     return Lexicon(terms=terms, negators=frozenset(negators))
 
 

@@ -159,6 +159,8 @@ class TestBadSettingsExit2:
         pytest.param(["train", "--split-fraction", "1.5"], None, id="train-split-fraction-1.5"),
         pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
         pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
+        pytest.param(["train", "--seed", "-1"], None, id="train-seed-negative"),
+        pytest.param(["compare", "--seed", "-1"], None, id="compare-seed-negative"),
         pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "not json\n"),
                      id="predict-non-json-checkpoint"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc.pop("config")),
@@ -169,6 +171,12 @@ class TestBadSettingsExit2:
                      id="predict-without-W_i"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["b_o"].pop()),
                      id="predict-b_o-wrong-length"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.update(input_size=float("inf"))),
+                     id="predict-input-size-infinity"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["W_f"].__setitem__(0, 10**400)),
+                     id="predict-parameter-overflows-float"),
+        pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "[" * 100_000 + "]" * 100_000),
+                     id="predict-deeply-nested-checkpoint"),
         pytest.param(["ingest"], edited_config(lambda ini: ini + b"seed = 8\n"), id="config-duplicate-key"),
         pytest.param(["ingest"], edited_config(lambda ini: ini.replace(b"[run]\n", b"")),
                      id="config-without-section-header"),

@@ -6,7 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from sentistock.errors import EmptyInput, LengthMismatch, ZeroActual
+from sentistock.errors import EmptyInput, PipelineError
 from sentistock.evaluation import (
     EvalReport,
     VariantRecord,
@@ -31,11 +31,11 @@ class TestMape:
         assert mape([100.0, 200.0], [110.0, 180.0]) == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_actual(self):
-        with pytest.raises(ZeroActual):
+        with pytest.raises(PipelineError, match="actual series contains a zero"):
             mape([0.0, 1.0], [1.0, 1.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(PipelineError, match="series shapes differ"):
             mape([1.0], [1.0, 2.0])
 
     def test_empty(self):
@@ -226,5 +226,5 @@ class TestRunComparison:
 
     def test_empty_epoch_sizes_rejected(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match="epoch_sizes must be one or more positive integers"):
             run_comparison(series, tweets, lexicon, [], small_config)

@@ -3,14 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from sentistock.errors import (
-    AllMissingColumn,
-    ConfigError,
-    DegenerateRange,
-    MissingSentimentDate,
-    ShapeMismatch,
-    TooFewRows,
-)
+from sentistock.errors import PipelineError
 from sentistock.features import (
     DLPM_FEATURES,
     FusedDataset,
@@ -94,7 +87,7 @@ class TestImputeMean:
                      volume=None)
             for d in days
         )
-        with pytest.raises(AllMissingColumn):
+        with pytest.raises(PipelineError, match="has no present value in the training range"):
             impute_mean(BarSeries("T", bars), train_end=days[-1])
 
     def test_train_only_mean_excludes_test_rows(self):
@@ -142,7 +135,7 @@ class TestScaler:
 
     def test_constant_column_rejected(self):
         features = [[2.0, 5.0, 1.0, 5.0], [4.0, 5.0, 3.0, 6.0], [6.0, 9.0, 2.0, 7.0]]
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(PipelineError, match="column 'high' has max 5.0 <= min 5.0"):
             scale_dataset(dlpm_dataset(features, [1.0, 2.0, 3.0], split_index=2))
 
     def test_transform_formula(self):
@@ -163,7 +156,7 @@ class TestScaler:
 
     def test_shape_mismatch(self):
         scaler = ScalerParams(("a", "b"), (0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="do not match dataset columns"):
             apply_scaler(dlpm_dataset(np.zeros((3, 4)), np.zeros(3), split_index=2), scaler)
 
     def test_scaler_independent_of_test_rows(self):
@@ -205,25 +198,25 @@ class TestFuse:
     def test_missing_sentiment_date_hisa_only(self):
         series = series_of([10, 11, 12, 13, 14])
         partial = varied_sentiment(series.dates()[:2])
-        with pytest.raises(MissingSentimentDate):
+        with pytest.raises(PipelineError, match="no sentiment record for trading date"):
             fuse(series, partial, mode="hisa")
         fuse(series, partial, mode="dlpm")  # no error
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(PipelineError, match="on 1 rows leaves an empty train or test side"):
             fuse(series_of([10, 11]), [], mode="dlpm")
 
-    @pytest.mark.parametrize("n_bars, fraction, error", [
-        (2, 0.75, TooFewRows),
-        (11, 0.05, TooFewRows),
-        (11, 0.0, ConfigError),
-        (11, 1.5, ConfigError),
+    @pytest.mark.parametrize("n_bars, fraction, match", [
+        pytest.param(2, 0.75, "leaves an empty train or test side", id="2-0.75-empty-side"),
+        pytest.param(11, 0.05, "leaves an empty train or test side", id="11-0.05-empty-side"),
+        pytest.param(11, 0.0, "must lie strictly between 0 and 1", id="11-0.0-out-of-range"),
+        pytest.param(11, 1.5, "must lie strictly between 0 and 1", id="11-1.5-out-of-range"),
     ])
-    def test_imputation_refuses_the_splits_fuse_refuses(self, n_bars, fraction, error):
+    def test_imputation_refuses_the_splits_fuse_refuses(self, n_bars, fraction, match):
         series = series_of(range(10, 10 + n_bars))
-        with pytest.raises(error):
+        with pytest.raises(PipelineError, match=match):
             fuse(series, [], mode="dlpm", split_fraction=fraction)
-        with pytest.raises(error):
+        with pytest.raises(PipelineError, match=match):
             impute_for_split(series, fraction)
 
     def test_targets_identical_across_modes(self):
@@ -256,7 +249,7 @@ class TestScaleDataset:
     def test_constant_sentiment_cannot_scale(self):
         series, _, _ = make_coupled_fixture(n_days=40)
         ds = fuse(series, neutral_sentiment(series.dates()), mode="hisa")
-        with pytest.raises(DegenerateRange):
+        with pytest.raises(PipelineError, match="column 'pos_pct' has max"):
             scale_dataset(ds)
 
     def test_double_scaling_rejected(self):
@@ -290,7 +283,7 @@ class TestMakeWindows:
 
     def test_lookback_too_large(self):
         ds = self.make(10, 7)
-        with pytest.raises(TooFewRows):
+        with pytest.raises(PipelineError, match="cannot support lookback 9"):
             make_windows(ds, lookback=9)
 
     def test_lookback_one(self):

@@ -5,11 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sentistock.errors import (
-    CheckpointVersionError,
-    NonFiniteLoss,
-    ShapeMismatch,
-)
+from sentistock.errors import NonFiniteLoss, PipelineError
 from sentistock.features import ScalerParams, WindowedDataset, invert_target
 from sentistock.lstm import (
     Checkpoint,
@@ -90,9 +86,9 @@ class TestInitParams:
 
     def test_misshaped_stack_rejected(self):
         p = zero_params(2, 3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="gate stack must be"):
             replace(p, W=np.zeros((3, 5)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="gate stack must be"):
             replace(p, b=np.zeros(3))
 
 
@@ -144,7 +140,7 @@ class TestCellForward:
 
     def test_shape_mismatch(self):
         p = zero_params()
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="feature count 5 != input_size"):
             forward(np.zeros((1, 5))[None], p)
 
     def test_gate_ranges_randomized(self):
@@ -228,7 +224,7 @@ class TestBackward:
     def test_upstream_batch_size_must_match(self):
         p = init_params(3, 4, seed=5)
         _, steps = forward(np.ones((1, 2, 3)), p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="d_prediction batch size"):
             backward(steps, np.ones(2), p)
 
     def test_clip_hits_exact_norm(self):
@@ -244,7 +240,7 @@ class TestBackward:
         assert clip_gradients(grads, max_norm=5.0)["a"] is grads["a"]
 
     def test_empty_caches_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="steps are empty"):
             backward([], 1.0, init_params(2, 2, seed=0))
 
 
@@ -329,7 +325,7 @@ class TestPredict:
         windows, _, _ = sine_windows()
         cp = Checkpoint(params=zero_params(input_size=3, hidden_size=2),
                         config=TrainConfig(epochs=1, hidden_size=2), loss_history=(0.0,))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(PipelineError, match="feature count 1 != input_size 3"):
             predict(cp, windows)
 
 
@@ -363,7 +359,7 @@ class TestCheckpointPersistence:
         windows, _, _ = sine_windows()
         cp = train(windows, TrainConfig(epochs=1, hidden_size=4))
         doc = checkpoint_to_json(cp).replace('"version": 1', '"version": 2')
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(PipelineError, match="cannot load checkpoint version 2"):
             checkpoint_from_json(doc)
 
     def test_loss_history_must_match_epochs(self):

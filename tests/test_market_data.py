@@ -5,14 +5,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
-from sentistock.errors import (
-    DateParseError,
-    DuplicateDate,
-    EmptyInput,
-    EmptyTradingCalendar,
-    InvalidBar,
-    MissingColumn,
-)
+from sentistock.errors import EmptyInput, PipelineError
 from sentistock.market_data import (
     BarSeries,
     OhlcvBar,
@@ -71,12 +64,12 @@ class TestParseOhlcvCsv:
 
     def test_duplicate_date_rejected(self):
         body = "2020-01-02,10,11,9,10.5,10.5,100\n2020-01-02,10,11,9,10.5,10.5,100\n"
-        with pytest.raises(DuplicateDate):
+        with pytest.raises(PipelineError, match="duplicate date 2020-01-02"):
             parse_ohlcv_csv(csv_stream(HEADER + body))
 
     def test_missing_mapped_column(self):
         text = "Date,Open,High,Low,Close,Volume\n2020-01-01,10,11,9,10.5,100\n"
-        with pytest.raises(MissingColumn):
+        with pytest.raises(PipelineError, match=r"column 'Adj Close' \(for adj_close\) not in header"):
             parse_ohlcv_csv(csv_stream(text))
 
     def test_empty_input(self):
@@ -105,17 +98,17 @@ class TestParseOhlcvCsv:
 
     def test_unparseable_date(self):
         body = "Jan 1 2020,10,11,9,10.5,10.5,100\n"
-        with pytest.raises(DateParseError):
+        with pytest.raises(PipelineError, match="is neither ISO-8601 nor DD-MM-YYYY"):
             parse_ohlcv_csv(csv_stream(HEADER + body))
 
     def test_price_box_violation(self):
         body = "2020-01-01,10,9.5,9,10.5,10.5,100\n"  # high below open
-        with pytest.raises(InvalidBar):
+        with pytest.raises(PipelineError, match="low/high do not bracket open/close"):
             parse_ohlcv_csv(csv_stream(HEADER + body))
 
     def test_negative_volume(self):
         body = "2020-01-01,10,11,9,10.5,10.5,-5\n"
-        with pytest.raises(InvalidBar):
+        with pytest.raises(PipelineError, match="negative volume"):
             parse_ohlcv_csv(csv_stream(HEADER + body))
 
     def test_row_count_preserved(self):
@@ -227,7 +220,7 @@ class TestAlignment:
         assert tuple(buckets) == self.CAL
 
     def test_empty_calendar(self):
-        with pytest.raises(EmptyTradingCalendar):
+        with pytest.raises(PipelineError, match="trading calendar is empty"):
             align_to_trading_days([], [])
 
     def test_non_ascending_calendar(self):

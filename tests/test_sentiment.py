@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from sentistock.errors import DuplicateTerm, MalformedRow, PolarityOutOfRange
+from sentistock.errors import PipelineError
 from sentistock.sentiment import (
     DailySentiment,
     Lexicon,
@@ -195,30 +195,29 @@ class TestLoadLexicon:
 
     def test_polarity_out_of_range(self):
         tsv = "bad\t-1.5\t1.0\tterm\n"
-        with pytest.raises(PolarityOutOfRange):
+        with pytest.raises(PipelineError, match=r"polarity -1.5 outside \[-1, 1\]"):
             load_lexicon(io.BytesIO(tsv.encode()))
 
     def test_duplicate_term(self):
         tsv = "good\t0.7\t1.0\tterm\ngood\t0.5\t1.0\tterm\n"
-        with pytest.raises(DuplicateTerm):
+        with pytest.raises(PipelineError, match="line 2: duplicate term 'good'"):
             load_lexicon(io.BytesIO(tsv.encode()))
 
     def test_duplicate_across_flags(self):
         tsv = "never\t0\t1.0\tnegator\nNever\t0.1\t1.0\tterm\n"
-        with pytest.raises(DuplicateTerm):
+        with pytest.raises(PipelineError, match="line 2: duplicate term 'never'"):
             load_lexicon(io.BytesIO(tsv.encode()))
 
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "good\t0.7\t1.0",               # wrong column count
-            "good\tx\t1.0\tterm",            # non-numeric polarity
-            "good\t0.7\t0\tterm",            # non-positive intensity
-            "good\t0.7\t1.0\tadjective",     # unknown flag
-        ],
-    )
+    MALFORMED = {
+        "good\t0.7\t1.0": "expected 4 tab-separated columns",
+        "good\tx\t1.0\tterm": "non-numeric polarity/intensity",
+        "good\t0.7\t0\tterm": "intensity must be a positive real",
+        "good\t0.7\t1.0\tadjective": "flag must be 'term' or 'negator'",
+    }
+
+    @pytest.mark.parametrize("row", MALFORMED)
     def test_malformed_rows(self, row):
-        with pytest.raises(MalformedRow):
+        with pytest.raises(PipelineError, match=self.MALFORMED[row]):
             load_lexicon(io.BytesIO(f"{row}\n".encode()))
 
     def test_terms_lowercased(self):
