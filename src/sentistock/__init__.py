@@ -5,8 +5,8 @@ The package is organized along the pipeline:
   market_data  parse and validate OHLCV CSVs and tweet JSONL, align tweets
                onto the trading calendar
   sentiment    lexicon scoring, three-way classification, daily percentages
-  features     imputation, train-fitted min-max scaling, feature fusion,
-               walk-forward windowing
+  features     feature fusion with train-range imputation, train-fitted
+               min-max scaling, walk-forward windowing
   lstm         from-scratch LSTM regressor with BPTT, Adam/SGD, checkpoints
   evaluation   MAPE-based accuracy, RMSE, and the two-model comparison
   cli          batch commands (ingest, sentiment, train, predict, compare)
@@ -37,7 +37,6 @@ from .features import (
     ScalerParams,
     WindowedDataset,
     fuse,
-    impute_mean,
     make_windows,
     scale_dataset,
 )
@@ -57,6 +56,7 @@ from .evaluation import (
     EvalReport,
     VariantRecord,
     mape,
+    model_windows,
     render_table,
     rmse,
     run_comparison,
@@ -71,10 +71,10 @@ __all__ = [
     "DailySentiment", "Lexicon", "LexiconEntry", "SentimentScore",
     "aggregate_daily", "load_lexicon", "score_corpus", "score_text", "tokenize",
     "FusedDataset", "ScalerParams", "WindowedDataset",
-    "fuse", "impute_mean", "make_windows", "scale_dataset",
+    "fuse", "make_windows", "scale_dataset",
     "Checkpoint", "LstmParams", "TrainConfig",
     "backward", "forward", "init_params", "load_checkpoint",
     "predict", "save_checkpoint", "train",
     "EvalReport", "VariantRecord",
-    "mape", "render_table", "rmse", "run_comparison",
+    "mape", "model_windows", "render_table", "rmse", "run_comparison",
 ]

@@ -18,8 +18,15 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import EmptyInput, NonFiniteLoss, PipelineError
-from .evaluation import daily_sentiment, record_plot_csv, render_table, report_to_json, run_comparison
-from .features import apply_scaler, fuse, impute_for_split, invert_target, make_windows, scale_dataset
+from .evaluation import (
+    daily_sentiment,
+    model_windows,
+    record_plot_csv,
+    render_table,
+    report_to_json,
+    run_comparison,
+)
+from .features import ScalerParams, invert_target
 from .lstm import TrainConfig, load_checkpoint, predict, save_checkpoint, train
 from .market_data import (
     BarSeries,
@@ -205,32 +212,19 @@ def cmd_sentiment(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_raw_dataset(cfg: RunConfig):
-    series = impute_for_split(_load_series(cfg), cfg.split_fraction)
+def _model_windows(cfg: RunConfig, scaler: ScalerParams | None = None):
+    series = _load_series(cfg)
+    daily = []
     if cfg.feature_mode == "hisa":
-        tweets, _ = _load_tweets(cfg)
-        daily, _ = daily_sentiment(tweets, series, _load_lexicon(cfg))
-    else:
-        daily = []
-    return fuse(
-        series,
-        daily,
-        mode=cfg.feature_mode,
-        target_field=cfg.target_field,
-        split_fraction=cfg.split_fraction,
-    )
+        daily, _ = daily_sentiment(_load_tweets(cfg)[0], series, _load_lexicon(cfg))
+    return model_windows(series, daily, cfg.feature_mode, cfg.lookback, cfg.split_fraction,
+                         cfg.target_field, scaler)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    scaled = scale_dataset(_build_raw_dataset(cfg))
-    train_windows, _ = make_windows(scaled, cfg.lookback)
-    checkpoint = train(
-        train_windows,
-        cfg.train_config(),
-        scaler=scaled.scaler,
-        feature_mode=cfg.feature_mode,
-    )
+    train_windows, _, scaler, _ = _model_windows(cfg)
+    checkpoint = train(train_windows, cfg.train_config(), scaler=scaler, feature_mode=cfg.feature_mode)
     save_checkpoint(checkpoint, out / "checkpoint.json")
     _write_resolved_config(cfg, out)
     print(
@@ -247,12 +241,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     checkpoint = load_checkpoint(cfg.checkpoint)
     if checkpoint.scaler is None:
         raise PipelineError("checkpoint carries no scaler; cannot denormalize predictions")
-    dataset = apply_scaler(_build_raw_dataset(cfg), checkpoint.scaler)
-    _, test_windows = make_windows(dataset, cfg.lookback)
+    _, test_windows, scaler, dates = _model_windows(cfg, checkpoint.scaler)
     predicted = predict(checkpoint, test_windows)
-    real = invert_target(test_windows.labels, checkpoint.scaler)
-    csv_text = record_plot_csv(dataset.dates[dataset.split_index:], real, predicted)
-    (out / "predictions.csv").write_text(csv_text, encoding="utf-8")
+    real = invert_target(test_windows.labels, scaler)
+    (out / "predictions.csv").write_text(record_plot_csv(dates, real, predicted), encoding="utf-8")
     _write_resolved_config(cfg, out)
     print(f"predicted {len(predicted)} test days with the {checkpoint.feature_mode} checkpoint")
     print(f"wrote {out / 'predictions.csv'}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyInput, PipelineError
-from .features import fuse, impute_for_split, invert_target, make_windows, scale_dataset
+from .features import ScalerParams, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, predict, train
 from .market_data import BarSeries, Tweet, align_to_trading_days
 from .sentiment import DailySentiment, Lexicon, aggregate_daily, score_corpus
@@ -105,8 +105,7 @@ def run_comparison(
     if not epoch_sizes or min(epoch_sizes) < 1:
         raise PipelineError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
 
-    series = impute_for_split(historical, split_fraction)
-    daily, _ = daily_sentiment(sentiment, series, lexicon)
+    daily, _ = daily_sentiment(sentiment, historical, lexicon)
     config = replace(base_config, epochs=max(epoch_sizes))
 
     snapshots: dict[tuple[str, int], Checkpoint] = {}
@@ -117,18 +116,11 @@ def run_comparison(
 
     test_sets = {}
     for variant in ("dlpm", "hisa"):
-        dataset = fuse(
-            series,
-            daily,
-            mode=variant,
-            target_field=target_field,
-            split_fraction=split_fraction,
+        train_windows, test_windows, scaler, dates = model_windows(
+            historical, daily, variant, lookback, split_fraction, target_field
         )
-        scaled = scale_dataset(dataset)
-        train_windows, test_windows = make_windows(scaled, lookback)
-        train(train_windows, config, scaler=scaled.scaler, feature_mode=variant, on_epoch=keep)
-        real = invert_target(test_windows.labels, scaled.scaler)
-        test_sets[variant] = (test_windows, real, dataset.dates[dataset.split_index:])
+        train(train_windows, config, scaler=scaler, feature_mode=variant, on_epoch=keep)
+        test_sets[variant] = (test_windows, invert_target(test_windows.labels, scaler), dates)
 
     records = []
     for epochs in epoch_sizes:
@@ -154,6 +146,23 @@ def run_comparison(
     return EvalReport.from_records(records)
 
 
+def model_windows(
+    series: BarSeries, daily: Sequence[DailySentiment], mode: str, lookback: int,
+    split_fraction: float, target_field: str, scaler: ScalerParams | None = None,
+) -> tuple[WindowedDataset, WindowedDataset, ScalerParams, tuple[date, ...]]:
+    """The model's view of the bars: :func:`fuse`, then :func:`scale_dataset`
+    (fitted on the train rows unless ``scaler`` is given), then
+    :func:`make_windows`. ``train``, ``predict`` and ``compare`` all build
+    their data here, so every model sees the same split, imputation range,
+    scaling range, lookback and target.
+
+    Returns (train windows, test windows, scaler, test dates).
+    """
+    dataset = scale_dataset(fuse(series, daily, mode, target_field, split_fraction), scaler)
+    train_windows, test_windows = make_windows(dataset, lookback)
+    return train_windows, test_windows, dataset.scaler, dataset.dates[dataset.split_index:]
+
+
 def daily_sentiment(
     tweets: Sequence[Tweet], series: BarSeries, lexicon: Lexicon
 ) -> tuple[list[DailySentiment], int]:
@@ -169,11 +178,7 @@ def daily_sentiment(
 def render_table(report: EvalReport) -> str:
     """Plain-text comparison table: epoch sizes x models plus averages."""
     rows = [("Epoch size", "Model", "Accuracy")]
-    seen = []
-    for rec in report.records:
-        if rec.epochs not in seen:
-            seen.append(rec.epochs)
-    for epochs in seen:
+    for epochs in dict.fromkeys(rec.epochs for rec in report.records):
         for rec in report.records:
             if rec.epochs == epochs:
                 rows.append((str(epochs), rec.variant, f"{rec.accuracy_pct:.2f}%"))

@@ -1,4 +1,4 @@
-"""Imputation, min-max scaling, feature fusion, and window construction.
+"""Feature fusion with imputation, min-max scaling, and window construction.
 
 Two feature modes exist:
 
@@ -8,8 +8,9 @@ Two feature modes exist:
     input is ignored entirely.
 
 Both modes share the same next-day target so a comparison between them
-isolates the feature set. Scaling statistics are always fitted on the
-training rows alone; test rows may legitimately land outside [0, 1].
+isolates the feature set. :func:`fuse` fills missing cells with train-side
+means, and scaling statistics are always fitted on the training rows
+alone; test rows may legitimately land outside [0, 1].
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import PipelineError
-from .market_data import BarSeries, NUMERIC_FIELDS
+from .market_data import BarSeries, NUMERIC_FIELDS, OhlcvBar
 from .sentiment import DailySentiment
 
 FEATURE_MODES = ("hisa", "dlpm")
@@ -103,60 +104,6 @@ class WindowedDataset:
         return self.sequences.shape[0]
 
 
-def impute_mean(series: BarSeries, train_end: date) -> BarSeries:
-    """Fill missing numeric cells with each field's training-range mean.
-
-    The training range is every bar dated on or before ``train_end``; means
-    never see test rows. Present values are left untouched.
-    """
-    train_bars = [b for b in series.bars if b.date <= train_end]
-    means: dict[str, float] = {}
-    for field in NUMERIC_FIELDS:
-        present = [getattr(b, field) for b in train_bars if getattr(b, field) is not None]
-        if not present:
-            raise PipelineError(
-                f"field {field!r} has no present value in the training range ending {train_end}"
-            )
-        means[field] = sum(present) / len(present)
-
-    filled = []
-    for bar in series.bars:
-        updates = {
-            field: means[field]
-            for field in NUMERIC_FIELDS
-            if getattr(bar, field) is None
-        }
-        filled.append(replace(bar, **updates) if updates else bar)
-    return BarSeries(symbol=series.symbol, bars=tuple(filled))
-
-
-def split_point(rows: int, split_fraction: float) -> int:
-    """Feature rows on the train side: floor(split_fraction * rows).
-
-    Raises :class:`PipelineError` for a fraction outside (0, 1) or when
-    either side would be empty.
-    """
-    if not 0.0 < split_fraction < 1.0:
-        raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
-    index = math.floor(split_fraction * rows)
-    if index < 1 or index >= rows:
-        raise PipelineError(
-            f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
-        )
-    return index
-
-
-def impute_for_split(series: BarSeries, split_fraction: float) -> BarSeries:
-    """Impute with the training range implied by the fuse split.
-
-    fuse() puts the first split_point(bars - 1, split_fraction) feature rows
-    in the train side; imputation means must come from those bars only so
-    no test information leaks backward.
-    """
-    train_rows = split_point(len(series.bars) - 1, split_fraction)
-    return impute_mean(series, series.bars[train_rows - 1].date)
-
-
 def fuse(
     series: BarSeries,
     sentiment: Sequence[DailySentiment],
@@ -168,36 +115,32 @@ def fuse(
 
     Row t carries date t's features; its target is ``target_field`` at date
     t+1, so the final bar contributes only a target. The chronological
-    split lands at floor(split_fraction * rows). Raw currency values are
-    kept; call :func:`scale_dataset` before windowing for training.
+    split lands at floor(split_fraction * rows). A missing numeric cell
+    becomes its field's mean over the train-side bars, so no test row
+    informs it. Raw currency values are kept; call :func:`scale_dataset`
+    before windowing for training.
     """
     if mode not in FEATURE_MODES:
         raise PipelineError(f"unknown feature mode {mode!r}")
     if target_field not in NUMERIC_FIELDS:
         raise PipelineError(f"unknown target field {target_field!r}")
 
-    bars = series.bars
-    rows = len(bars) - 1
-    train_rows = split_point(rows, split_fraction)
+    if not 0.0 < split_fraction < 1.0:
+        raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
+    rows = len(series.bars) - 1
+    train_rows = math.floor(split_fraction * rows)
+    if train_rows < 1 or train_rows >= rows:
+        raise PipelineError(
+            f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
+        )
+    bars = _impute_mean(series.bars, train_rows)
 
     name_cols = HISA_FEATURES if mode == "hisa" else DLPM_FEATURES
-    price_cols = [c for c in name_cols if c in NUMERIC_FIELDS]
-
     by_date: dict[date, DailySentiment] = {s.date: s for s in sentiment}
     matrix = np.empty((rows, len(name_cols)), dtype=np.float64)
     targets = np.empty(rows, dtype=np.float64)
     for t in range(rows):
         bar = bars[t]
-        for field in price_cols:
-            if getattr(bar, field) is None:
-                raise ValueError(
-                    f"{bar.date}: field {field!r} is missing; run impute_mean before fuse"
-                )
-        if getattr(bars[t + 1], target_field) is None:
-            raise ValueError(
-                f"{bars[t + 1].date}: target field {target_field!r} is missing; "
-                "run impute_mean before fuse"
-            )
         if mode == "hisa":
             day = by_date.get(bar.date)
             if day is None:
@@ -215,39 +158,49 @@ def fuse(
         feature_mode=mode,
         target_field=target_field,
         split_index=train_rows,
-        scaler=None,
     )
 
 
-def scale_dataset(dataset: FusedDataset) -> FusedDataset:
-    """Fit min-max columns (features plus target) on train rows and apply.
+def _impute_mean(bars: tuple[OhlcvBar, ...], train_rows: int) -> tuple[OhlcvBar, ...]:
+    """Fill missing numeric cells with each field's mean over bars[:train_rows]."""
+    means: dict[str, float] = {}
+    for field in NUMERIC_FIELDS:
+        present = [getattr(b, field) for b in bars[:train_rows] if getattr(b, field) is not None]
+        if not present:
+            raise PipelineError(f"field {field!r} has no present value in the training range "
+                                f"ending {bars[train_rows - 1].date}")
+        means[field] = sum(present) / len(present)
 
-    The target gets its own scaler column so model outputs invert back to
-    currency units.
+    filled = []
+    for bar in bars:
+        updates = {field: means[field] for field in NUMERIC_FIELDS if getattr(bar, field) is None}
+        filled.append(replace(bar, **updates) if updates else bar)
+    return tuple(filled)
+
+
+def scale_dataset(dataset: FusedDataset, scaler: ScalerParams | None = None) -> FusedDataset:
+    """x' = (x - min) / (max - min) per column, the target included.
+
+    With no ``scaler``, the per-column min and max are fitted on the train
+    rows; otherwise the given scaler (say, a checkpoint's) is applied. The
+    target gets its own scaler column so model outputs invert back to
+    currency units. No clipping: test rows may fall outside [0, 1].
     """
     if dataset.scaler is not None:
         raise ValueError("dataset is already scaled")
-    train = np.column_stack([dataset.features, dataset.targets])[:dataset.split_index]
-    scaler = ScalerParams(
-        feature_names=dataset.feature_names + (TARGET_COLUMN,),
-        mins=tuple(train.min(axis=0).tolist()),
-        maxs=tuple(train.max(axis=0).tolist()),
-    )
-    del train  # apply_scaler stacks its own copy; holding this one raised peak RSS
-    return apply_scaler(dataset, scaler)
-
-
-def apply_scaler(dataset: FusedDataset, scaler: ScalerParams) -> FusedDataset:
-    """x' = (x - min) / (max - min) per column, target included, with a fitted
-    scaler. No clipping: test rows may fall outside [0, 1]."""
-    if dataset.scaler is not None:
-        raise ValueError("dataset is already scaled")
     expected = dataset.feature_names + (TARGET_COLUMN,)
-    if scaler.feature_names != expected:
+    joint = np.column_stack([dataset.features, dataset.targets])
+    if scaler is None:
+        train = joint[:dataset.split_index]
+        scaler = ScalerParams(
+            feature_names=expected,
+            mins=tuple(train.min(axis=0).tolist()),
+            maxs=tuple(train.max(axis=0).tolist()),
+        )
+    elif scaler.feature_names != expected:
         raise PipelineError(
             f"scaler columns {scaler.feature_names} do not match dataset columns {expected}"
         )
-    joint = np.column_stack([dataset.features, dataset.targets])
     mins = np.array(scaler.mins)
     maxs = np.array(scaler.maxs)
     scaled = (joint - mins) / (maxs - mins)

@@ -148,7 +148,10 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     rng = np.random.default_rng(seed)
     h, z = hidden_size, input_size + hidden_size
     gate_limit = math.sqrt(6.0 / (h + z))
-    W = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
+    try:
+        W = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
+    except ValueError as exc:  # numpy refuses a shape past its maximum dimension
+        raise PipelineError(f"hidden_size {hidden_size} needs a ({4 * h}, {z}) gate matrix: {exc}") from exc
     out_limit = math.sqrt(6.0 / (1 + h))
     W_y = rng.uniform(-out_limit, out_limit, size=(1, h))
     b = np.zeros(4 * h)

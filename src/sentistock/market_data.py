@@ -138,15 +138,19 @@ def parse_ohlcv_csv(
 
     with _utf8_text(stream, "OHLCV CSV", newline="") as text:
         reader = csv.DictReader(text)
-        if reader.fieldnames is None:
-            raise EmptyInput("CSV stream has no header row")
-        header = [h.strip() for h in reader.fieldnames]
-        for field in OHLCV_FIELDS:
-            if schema[field] not in header:
-                raise PipelineError(f"column {schema[field]!r} (for {field}) not in header {header}")
+        try:
+            if reader.fieldnames is None:
+                raise EmptyInput("CSV stream has no header row")
+            header = [h.strip() for h in reader.fieldnames]
+            for field in OHLCV_FIELDS:
+                if schema[field] not in header:
+                    raise PipelineError(f"column {schema[field]!r} (for {field}) not in header {header}")
 
-        rows = [{k.strip(): (v if v is not None else "") for k, v in raw.items() if k is not None}
-                for raw in reader]
+            rows = [{k.strip(): (v if v is not None else "") for k, v in raw.items() if k is not None}
+                    for raw in reader]
+        except csv.Error as exc:
+            # reader.line_num counts rows read; the inner reader's counts lines.
+            raise PipelineError(f"OHLCV CSV line {reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise EmptyInput("CSV contains a header but no data rows")
 
@@ -236,7 +240,7 @@ def parse_tweets_jsonl(stream: BinaryIO) -> tuple[list[Tweet], int]:
 def _parse_tweet_line(line: str) -> Tweet | None:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
         return None
     if not isinstance(obj, dict):
         return None

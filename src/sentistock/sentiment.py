@@ -44,12 +44,17 @@ class LexiconEntry:
     intensity: float = 1.0
 
     def __post_init__(self):
-        if not self.term or any(c.isspace() for c in self.term) or self.term != self.term.lower():
-            raise PipelineError(f"bad lexicon term {self.term!r} (lowercase, no whitespace)")
+        _check_token(self.term, "term")
         if not -1.0 <= self.polarity <= 1.0:
             raise PipelineError(f"{self.term}: polarity {self.polarity} outside [-1, 1]")
         if not (self.intensity > 0 and math.isfinite(self.intensity)):
             raise PipelineError(f"{self.term}: intensity must be a positive real, got {self.intensity}")
+
+
+def _check_token(token: str, role: str) -> None:
+    """A lexicon term or negator is one non-empty lowercase token."""
+    if not token or any(c.isspace() for c in token) or token != token.lower():
+        raise PipelineError(f"bad lexicon {role} {token!r} (lowercase, no whitespace)")
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ def load_lexicon(stream: BinaryIO) -> Lexicon:
     Columns: term, polarity, intensity, flag; flag is 'term' or 'negator'.
     A header line repeating those names is allowed and skipped. Terms are
     lowercased before duplicate detection, and a word may not appear as
-    both a term and a negator.
+    both a term and a negator. Every error message starts with its line.
     """
     with _utf8_text(stream, "lexicon TSV") as text:
         lines = text.readlines()
@@ -187,25 +192,27 @@ def load_lexicon(stream: BinaryIO) -> Lexicon:
             first = False
             continue
         first = False
-        if len(cols) != 4:
-            raise PipelineError(f"line {lineno}: expected 4 tab-separated columns, got {len(cols)}")
-        word, pol_s, inten_s, flag = cols
         try:
-            polarity = float(pol_s)
-            intensity = float(inten_s)
-        except ValueError as exc:
-            raise PipelineError(f"line {lineno}: non-numeric polarity/intensity") from exc
-        word = word.lower()
-        if word in terms or word in negators:
-            raise PipelineError(f"line {lineno}: duplicate term {word!r}")
-        if flag == "negator":
-            if not word or any(c.isspace() for c in word):
-                raise PipelineError(f"line {lineno}: bad negator token {word!r}")
-            negators.add(word)
-        elif flag == "term":
-            terms[word] = LexiconEntry(term=word, polarity=polarity, intensity=intensity)
-        else:
-            raise PipelineError(f"line {lineno}: flag must be 'term' or 'negator', got {flag!r}")
+            if len(cols) != 4:
+                raise PipelineError(f"expected 4 tab-separated columns, got {len(cols)}")
+            word, pol_s, inten_s, flag = cols
+            try:
+                polarity = float(pol_s)
+                intensity = float(inten_s)
+            except ValueError as exc:
+                raise PipelineError("non-numeric polarity/intensity") from exc
+            word = word.lower()
+            if word in terms or word in negators:
+                raise PipelineError(f"duplicate term {word!r}")
+            if flag == "negator":
+                _check_token(word, "negator")
+                negators.add(word)
+            elif flag == "term":
+                terms[word] = LexiconEntry(term=word, polarity=polarity, intensity=intensity)
+            else:
+                raise PipelineError(f"flag must be 'term' or 'negator', got {flag!r}")
+        except PipelineError as exc:
+            raise PipelineError(f"line {lineno}: {exc}") from exc
     return Lexicon(terms=terms, negators=frozenset(negators))
 
 

@@ -142,14 +142,21 @@ def edited_checkpoint(edit):
     return bad_checkpoint(build)
 
 
-def edited_config(edit):
-    """Set-up step: replace the config file's bytes with ``edit(bytes)``."""
+def edited_file(name, edit):
+    """Set-up step: replace the bytes of fixture file ``name`` with ``edit(bytes)``."""
 
     def prepare(config, tmp_path) -> list:
-        config.write_bytes(edit(config.read_bytes()))
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
         return []
 
     return prepare
+
+
+#: A hidden size whose (4H, F+H) gate matrix numpy cannot even shape.
+HUGE_H = b"hidden_size = 100000000000000000000\n"
+#: A price row whose Open cell exceeds the csv module's 131,072-character field limit.
+OVERSIZED_ROW = b"2030-01-01," + b"1" * 200_000 + b",1,1,1,1,1\n"
 
 
 class TestBadSettingsExit2:
@@ -177,9 +184,14 @@ class TestBadSettingsExit2:
                      id="predict-parameter-overflows-float"),
         pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "[" * 100_000 + "]" * 100_000),
                      id="predict-deeply-nested-checkpoint"),
-        pytest.param(["ingest"], edited_config(lambda ini: ini + b"seed = 8\n"), id="config-duplicate-key"),
-        pytest.param(["ingest"], edited_config(lambda ini: ini.replace(b"[run]\n", b"")),
+        pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini + b"seed = 8\n"),
+                     id="config-duplicate-key"),
+        pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini.replace(b"[run]\n", b"")),
                      id="config-without-section-header"),
+        pytest.param(["train"], edited_file("config.ini", lambda ini: ini.replace(b"hidden_size = 8\n", HUGE_H)),
+                     id="train-hidden-size-impossible"),
+        pytest.param(["ingest"], edited_file("prices.csv", lambda csv: csv + OVERSIZED_ROW),
+                     id="ingest-oversized-csv-cell"),
     ])
     def test_one_error_line(self, argv, prepare, fixture_config, tmp_path, capsys):
         if prepare is not None:
@@ -232,6 +244,26 @@ class TestCompare:
         assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2"]) == 0
         for name in artifacts:
             assert (outdir / name).read_bytes() == first[name], name
+
+
+class TestCommandsAgree:
+    """train and predict build their windows as compare does, so their
+    artifacts equal compare's byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["hisa", "dlpm"])
+    def test_train_and_predict_match_compare(self, mode, fixture_config, tmp_path):
+        assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2,3",
+                    "--out", tmp_path / "compare"]) == 0
+        for epochs in (2, 3):
+            out = tmp_path / f"{mode}{epochs}"
+            assert run(["train", "--config", fixture_config, "--feature-mode", mode,
+                        "--epochs", epochs, "--out", out]) == 0
+            compared = tmp_path / "compare" / f"checkpoint_{mode}_epochs{epochs}.json"
+            assert (out / "checkpoint.json").read_bytes() == compared.read_bytes()
+            assert run(["predict", "--config", fixture_config, "--feature-mode", mode,
+                        "--checkpoint", out / "checkpoint.json", "--out", out]) == 0
+            plot = tmp_path / "compare" / f"plot_{mode}_epochs{epochs}.csv"
+            assert (out / "predictions.csv").read_bytes() == plot.read_bytes()
 
 
 class TestConfigHandling:

@@ -17,7 +17,7 @@ from sentistock.evaluation import (
     rmse,
     run_comparison,
 )
-from sentistock.features import fuse, impute_for_split, invert_target, make_windows, scale_dataset
+from sentistock.features import fuse, invert_target, make_windows, scale_dataset
 from sentistock.lstm import TrainConfig, checkpoint_to_json, predict, train
 
 from fixtures import make_coupled_fixture
@@ -144,7 +144,6 @@ def separate_runs(series, tweets, lexicon, epoch_sizes, config, lookback):
     Returns the serialized checkpoints as (variant, epochs, json) in record
     order, and the serialized report.
     """
-    series = impute_for_split(series, 0.75)
     daily, _ = daily_sentiment(tweets, series, lexicon)
     checkpoints, records = [], []
     for epochs in epoch_sizes:

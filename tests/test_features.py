@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -8,10 +9,7 @@ from sentistock.features import (
     DLPM_FEATURES,
     FusedDataset,
     ScalerParams,
-    apply_scaler,
     fuse,
-    impute_for_split,
-    impute_mean,
     invert_target,
     make_windows,
     scale_dataset,
@@ -71,14 +69,18 @@ def varied_sentiment(days, seed=3):
 
 
 class TestImputeMean:
+    """fuse fills a missing cell with its field's mean over the train-side bars."""
+
     def test_fills_with_training_mean(self):
-        series = series_of([10.0, None, 20.0])
-        out = impute_mean(series, train_end=series.bars[-1].date)
-        assert [b.open for b in out.bars] == [10.0, 15.0, 20.0]
+        series = series_of([10.0, None, 20.0, 30.0, 40.0])  # 4 rows, 3 on the train side
+        ds = fuse(series, [], mode="dlpm")
+        assert ds.features[:3, 0].tolist() == [10.0, 15.0, 20.0]
 
     def test_no_missing_is_identity(self):
         series = series_of([10.0, 11.0, 12.0])
-        assert impute_mean(series, series.bars[-1].date) == series
+        ds = fuse(series, [], mode="dlpm")
+        assert ds.features.tolist() == [[b.open, b.high, b.low, b.close] for b in series.bars[:2]]
+        assert ds.targets.tolist() == [b.close for b in series.bars[1:]]
 
     def test_all_missing_in_train_range(self):
         days = trading_days(3)
@@ -88,13 +90,13 @@ class TestImputeMean:
             for d in days
         )
         with pytest.raises(PipelineError, match="has no present value in the training range"):
-            impute_mean(BarSeries("T", bars), train_end=days[-1])
+            fuse(BarSeries("T", bars), [], mode="dlpm")
 
     def test_train_only_mean_excludes_test_rows(self):
-        series = series_of([10.0, None, 50.0])
-        out = impute_mean(series, train_end=series.bars[1].date)
+        series = series_of([10.0, None, 50.0, 60.0])  # 3 rows, 2 on the train side
+        ds = fuse(series, [], mode="dlpm")
         # mean over the training range {10.0} only, not the later 50.0
-        assert out.bars[1].open == 10.0
+        assert ds.features[1, 0] == 10.0
 
     def test_present_values_untouched_randomized(self):
         rng = np.random.default_rng(1)
@@ -105,18 +107,20 @@ class TestImputeMean:
             bars.append(OhlcvBar(date=d, open=o, high=25.0, low=5.0, close=15.0,
                                  adj_close=15.0, volume=float(rng.integers(1, 100))))
         series = BarSeries("T", tuple(bars))
-        out = impute_mean(series, train_end=days[9])
-        for before, after in zip(series.bars, out.bars):
+        ds = fuse(series, [], mode="dlpm", split_fraction=0.55)  # floor(0.55 * 19) = 10
+        present = [b.open for b in bars[:10] if b.open is not None]
+        for before, row in zip(series.bars, ds.features):
             if before.open is not None:
-                assert after.open == before.open
+                assert row[0] == before.open
             else:
-                assert after.open is not None
-            assert after.close == before.close and after.volume == before.volume
+                assert row[0] == sum(present) / len(present)
+            assert row[3] == before.close
 
 
 class TestScaler:
-    """Fitting through scale_dataset, the replay through apply_scaler, the
-    inverse through invert_target; the target is the last scaler column."""
+    """Fitting through scale_dataset, the replay through scale_dataset with a
+    given scaler, the inverse through invert_target; the target is the last
+    scaler column."""
 
     FEATURES = [[2.0, 20.0, 1.0, 5.0],
                 [4.0, 10.0, 3.0, 5.5],
@@ -157,7 +161,7 @@ class TestScaler:
     def test_shape_mismatch(self):
         scaler = ScalerParams(("a", "b"), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(PipelineError, match="do not match dataset columns"):
-            apply_scaler(dlpm_dataset(np.zeros((3, 4)), np.zeros(3), split_index=2), scaler)
+            scale_dataset(dlpm_dataset(np.zeros((3, 4)), np.zeros(3), split_index=2), scaler)
 
     def test_scaler_independent_of_test_rows(self):
         rng = np.random.default_rng(3)
@@ -165,7 +169,7 @@ class TestScaler:
         scaled = scale_dataset(dlpm_dataset(features, targets, split_index=20))
         features[20:] = rng.uniform(100, 200, size=(10, 4))
         targets[20:] = rng.uniform(100, 200, size=10)
-        replayed = apply_scaler(dlpm_dataset(features, targets, split_index=20), scaled.scaler)
+        replayed = scale_dataset(dlpm_dataset(features, targets, split_index=20), scaled.scaler)
         assert scale_dataset(dlpm_dataset(features, targets, split_index=20)).scaler == scaled.scaler
         assert np.array_equal(replayed.features[:20], scaled.features[:20])
         assert np.array_equal(replayed.targets[:20], scaled.targets[:20])
@@ -216,8 +220,6 @@ class TestFuse:
         series = series_of(range(10, 10 + n_bars))
         with pytest.raises(PipelineError, match=match):
             fuse(series, [], mode="dlpm", split_fraction=fraction)
-        with pytest.raises(PipelineError, match=match):
-            impute_for_split(series, fraction)
 
     def test_targets_identical_across_modes(self):
         # Even with sentiment held constant on every row, the two modes must
@@ -231,10 +233,13 @@ class TestFuse:
         assert hisa.dates == dlpm.dates
         assert hisa.split_index == dlpm.split_index
 
-    def test_missing_value_demands_imputation(self):
-        series = series_of([10.0, None, 12.0, 13.0])
-        with pytest.raises(ValueError, match="impute"):
-            fuse(series, varied_sentiment(series.dates()), mode="hisa")
+    def test_missing_target_is_imputed(self):
+        series = series_of([10, 11, 12, 13, 14])  # 4 rows, 3 on the train side
+        bars = list(series.bars)
+        bars[1] = replace(bars[1], close=None)
+        ds = fuse(BarSeries("T", tuple(bars)), varied_sentiment(series.dates()), mode="hisa")
+        # row 0's target is bar 1's close: the mean of bars 0 and 2's closes
+        assert ds.targets[0] == (bars[0].close + bars[2].close) / 2 == 11.5
 
 
 class TestScaleDataset:

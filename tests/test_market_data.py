@@ -174,6 +174,13 @@ class TestParseTweetsJsonl:
         assert len(tweets) == 1
         assert skipped == 3
 
+    def test_deeply_nested_line_skipped(self):
+        valid = b'{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": "1"}\n'
+        nested = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO(valid + nested))
+        assert len(tweets) == 1
+        assert skipped == 1
+
     def test_only_malformed_is_empty_input(self):
         with pytest.raises(EmptyInput):
             parse_tweets_jsonl(io.BytesIO(b"oops\n{}\n"))

@@ -220,6 +220,13 @@ class TestLoadLexicon:
         with pytest.raises(PipelineError, match=self.MALFORMED[row]):
             load_lexicon(io.BytesIO(f"{row}\n".encode()))
 
+    @pytest.mark.parametrize("flag", ["term", "negator"])
+    def test_token_with_whitespace_names_its_line(self, flag):
+        tsv = f"good\t0.7\t1.0\tterm\nvery good\t0\t1.0\t{flag}\n"
+        with pytest.raises(PipelineError) as info:
+            load_lexicon(io.BytesIO(tsv.encode()))
+        assert str(info.value) == f"line 2: bad lexicon {flag} 'very good' (lowercase, no whitespace)"
+
     def test_terms_lowercased(self):
         tsv = "GOOD\t0.7\t1.0\tterm\n"
         lexicon = load_lexicon(io.BytesIO(tsv.encode()))
