@@ -26,6 +26,23 @@ once by W. The checkpoint document still names each gate's block
 The prediction for a sequence is W_y h_T + b_y (no output activation; the
 model works in normalized target space). :func:`forward` runs a batch of
 sequences; a single sequence is a batch of one (``seq[None]``).
+
+Memory. A training forward pass allocates its BPTT cache once per call, as
+three arrays stacked over time (:class:`Steps`): Z (L+1, B, F+H), whose
+row t is z_t = (x_t, h_{t-1}), so each h is stored once; G (L, B, 4H), the
+activated gates; and C (L+1, B, H). That is 8 B ((L+1)(F+2H) + 4LH) bytes,
+11.4 MiB at lookback 30, batch 64, 4 features and hidden 128. Every step
+writes into its rows in place (the product, the sigmoid, tanh and the cell
+update) and allocates no array of its own. ``train`` runs each batch's
+forward and backward pass in a function of its own, so only one cache is
+alive at a time, and the optimizers update in place. The inference path
+(``keep_steps=False``, used by :func:`predict`) runs the same loop in two
+alternating slots of Z and C and one of G, so its memory does not grow
+with the lookback: about 8 B (2(F+H) + 10H) bytes with the scratch.
+``predict`` runs all windows as one batch. Chunks of windows would bound
+memory further, but a GEMM row's bits can depend on the row count: at
+hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
+away from the full batch's, which would change prediction bytes.
 """
 
 from __future__ import annotations
@@ -33,8 +50,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,9 +99,10 @@ class LstmParams:
 
 
 class Step(NamedTuple):
-    """One timestep's values kept for the backward pass, batched (batch, .).
+    """One timestep of a forward pass, as views into its :class:`Steps` cache.
 
-    ``gates`` holds the activated f, i, o, g blocks side by side (batch, 4H).
+    Every field is (batch, .); ``gates`` holds the activated f, i, o, g
+    blocks side by side (batch, 4H).
     """
 
     z: np.ndarray
@@ -91,6 +110,29 @@ class Step(NamedTuple):
     C_prev: np.ndarray
     C: np.ndarray
     h: np.ndarray
+
+
+class Steps(Sequence[Step]):
+    """The BPTT cache of one forward pass: three arrays stacked over time.
+
+    ``Z`` is (L+1, B, F+H) and row t is z_t = (x_t, h_{t-1}), so h_t is
+    stored once, in the last H columns of row t+1 (the first F columns of
+    row L are unused). ``G`` is (L, B, 4H), the activated gates of each
+    step. ``C`` is (L+1, B, H): C[0] is the zero start state and C[t+1] the
+    cell state after step t. Item t is a :class:`Step` of views; nothing is
+    copied.
+    """
+
+    def __init__(self, Z: np.ndarray, G: np.ndarray, C: np.ndarray):
+        self.Z, self.G, self.C = Z, G, C
+
+    def __len__(self) -> int:
+        return len(self.G)
+
+    def __getitem__(self, t: int) -> Step:
+        t = range(len(self.G))[t]
+        F = self.Z.shape[2] - self.C.shape[2]
+        return Step(self.Z[t], self.G[t], self.C[t], self.C[t + 1], self.Z[t + 1, :, F:])
 
 
 @dataclass(frozen=True)
@@ -159,52 +201,72 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # e = exp(-|x|) never overflows. It is exp(-x) for x >= 0 and exp(x)
-    # otherwise, so this is 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit
-    # for bit. minimum(x, -x) rather than -abs(x) keeps a NaN's sign bit.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, mask: np.ndarray) -> None:
+    """Overwrite x with its logistic function; e (float) and mask (bool) are
+    scratch arrays of x's shape.
 
-
-def _step(x: np.ndarray, h_prev: np.ndarray, C_prev: np.ndarray, p: LstmParams) -> Step:
-    """One batched LSTM step; x is (batch, input)."""
-    H = p.hidden_size
-    z = np.concatenate([x, h_prev], axis=1)
-    gates = z @ p.W.T + p.b
-    gates[:, :3 * H] = _sigmoid(gates[:, :3 * H])
-    np.tanh(gates[:, 3 * H:], out=gates[:, 3 * H:])
-    f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
-    C = f * C_prev + i * g
-    h = o * np.tanh(C)
-    return Step(z, gates, C_prev, C, h)
+    e = exp(-|x|) never overflows. It is exp(-x) for x >= 0 and exp(x)
+    otherwise, so x becomes 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit
+    for bit. minimum(x, -x) rather than -abs(x) keeps a NaN's sign bit.
+    """
+    np.negative(x, out=e)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=mask)
+    np.copyto(x, e)
+    np.copyto(x, 1.0, where=mask)
+    e += 1.0
+    x /= e
 
 
 def forward(
     X: np.ndarray,
     params: LstmParams,
     keep_steps: bool = True,
-) -> tuple[np.ndarray, list[Step]]:
+) -> tuple[np.ndarray, Sequence[Step]]:
     """Run a batch of sequences from a zero state; X is (batch, lookback, features).
 
-    Returns (predictions, steps). The steps are empty when keep_steps is
-    False (inference path).
+    Returns (predictions, steps): the :class:`Steps` cache for
+    :func:`backward`, or an empty tuple when keep_steps is False (inference
+    path), which runs the same loop in two alternating slots of Z and C and
+    one of G.
     """
     if X.ndim != 3:
         raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")
     if X.shape[2] != params.input_size:
         raise PipelineError(f"feature count {X.shape[2]} != input_size {params.input_size}")
-    batch, lookback, _ = X.shape
-    h = np.zeros((batch, params.hidden_size))
-    C = np.zeros((batch, params.hidden_size))
-    steps: list[Step] = []
+    batch, lookback, F = X.shape
+    H = params.hidden_size
+    slots = lookback + 1 if keep_steps else 2
+    Z = np.empty((slots, batch, F + H))
+    G = np.empty((slots - 1, batch, 4 * H))
+    C = np.empty((slots, batch, H))
+    Z[0, :, F:] = 0.0
+    C[0] = 0.0
+    # Scratch: e and mask for the sigmoid, tmp for i * g and then tanh(C).
+    e = np.empty((batch, 3 * H))
+    mask = np.empty((batch, 3 * H), dtype=bool)
+    tmp = np.empty((batch, H))
+    W_T = params.W.T
     for t in range(lookback):
-        step = _step(X[:, t, :], h, C, params)
-        h, C = step.h, step.C
-        if keep_steps:
-            steps.append(step)
+        now, nxt = t % slots, (t + 1) % slots
+        z, gates = Z[now], G[t % len(G)]
+        z[:, :F] = X[:, t]
+        np.matmul(z, W_T, out=gates)
+        gates += params.b
+        _sigmoid_inplace(gates[:, :3 * H], e, mask)
+        np.tanh(gates[:, 3 * H:], out=gates[:, 3 * H:])
+        f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
+        C_next = C[nxt]
+        np.multiply(f, C[now], out=C_next)
+        np.multiply(i, g, out=tmp)
+        C_next += tmp
+        np.tanh(C_next, out=tmp)
+        np.multiply(o, tmp, out=Z[nxt, :, F:])
+    # A contiguous copy: the product's bits can depend on h's row stride.
+    h = np.ascontiguousarray(Z[lookback % slots, :, F:])
     yhat = h @ params.W_y[0] + params.b_y[0]
-    return yhat, steps
+    return yhat, (Steps(Z, G, C) if keep_steps else ())
 
 
 def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
@@ -218,25 +280,27 @@ def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[st
     if not steps:
         raise PipelineError("steps are empty; run a forward pass first")
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
-    if dyhat.shape != (steps[-1].h.shape[0],):
+    h_last = np.ascontiguousarray(steps[-1].h)  # contiguous, as in forward
+    if dyhat.shape != (h_last.shape[0],):
         raise PipelineError("d_prediction batch size does not match the forward pass")
 
     H, F = params.hidden_size, params.input_size
     W_h = params.W[:, F:]
     grads = {name: np.zeros_like(tensor) for name, tensor in params.tensors()}
 
-    grads["W_y"][0] = dyhat @ steps[-1].h
+    grads["W_y"][0] = dyhat @ h_last
     grads["b_y"][0] = dyhat.sum()
     dh = dyhat[:, None] * params.W_y[0]
     dC = np.zeros_like(dh)
+    # dA: the loss gradient at the gate pre-activations, blocks f, i, o, g;
+    # every step overwrites all of it.
+    dA = np.empty((len(dh), 4 * H))
 
     for z, gates, C_prev, C, _ in reversed(steps):
         f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
         tanhC = np.tanh(C)
         dC = dC + dh * o * (1.0 - tanhC * tanhC)
 
-        # dA: the loss gradient at the gate pre-activations, blocks f, i, o, g.
-        dA = np.empty_like(gates)
         np.multiply(dC, C_prev, out=dA[:, :H])
         np.multiply(dC, g, out=dA[:, H:2 * H])
         np.multiply(dh, tanhC, out=dA[:, 2 * H:3 * H])
@@ -267,11 +331,15 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 
 class _Adam:
+    """Adam with bias correction, updated in place; ``step`` overwrites the
+    gradient arrays, which serve as its second scratch buffer."""
+
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.scratch: dict[str, np.ndarray] = {}
 
     def step(self, params: LstmParams, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -279,22 +347,51 @@ class _Adam:
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(tensor))
             v = self.v.setdefault(name, np.zeros_like(tensor))
+            s = self.scratch.setdefault(name, np.empty_like(tensor))
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-            tensor -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - ADAM_BETA2
+            v += s
+            # tensor -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=s)
+            s *= self.lr
+            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            s /= g
+            tensor -= s
 
 
 class _Sgd:
+    """Plain gradient descent; ``step`` overwrites the gradient arrays."""
+
     def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, params: LstmParams, grads: dict[str, np.ndarray]) -> None:
         for name, tensor in params.tensors():
-            tensor -= self.lr * grads[name]
+            g = grads[name]
+            g *= self.lr
+            tensor -= g
+
+
+def _batch_gradients(
+    X: np.ndarray, y: np.ndarray, params: LstmParams, epoch: int
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The squared-error sum and the BPTT gradients of one batch.
+
+    The batch's cache is local here and dies on return, so ``train`` never
+    holds two caches at once.
+    """
+    yhat, steps = forward(X, params)
+    err = yhat - y
+    batch_sq = float(np.sum(err * err))
+    if not math.isfinite(batch_sq):
+        raise NonFiniteLoss(epoch)
+    return batch_sq, backward(steps, (2.0 / len(y)) * err, params)
 
 
 def train(
@@ -334,16 +431,9 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            yhat, steps = forward(X[idx], params)
-            err = yhat - y[idx]
-            batch_sq = float(np.sum(err * err))
-            if not math.isfinite(batch_sq):
-                raise NonFiniteLoss(epoch)
+            batch_sq, grads = _batch_gradients(X[idx], y[idx], params, epoch)
             sq_sum += batch_sq
-            dyhat = (2.0 / len(idx)) * err
-            grads = backward(steps, dyhat, params)
-            grads = clip_gradients(grads, config.grad_clip_norm)
-            optimizer.step(params, grads)
+            optimizer.step(params, clip_gradients(grads, config.grad_clip_norm))
         loss_history.append(sq_sum / n)
         if on_epoch is not None:
             on_epoch(
@@ -386,14 +476,14 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
 _GATE_BLOCKS = ("f", "i", "o", "g")
 
 
-def checkpoint_to_json(checkpoint: Checkpoint) -> str:
+def _checkpoint_document(checkpoint: Checkpoint) -> dict:
     p = checkpoint.params
     H = p.hidden_size
     arrays = {"W_y": p.W_y, "b_y": p.b_y}
     for k, gate in enumerate(_GATE_BLOCKS):
         arrays[f"W_{gate}"] = p.W[k * H:(k + 1) * H]
         arrays[f"b_{gate}"] = p.b[k * H:(k + 1) * H]
-    doc = {
+    return {
         "version": 1,
         "input_size": p.input_size,
         "hidden_size": H,
@@ -403,7 +493,10 @@ def checkpoint_to_json(checkpoint: Checkpoint) -> str:
         "feature_mode": checkpoint.feature_mode,
         "loss_history": list(checkpoint.loss_history),
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def checkpoint_to_json(checkpoint: Checkpoint) -> str:
+    return json.dumps(_checkpoint_document(checkpoint), sort_keys=True, indent=2)
 
 
 def checkpoint_from_json(text: str | bytes) -> Checkpoint:
@@ -450,8 +543,11 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Write :func:`checkpoint_to_json`'s text, streamed chunk by chunk
+    rather than built whole in memory."""
+    doc = _checkpoint_document(checkpoint)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(checkpoint))
+        json.dump(doc, fh, sort_keys=True, indent=2)
 
 
 def load_checkpoint(path) -> Checkpoint:

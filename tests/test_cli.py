@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +268,33 @@ class TestCommandsAgree:
                         "--checkpoint", out / "checkpoint.json", "--out", out]) == 0
             plot = tmp_path / "compare" / f"plot_{mode}_epochs{epochs}.csv"
             assert (out / "predictions.csv").read_bytes() == plot.read_bytes()
+
+
+#: ``train`` then ``predict`` into one output directory: python -c THREADED_RUN CONFIG OUT.
+THREADED_RUN = """
+import sys
+from sentistock.cli import main
+config, out = sys.argv[1:]
+code = main(["train", "--config", config, "--out", out])
+sys.exit(code or main(["predict", "--config", config, "--out", out, "--checkpoint", out + "/checkpoint.json"]))
+"""
+
+
+class TestBlasThreads:
+    def test_artifacts_do_not_depend_on_thread_count(self, tmp_path):
+        # Hidden 128 and batch 64 give GEMMs that OpenBLAS splits across threads.
+        config = write_cli_fixture(tmp_path, n_days=200, hidden_size=128, batch_size=64, epochs=2)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            outs.append(tmp_path / f"threads{threads}")
+            result = subprocess.run([sys.executable, "-c", THREADED_RUN, str(config), str(outs[-1])],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+        for name in ("checkpoint.json", "predictions.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestConfigHandling:

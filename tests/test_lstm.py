@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,9 @@ from sentistock.lstm import (
     gradient_norm,
     init_params,
     predict,
+    save_checkpoint,
     train,
-    _sigmoid,
+    _sigmoid_inplace,
 )
 
 from oracles import (
@@ -99,7 +101,16 @@ class TestSigmoid:
         rng = np.random.default_rng(11)
         arrays += [scale * rng.standard_normal((16, 32)) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
         for x in arrays:
-            assert np.array_equal(_sigmoid(x).view(np.int64), masked_sigmoid_reference(x).view(np.int64))
+            expected = masked_sigmoid_reference(x).view(np.int64)
+            out = x.copy()
+            _sigmoid_inplace(out, np.empty_like(x), np.empty(x.shape, dtype=bool))
+            assert np.array_equal(out.view(np.int64), expected)
+            # Also as forward runs it: on the leading columns of a wider array.
+            wide = np.zeros(x.shape[:-1] + (x.shape[-1] + 3,))
+            view = wide[..., :x.shape[-1]]
+            view[...] = x
+            _sigmoid_inplace(view, np.empty_like(x), np.empty(x.shape, dtype=bool))
+            assert np.array_equal(view.view(np.int64), expected)
 
 
 class TestCellForward:
@@ -244,6 +255,62 @@ class TestBackward:
             backward([], 1.0, init_params(2, 2, seed=0))
 
 
+class TestNoAliasing:
+    """Each forward pass owns its buffers: no state is shared between calls or paths."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64, 500])
+    def test_inference_path_equals_training_path(self, batch):
+        p = init_params(4, 32, seed=batch)
+        X = np.random.default_rng(batch).normal(size=(batch, 12, 4))
+        kept, _ = forward(X, p)
+        inferred, steps = forward(X, p, keep_steps=False)
+        assert not steps
+        assert np.array_equal(inferred.view(np.int64), kept.view(np.int64))
+
+    def test_cache_survives_a_second_forward(self):
+        rng = np.random.default_rng(21)
+        p = init_params(3, 8, seed=21)
+        X1, X2 = rng.normal(size=(2, 5, 6, 3))
+        upstream = rng.normal(size=5)
+        _, first = forward(X1, p)
+        expected = backward(first, upstream, p)
+        forward(X2, p)
+        forward(X2, p, keep_steps=False)
+        again = backward(first, upstream, p)
+        for name in expected:
+            assert np.array_equal(again[name], expected[name]), name
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes allocated while fn runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Shapes of train_predict_wide: lookback 30, batch 64, hidden 128, 4 features."""
+
+    L, B, H, F = 30, 64, 128, 4
+
+    def test_train_holds_one_batch_cache(self):
+        L, B, H, F = self.L, self.B, self.H, self.F
+        rng = np.random.default_rng(30)
+        windows = WindowedDataset(rng.normal(size=(3 * B, L, F)), rng.normal(size=3 * B), L)
+        cfg = TrainConfig(epochs=1, batch_size=B, hidden_size=H, seed=30)
+        one_cache = L * B * (F + 7 * H) * 8  # z, four gates, C and h per step
+        assert traced_peak(train, windows, cfg) <= 1.5 * one_cache
+
+    def test_inference_forward_peak(self):
+        X = np.random.default_rng(31).normal(size=(500, self.L, self.F))
+        p = init_params(self.F, self.H, seed=31)
+        gate_array = 500 * 4 * self.H * 8
+        assert traced_peak(forward, X, p, keep_steps=False) <= 4 * gate_array
+
+
 class TestTrain:
     def test_bit_identical_checkpoints(self):
         windows, scaler, _ = sine_windows()
@@ -339,6 +406,14 @@ class TestCheckpointPersistence:
         assert again.config == cp.config
         assert again.scaler == cp.scaler
         assert again.loss_history == cp.loss_history
+
+    @pytest.mark.parametrize("carried", [True, False], ids=["scaler-and-mode", "bare"])
+    def test_saved_file_is_checkpoint_to_json(self, tmp_path, carried):
+        windows, scaler, _ = sine_windows()
+        cfg = TrainConfig(epochs=2, learning_rate=0.02, seed=12, hidden_size=8)
+        cp = train(windows, cfg, scaler=scaler if carried else None, feature_mode="hisa" if carried else None)
+        save_checkpoint(cp, tmp_path / "checkpoint.json")
+        assert (tmp_path / "checkpoint.json").read_bytes() == checkpoint_to_json(cp).encode("utf-8")
 
     def test_gate_names_map_to_row_blocks(self):
         H, F = 2, 3
