@@ -185,8 +185,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     tweets, skipped = _load_tweets(cfg)
     (out / "bars.json").write_text(bars_to_json(series), encoding="utf-8")
     with open(out / "tweets_valid.jsonl", "w", encoding="utf-8") as fh:
-        for tweet in tweets:
-            fh.write(tweet_to_json_line(tweet) + "\n")
+        fh.writelines(tweet_to_json_line(tweet) + "\n" for tweet in tweets)
     _write_resolved_config(cfg, out)
     print(f"bars: {len(series)} rows ({series.bars[0].date}..{series.bars[-1].date})")
     print(f"tweets: {len(tweets)} valid, {skipped} skipped")

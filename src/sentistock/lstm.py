@@ -495,8 +495,12 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
     }
 
 
+#: The checkpoint's one encoder; it keeps no state between documents.
+_CHECKPOINT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
-    return json.dumps(_checkpoint_document(checkpoint), sort_keys=True, indent=2)
+    return _CHECKPOINT_ENCODER.encode(_checkpoint_document(checkpoint))
 
 
 def checkpoint_from_json(text: str | bytes) -> Checkpoint:
@@ -544,10 +548,10 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write :func:`checkpoint_to_json`'s text, streamed chunk by chunk
-    rather than built whole in memory."""
+    from the same encoder rather than built whole in memory."""
     doc = _checkpoint_document(checkpoint)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.writelines(_CHECKPOINT_ENCODER.iterencode(doc))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -112,13 +112,14 @@ def tokenize(text: str) -> list[str]:
 
 def score_text(tokens: Sequence[str], lexicon: Lexicon) -> SentimentScore:
     """Apply the module's scoring rule (see module docstring) to tokens."""
+    negators, terms = lexicon.negators, lexicon.terms
     clauses: list[float] = []
     pending: list[float] = []
     for tok in tokens:
-        if tok in lexicon.negators:
+        if tok in negators:
             pending.append(-0.5)
-        elif tok in lexicon.terms:
-            entry = lexicon.terms[tok]
+        elif tok in terms:
+            entry = terms[tok]
             if entry.intensity != 1.0:
                 pending.append(entry.intensity)
             else:

@@ -22,6 +22,7 @@ from sentistock.lstm import (
     predict,
     save_checkpoint,
     train,
+    _checkpoint_document,
     _sigmoid_inplace,
 )
 
@@ -414,6 +415,9 @@ class TestCheckpointPersistence:
         cp = train(windows, cfg, scaler=scaler if carried else None, feature_mode="hisa" if carried else None)
         save_checkpoint(cp, tmp_path / "checkpoint.json")
         assert (tmp_path / "checkpoint.json").read_bytes() == checkpoint_to_json(cp).encode("utf-8")
+        # The text as json.dumps wrote it before the module kept one encoder.
+        reference = json.dumps(_checkpoint_document(cp), sort_keys=True, indent=2)
+        assert checkpoint_to_json(cp) == reference
 
     def test_gate_names_map_to_row_blocks(self):
         H, F = 2, 3

@@ -1,9 +1,11 @@
 import io
 import json
-from datetime import date, datetime, timezone
+from dataclasses import asdict
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentistock.errors import EmptyInput, PipelineError
 from sentistock.market_data import (
@@ -12,8 +14,11 @@ from sentistock.market_data import (
     Tweet,
     align_to_trading_days,
     bars_to_json,
+    _parse_ddmmyyyy,
+    _parse_tweet_line,
     parse_ohlcv_csv,
     parse_tweets_jsonl,
+    tweet_to_json_line,
 )
 
 from fixtures import make_coupled_fixture, roundtrip_series
@@ -96,6 +101,25 @@ class TestParseOhlcvCsv:
         series = parse_ohlcv_csv(csv_stream(HEADER + body))
         assert series.dates() == (date(2020, 1, 2), date(2020, 1, 3))
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        day=st.dates().map(lambda d: d.strftime("%d-%m-%Y")),
+        cell=st.text(alphabet=st.sampled_from("0123456789- x\u0663\uff11"), max_size=11),
+        cut=st.integers(0, 2),
+    )
+    def test_ddmmyyyy_equals_strptime(self, day, cell, cut):
+        # The cell rule as datetime.strptime applied it before the module
+        # matched strptime's own pattern itself.
+        def reference(text):
+            try:
+                return datetime.strptime(text, "%d-%m-%Y").date()
+            except ValueError:
+                return None
+
+        unpadded = day.lstrip("0").replace("-0", "-", 1)
+        for text in (day, unpadded, " " + unpadded, day[cut:], day + "0", cell):
+            assert _parse_ddmmyyyy(text) == reference(text)
+
     def test_unparseable_date(self):
         body = "Jan 1 2020,10,11,9,10.5,10.5,100\n"
         with pytest.raises(PipelineError, match="is neither ISO-8601 nor DD-MM-YYYY"):
@@ -149,6 +173,32 @@ class TestBarSerialization:
         series, _, _ = make_coupled_fixture(n_days=30)
         assert roundtrip_series(series) == series
 
+    def test_equals_asdict_reference_with_missing_cells(self):
+        # The document as written from dataclasses.asdict before bars_to_json
+        # read the fields directly.
+        def reference(series: BarSeries) -> str:
+            doc = {
+                "version": 1,
+                "symbol": series.symbol,
+                "bars": [
+                    {**{k: v for k, v in asdict(b).items() if k != "date"}, "date": b.date.isoformat()}
+                    for b in series.bars
+                ],
+            }
+            return json.dumps(doc, sort_keys=True, indent=2)
+
+        bars = (
+            OhlcvBar(date=date(2020, 1, 1), open=None, high=11.0, low=9.0, close=10.0,
+                     adj_close=None, volume=None),
+            OhlcvBar(date=date(2020, 1, 2)),
+            OhlcvBar(date=date(2020, 1, 3), open=10.0, high=11.0, low=9.0, close=10.5,
+                     adj_close=10.5, volume=120),
+        )
+        series = BarSeries(symbol="X\u00e9", bars=bars)
+        assert bars_to_json(series) == reference(series)
+        fixture, _, _ = make_coupled_fixture(n_days=30)
+        assert bars_to_json(fixture) == reference(fixture)
+
 
 class TestParseTweetsJsonl:
     def test_two_valid_lines(self):
@@ -196,6 +246,154 @@ class TestParseTweetsJsonl:
 
         again = fixtures.roundtrip_tweets(tweets)
         assert [t.id for t in again] == [t.id for t in tweets]
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", ["good"]),
+        ("text", None),
+        ("text", 5),
+        ("text", {"body": "good"}),
+        ("timestamp", 1577872800),
+        ("timestamp", None),
+        ("id", None),
+        ("id", True),
+        ("id", 1.5),
+        ("id", ["1"]),
+    ])
+    def test_field_of_wrong_type_skipped(self, field, value):
+        record = {"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": "1", field: value}
+        valid = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": "0"}'
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO(f"{valid}\n{json.dumps(record)}\n".encode()))
+        assert [t.id for t in tweets] == ["0"]
+        assert skipped == 1
+
+    def test_integer_id_kept_as_its_digits(self):
+        line = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": 17}\n'
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO(line.encode()))
+        assert tweets[0].id == "17" and skipped == 0
+
+    def test_number_too_long_for_int_skipped(self):
+        valid = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": "0"}\n'
+        huge = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": ' + "1" * 5000 + "}\n"
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO((valid + huge).encode()))
+        assert len(tweets) == 1 and skipped == 1
+
+
+def reference_parse_tweet_line(line: str) -> Tweet | None:
+    """_parse_tweet_line's rule through json.loads, as it read before it
+    decoded with raw_decode."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict) or not {"timestamp", "text", "id"} <= obj.keys():
+        return None
+    ts, text, tweet_id = obj["timestamp"], obj["text"], obj["id"]
+    if not (isinstance(ts, str) and isinstance(text, str)):
+        return None
+    if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
+        return None
+    if ts.endswith(("Z", "z")):
+        ts = ts[:-1] + "+00:00"
+    try:
+        return Tweet(timestamp=datetime.fromisoformat(ts), text=text, id=str(tweet_id))
+    except ValueError:
+        return None
+
+
+def parsed_as_jsonl_line(line: str) -> Tweet | None:
+    """_parse_tweet_line on ``line`` as parse_tweets_jsonl hands it over."""
+    return _parse_tweet_line(line.strip())
+
+
+VALID_LINE = '{"timestamp": "2020-01-01T10:00:00Z", "text": "good day", "id": "1"}'
+
+#: Characters the JSON escaper treats specially, and ones beyond ASCII.
+AWKWARD_CHARS = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u00e9", "\u4e2d",
+     "\U0001f600", "\ud800", "\udfff", "\ufeff"]
+)
+TEXT = st.text(alphabet=st.one_of(st.characters(exclude_categories=()), AWKWARD_CHARS), min_size=1, max_size=30)
+TIMEZONES = st.sampled_from([
+    None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-4)),
+    timezone(timedelta(seconds=-3601, microseconds=5)),
+])
+
+
+class TestTextPathReferences:
+    """The hand-built writer and the raw_decode parser against json.dumps
+    and json.loads."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        text=TEXT.filter(str.strip),
+        tweet_id=TEXT,
+        stamp=st.datetimes(timezones=TIMEZONES),
+    )
+    def test_tweet_line_equals_json_dumps(self, text, tweet_id, stamp):
+        tweet = Tweet(timestamp=stamp, text=text, id=tweet_id)
+        expected = json.dumps(
+            {"timestamp": stamp.isoformat(), "text": text, "id": tweet_id}, sort_keys=True
+        )
+        assert tweet_to_json_line(tweet) == expected
+        reparsed = reference_parse_tweet_line(expected)
+        assert reparsed is not None and parsed_as_jsonl_line(expected) == reparsed
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(VALID_LINE, id="valid"),
+        pytest.param(VALID_LINE + " x", id="trailing-word"),
+        pytest.param(VALID_LINE + VALID_LINE, id="two-objects"),
+        pytest.param(VALID_LINE + "}", id="trailing-brace"),
+        pytest.param("\ufeff" + VALID_LINE, id="bom"),
+        pytest.param(" \t" + VALID_LINE + " \r ", id="surrounding-whitespace"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": NaN}', id="nan-id"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": Infinity}', id="infinity-id"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": -Infinity, "x": NaN}',
+                     id="minus-infinity-id"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": "1", "x": NaN}',
+                     id="nan-elsewhere"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": 12, "id": "13"}',
+                     id="repeated-key"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": 1' + "0" * 4400 + "}",
+                     id="number-too-long"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "good", "id": "1", "x": '
+                     + "[" * 100_000 + "]" * 100_000 + "}", id="too-deep-inside"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="too-deep"),
+        pytest.param('{"timestamp": "2020-01-01T10:00:00Z", "text": "\\ud83d\\ude00 \\ud800 \\"q\\"", "id": "1"}',
+                     id="escapes"),
+        pytest.param('"just a string"', id="string"),
+        pytest.param("[]", id="array"),
+        pytest.param("{}", id="empty-object"),
+        pytest.param("nul", id="truncated-literal"),
+    ])
+    def test_parse_equals_json_loads(self, line):
+        assert parsed_as_jsonl_line(line) == reference_parse_tweet_line(line)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        fields=st.fixed_dictionaries({
+            "timestamp": st.one_of(
+                st.datetimes(timezones=TIMEZONES).map(datetime.isoformat),
+                st.datetimes(timezones=TIMEZONES).map(datetime.isoformat),
+                st.sampled_from(["2020-01-01T10:00:00Z", "2020-02-30T10:00:00Z", "2020-01-01", "x"]),
+                st.integers(),
+            ),
+            "text": st.one_of(TEXT, TEXT, TEXT, st.none(), st.lists(TEXT, max_size=2)),
+            "id": st.one_of(TEXT, st.integers(), TEXT, st.integers(), st.booleans(), st.none(), st.floats()),
+        }),
+        missing=st.sampled_from([None, None, None, "timestamp", "text", "id"]),
+        value=st.recursive(
+            st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), TEXT),
+            lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(TEXT, inner, max_size=3)),
+            max_leaves=6,
+        ),
+        before=st.sampled_from(["", "", "", "", "", " ", "\t", "\ufeff", "x"]),
+        after=st.sampled_from(["", "", "", "", "", " \r", "x", "}", " 1", ' {"a": 1}']),
+    )
+    def test_generated_lines_parse_as_with_json_loads(self, fields, missing, value, before, after):
+        fields.pop(missing, None)
+        for doc in (fields, {**fields, "extra": value}, value):
+            line = before + json.dumps(doc) + after
+            assert parsed_as_jsonl_line(line) == reference_parse_tweet_line(line)
 
 
 def ts(day: date) -> datetime:
