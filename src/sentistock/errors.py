@@ -21,3 +21,8 @@ class NonFiniteLoss(PipelineError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training loss became non-finite at epoch {epoch}")
+
+    def __reduce__(self):
+        # Exception pickles only ``args`` (the message); rebuild from both
+        # fields, so a divergence raised in a child process keeps its text.
+        return type(self), (self.epoch, str(self)), self.__dict__

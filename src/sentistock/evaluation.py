@@ -9,6 +9,10 @@ the sentiment features add.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Callable, Sequence
@@ -101,6 +105,15 @@ def run_comparison(
     mirroring the reporting table. ``checkpoint_sink`` (variant, epochs,
     checkpoint) is invoked once per record, in record order, so callers can
     persist the trained models.
+
+    The two trainings read nothing of each other. When :func:`_fork_pays`
+    holds (a POSIX host with two usable CPUs, one Python thread, Python
+    before 3.12 and gate products too small for BLAS to thread), ``hisa``
+    trains in a forked child while ``dlpm`` trains here; otherwise they
+    train here one after the other. The results are byte for byte the same
+    either way, and a divergence raises the same :class:`NonFiniteLoss`,
+    ``dlpm``'s first. The child's memory is not counted in this process's
+    ``ru_maxrss``.
     """
     if not epoch_sizes or min(epoch_sizes) < 1:
         raise PipelineError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
@@ -108,24 +121,36 @@ def run_comparison(
     daily, _ = daily_sentiment(sentiment, historical, lexicon)
     config = replace(base_config, epochs=max(epoch_sizes))
 
-    snapshots: dict[tuple[str, int], Checkpoint] = {}
-
-    def keep(checkpoint: Checkpoint) -> None:
-        if checkpoint.config.epochs in epoch_sizes:
-            snapshots[checkpoint.feature_mode, checkpoint.config.epochs] = checkpoint
-
-    test_sets = {}
+    train_sets, test_sets = {}, {}
     for variant in ("dlpm", "hisa"):
         train_windows, test_windows, scaler, dates = model_windows(
             historical, daily, variant, lookback, split_fraction, target_field
         )
-        train(train_windows, config, scaler=scaler, feature_mode=variant, on_epoch=keep)
+        train_sets[variant] = (train_windows, scaler)
         test_sets[variant] = (test_windows, invert_target(test_windows.labels, scaler), dates)
+
+    def snapshots_of(variant: str) -> dict[int, Checkpoint]:
+        """Train one mode and keep its checkpoint at every epoch size."""
+        train_windows, scaler = train_sets[variant]
+        kept = {}
+
+        def keep(checkpoint: Checkpoint) -> None:
+            if checkpoint.config.epochs in epoch_sizes:
+                kept[checkpoint.config.epochs] = checkpoint
+
+        train(train_windows, config, scaler=scaler, feature_mode=variant, on_epoch=keep)
+        return kept
+
+    input_size = max(windows.sequences.shape[2] for windows, _ in train_sets.values())
+    if _fork_pays(input_size, config.hidden_size, config.batch_size):
+        snapshots = _train_beside_child(snapshots_of)
+    else:
+        snapshots = {variant: snapshots_of(variant) for variant in ("dlpm", "hisa")}
 
     records = []
     for epochs in epoch_sizes:
         for variant in ("dlpm", "hisa"):
-            checkpoint = snapshots[variant, epochs]
+            checkpoint = snapshots[variant][epochs]
             if checkpoint_sink is not None:
                 checkpoint_sink(variant, epochs, checkpoint)
             test_windows, real, dates = test_sets[variant]
@@ -144,6 +169,90 @@ def run_comparison(
                 )
             )
     return EvalReport.from_records(records)
+
+
+def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:
+    """Whether training ``hisa`` in a forked child beside ``dlpm`` saves time.
+
+    Forking needs ``os.fork``, two usable CPUs and no other Python thread.
+    From Python 3.12, ``fork`` in a process with other OS threads warns, and
+    OpenBLAS's thread pool is one, so those versions train inline.
+
+    The size rule keeps each gate product ``(B, F+H) @ (F+H, 4H)`` on one
+    BLAS thread: OpenBLAS threads a GEMM once M*N*K reaches 2 * 262,144 =
+    2**19, and two processes of such GEMMs oversubscribe its spinning
+    threads. Two trainings, forked against one after the other, as time
+    ratios on a 2-core shared host (Python 3.11.7, numpy 2.4.6, OpenBLAS
+    0.3.31):
+
+    ===  ===  =========  ===========
+     H    B     M*N*K    fork/serial
+    ===  ===  =========  ===========
+     32   16     73,728         0.65
+     32   64    294,912         0.53
+     64   16    278,528         0.49
+     64   32    557,056         2.20
+    128   16  1,081,344         2.33
+    128   64  4,325,376         1.96
+    ===  ===  =========  ===========
+    """
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+        and sys.version_info < (3, 12)
+        and batch_size * 4 * hidden_size * (input_size + hidden_size) < 2**19
+    )
+
+
+def _train_beside_child(
+    snapshots_of: Callable[[str], dict[int, Checkpoint]],
+) -> dict[str, dict[int, Checkpoint]]:
+    """``snapshots_of("hisa")`` in a forked child while ``snapshots_of("dlpm")`` runs here.
+
+    The child pickles its result, or the exception it raised, into a pipe
+    and leaves by ``os._exit``, so it never returns into the caller's stack
+    or flushes its stdio buffers. The pipe is read to EOF before the child
+    is reaped, since the snapshots can exceed a pipe's buffer. If this side
+    raises, its exception wins, as it would inline, and the child is killed
+    and reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = snapshots_of("hisa")
+            except BaseException as exc:
+                outcome = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+
+    status = None
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            dlpm = snapshots_of("dlpm")
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            import signal  # here, not at the top: the CLI's start-up never loads it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not os.WIFEXITED(status) or os.WEXITSTATUS(status) != 0:
+        raise PipelineError(f"training hisa in a child process ended without a result (wait status {status})")
+    hisa = pickle.loads(data)
+    if isinstance(hisa, BaseException):
+        raise hisa
+    return {"dlpm": dlpm, "hisa": hisa}
 
 
 def model_windows(

@@ -297,6 +297,19 @@ class TestBlasThreads:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class TestStartup:
+    def test_import_loads_no_process_pool(self):
+        # compare forks with os alone; these modules would add to start-up time.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, sentistock.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
 class TestConfigHandling:
     def test_flag_overrides_config(self, fixture_config, tmp_path):
         other = tmp_path / "elsewhere"

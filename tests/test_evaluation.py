@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import pickle
+import signal
+import threading
+import time
 from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
 
-from sentistock.errors import EmptyInput, PipelineError
+from sentistock import evaluation
+from sentistock.cli import main
+from sentistock.errors import EmptyInput, NonFiniteLoss, PipelineError
 from sentistock.evaluation import (
     EvalReport,
     VariantRecord,
@@ -16,11 +23,12 @@ from sentistock.evaluation import (
     report_to_json,
     rmse,
     run_comparison,
+    _fork_pays,
 )
 from sentistock.features import fuse, invert_target, make_windows, scale_dataset
-from sentistock.lstm import TrainConfig, checkpoint_to_json, predict, train
+from sentistock.lstm import TrainConfig, checkpoint_to_json, load_checkpoint, predict, train
 
-from fixtures import make_coupled_fixture
+from fixtures import make_coupled_fixture, write_cli_fixture
 
 
 class TestMape:
@@ -227,3 +235,166 @@ class TestRunComparison:
         series, tweets, lexicon = small_inputs
         with pytest.raises(PipelineError, match="epoch_sizes must be one or more positive integers"):
             run_comparison(series, tweets, lexicon, [], small_config)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[True, False], ids=["forked", "inline"])
+def either_path(request, monkeypatch):
+    """Run the comparison on the forked path or the inline one."""
+    monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: request.param)
+
+
+REAL_TRAIN = evaluation.train
+
+
+def train_where(monkeypatch, **behaviours):
+    """Patch ``evaluation.train`` so each named mode runs ``behaviours[mode]``
+    on its config first; a forked child inherits the patch."""
+
+    def patched(windows, config, **kwargs):
+        behaviour = behaviours.get(kwargs["feature_mode"])
+        if behaviour is not None:
+            config = behaviour(config)
+        return REAL_TRAIN(windows, config, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", patched)
+
+
+def diverge(config):
+    # An absurd rate overflows the squared error to inf, as in test_lstm.
+    return replace(config, learning_rate=1e200, optimizer="sgd", grad_clip_norm=1e300)
+
+
+TEST_PID = os.getpid()
+
+
+def killed(config):
+    if os.getpid() == TEST_PID:
+        raise AssertionError("hisa trained in the test process, not in a child")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def stalled(config):
+    time.sleep(60)
+    return config
+
+
+def comparison_error(inputs, config):
+    series, tweets, lexicon = inputs
+    with pytest.raises(PipelineError) as err, np.errstate(over="ignore", invalid="ignore"):
+        run_comparison(series, tweets, lexicon, [2, 3], config, lookback=6)
+    return err.value
+
+
+class TestForkedTraining:
+    """``run_comparison`` trains hisa in a forked child when ``_fork_pays``;
+    the inline path is the reference for every outcome."""
+
+    def test_normal_return_leaves_no_child(self, either_path, small_inputs, small_config):
+        series, tweets, lexicon = small_inputs
+        report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        assert len(report.records) == 2
+        assert_no_child_left()
+
+    def test_only_hisa_diverges(self, monkeypatch, small_inputs, small_config):
+        train_where(monkeypatch, hisa=diverge)
+        errors = []
+        for forked in (True, False):
+            monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
+            errors.append(comparison_error(small_inputs, small_config))
+            assert_no_child_left()
+        child, inline = errors
+        assert type(child) is type(inline) is NonFiniteLoss
+        assert (str(child), child.epoch) == (str(inline), inline.epoch)
+
+    def test_dlpm_error_wins_while_child_runs(self, monkeypatch, small_inputs, small_config):
+        monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: False)
+        train_where(monkeypatch, dlpm=diverge)
+        inline = comparison_error(small_inputs, small_config)
+
+        monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: True)
+        train_where(monkeypatch, dlpm=diverge, hisa=stalled)
+        start = time.monotonic()
+        child = comparison_error(small_inputs, small_config)
+        # The stalled child is killed, not waited for.
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        assert type(child) is NonFiniteLoss
+        assert (str(child), child.epoch) == (str(inline), inline.epoch)
+
+    def test_killed_child_names_mode_and_status(self, monkeypatch, small_inputs, small_config):
+        monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: True)
+        train_where(monkeypatch, hisa=killed)
+        err = comparison_error(small_inputs, small_config)
+        assert type(err) is PipelineError
+        assert "hisa" in str(err) and f"wait status {signal.SIGKILL.value}" in str(err)
+        assert_no_child_left()
+
+    def test_cli_exits_3_without_checkpoint_when_hisa_diverges(self, either_path, monkeypatch, tmp_path, capsys):
+        config = write_cli_fixture(tmp_path, n_days=60)
+        train_where(monkeypatch, hisa=diverge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compare", "--config", str(config), "--epoch-sizes", "2,3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training loss became non-finite") and err.count("\n") == 1
+        assert not list((tmp_path / "out").glob("checkpoint_*"))
+        assert_no_child_left()
+
+    def test_cli_exits_2_when_child_is_killed(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: True)
+        config = write_cli_fixture(tmp_path, n_days=60)
+        train_where(monkeypatch, hisa=killed)
+        assert main(["compare", "--config", str(config), "--epoch-sizes", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hisa" in err and err.count("\n") == 1
+        assert not list((tmp_path / "out").glob("checkpoint_*"))
+        assert_no_child_left()
+
+    def test_artifacts_equal_inline(self, monkeypatch, tmp_path):
+        # Hidden 32: the child's pickled snapshots outgrow a 64 KB pipe buffer.
+        config = write_cli_fixture(tmp_path, n_days=70, hidden_size=32)
+        outs = {}
+        for forked in (True, False):
+            monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
+            outs[forked] = tmp_path / f"forked{forked}"
+            assert main(["compare", "--config", str(config), "--epoch-sizes", "1,2,3",
+                         "--out", str(outs[forked])]) == 0
+            assert_no_child_left()
+        names = sorted(p.name for p in outs[False].iterdir() if p.name != "resolved_config.ini")
+        assert "report.json" in names and len([n for n in names if n.startswith("checkpoint_")]) == 6
+        assert names == sorted(p.name for p in outs[True].iterdir() if p.name != "resolved_config.ini")
+        for name in names:
+            assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes(), name
+        hisa = {e: load_checkpoint(outs[True] / f"checkpoint_hisa_epochs{e}.json") for e in (1, 2, 3)}
+        assert len(pickle.dumps(hisa, protocol=pickle.HIGHEST_PROTOCOL)) > 65536
+
+
+class TestForkGate:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_forks_at_paper_sizes(self):
+        assert _fork_pays(4, 32, 16)
+
+    def test_inline_when_blas_would_thread(self):
+        assert not _fork_pays(4, 128, 64)
+
+    def test_inline_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not _fork_pays(4, 32, 16)
+
+    def test_inline_with_another_thread(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not _fork_pays(4, 32, 16)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -351,6 +352,15 @@ class TestTrain:
             with np.errstate(over="ignore", invalid="ignore"):
                 train(windows, cfg)
         assert err.value.epoch >= 0
+
+    @pytest.mark.parametrize("message", [None, "loss overflowed"])
+    def test_nonfinite_loss_survives_pickling(self, message):
+        # compare sends a forked child's divergence through a pipe this way.
+        exc = NonFiniteLoss(3, message)
+        again = pickle.loads(pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(again) is NonFiniteLoss
+        assert again.epoch == 3
+        assert str(again) == str(exc) == (message or "training loss became non-finite at epoch 3")
 
     def test_loss_decreases_on_sine(self):
         windows, _, _ = sine_windows()
