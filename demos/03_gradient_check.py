@@ -21,9 +21,9 @@ sequence = rng.normal(size=(LOOKBACK, INPUT))
 label = 0.8
 
 # forward runs a batch of sequences; this one sequence is a batch of one.
-predictions, steps = forward(sequence[None], params)
+predictions, cache = forward(sequence[None], params)
 prediction = float(predictions[0])
-analytic = backward(steps, 2.0 * (prediction - label), params)
+analytic = backward(cache, 2.0 * (prediction - label), params)
 
 
 def loss():

@@ -178,7 +178,7 @@ def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:
     From Python 3.12, ``fork`` in a process with other OS threads warns, and
     OpenBLAS's thread pool is one, so those versions train inline.
 
-    The size rule keeps each gate product ``(B, F+H) @ (F+H, 4H)`` on one
+    The size rule keeps each gate product ``(4H, F+H) @ (F+H, B)`` on one
     BLAS thread: OpenBLAS threads a GEMM once M*N*K reaches 2 * 262,144 =
     2**19, and two processes of such GEMMs oversubscribe its spinning
     threads. Two trainings, forked against one after the other, as time

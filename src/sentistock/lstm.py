@@ -17,9 +17,9 @@ Gate equations, with z = concat(x_t, h_{t-1}):
 
 The four gates are stored stacked: one weight W of shape (4H, F+H) and one
 bias b of shape (4H,), whose row blocks [kH, (k+1)H) are f, i, o, g in that
-order. A step is then one product z W^T + b, with the sigmoid applied to the
-first 3H columns and tanh to the last H; backpropagation likewise forms one
-(batch, 4H) gradient at the pre-activations and multiplies it once by z and
+order. A step is then one product W z + b, with the sigmoid applied to the
+first 3H rows and tanh to the last H; backpropagation likewise forms one
+(4H, batch) gradient at the pre-activations and multiplies it once by z and
 once by W. The checkpoint document still names each gate's block
 (W_f ... b_g), so it reads the same as before the stacking.
 
@@ -28,19 +28,25 @@ model works in normalized target space). :func:`forward` runs a batch of
 sequences; a single sequence is a batch of one (``seq[None]``).
 
 Memory. A training forward pass allocates its BPTT cache once per call, as
-three arrays stacked over time (:class:`Steps`): Z (L+1, B, F+H), whose
-row t is z_t = (x_t, h_{t-1}), so each h is stored once; G (L, B, 4H), the
-activated gates; and C (L+1, B, H). That is 8 B ((L+1)(F+2H) + 4LH) bytes,
-11.4 MiB at lookback 30, batch 64, 4 features and hidden 128. Every step
-writes into its rows in place (the product, the sigmoid, tanh and the cell
-update) and allocates no array of its own. ``train`` runs each batch's
-forward and backward pass in a function of its own, so only one cache is
-alive at a time, and the optimizers update in place. The inference path
+three arrays stacked over time and stored feature-major, with the batch
+last: Z (L+1, F+H, B), whose slab t is z_t = (x_t, h_{t-1}), so each h is
+stored once; G (L, 4H, B), the activated gates; and C (L+1, H, B). Each gate
+block of a step, and the sigmoid's whole 3H-row block, is then one
+contiguous slab, which the elementwise operations run on faster than on the
+column slices of a (B, 4H) array. The cache takes 8 B ((L+1)(F+2H) + 4LH)
+bytes, 11.4 MiB at lookback 30, batch 64, 4 features and hidden 128. The
+inputs are copied into Z once per call; every step writes into its slabs in
+place (the product, the sigmoid, tanh and the cell update) and allocates no
+array of its own. ``train`` runs each batch's forward and backward pass in a
+function of its own, so only one cache is alive at a time, and the
+optimizers update in place. :func:`backward` reads the cache and never
+writes into it; it accumulates the weight gradient one step at a time,
+which keeps its own memory at a few (4H, B) buffers. The inference path
 (``keep_steps=False``, used by :func:`predict`) runs the same loop in two
 alternating slots of Z and C and one of G, so its memory does not grow
 with the lookback: about 8 B (2(F+H) + 10H) bytes with the scratch.
 ``predict`` runs all windows as one batch. Chunks of windows would bound
-memory further, but a GEMM row's bits can depend on the row count: at
+memory further, but a GEMM's bits can depend on its batch size: at
 hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
 away from the full batch's, which would change prediction bytes.
 """
@@ -50,9 +56,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,43 +101,6 @@ class LstmParams:
     def tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(name, array) pairs in the fixed order used everywhere."""
         return (("W", self.W), ("b", self.b), ("W_y", self.W_y), ("b_y", self.b_y))
-
-
-class Step(NamedTuple):
-    """One timestep of a forward pass, as views into its :class:`Steps` cache.
-
-    Every field is (batch, .); ``gates`` holds the activated f, i, o, g
-    blocks side by side (batch, 4H).
-    """
-
-    z: np.ndarray
-    gates: np.ndarray
-    C_prev: np.ndarray
-    C: np.ndarray
-    h: np.ndarray
-
-
-class Steps(Sequence[Step]):
-    """The BPTT cache of one forward pass: three arrays stacked over time.
-
-    ``Z`` is (L+1, B, F+H) and row t is z_t = (x_t, h_{t-1}), so h_t is
-    stored once, in the last H columns of row t+1 (the first F columns of
-    row L are unused). ``G`` is (L, B, 4H), the activated gates of each
-    step. ``C`` is (L+1, B, H): C[0] is the zero start state and C[t+1] the
-    cell state after step t. Item t is a :class:`Step` of views; nothing is
-    copied.
-    """
-
-    def __init__(self, Z: np.ndarray, G: np.ndarray, C: np.ndarray):
-        self.Z, self.G, self.C = Z, G, C
-
-    def __len__(self) -> int:
-        return len(self.G)
-
-    def __getitem__(self, t: int) -> Step:
-        t = range(len(self.G))[t]
-        F = self.Z.shape[2] - self.C.shape[2]
-        return Step(self.Z[t], self.G[t], self.C[t], self.C[t + 1], self.Z[t + 1, :, F:])
 
 
 @dataclass(frozen=True)
@@ -201,35 +169,44 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
-def _sigmoid_inplace(x: np.ndarray, e: np.ndarray, mask: np.ndarray) -> None:
-    """Overwrite x with its logistic function; e (float) and mask (bool) are
-    scratch arrays of x's shape.
+def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
+    """Overwrite x with its logistic function; e is a scratch array of x's
+    shape.
 
     e = exp(-|x|) never overflows. It is exp(-x) for x >= 0 and exp(x)
-    otherwise, so x becomes 1 / (1 + exp(-x)) or exp(x) / (1 + exp(x)) bit
-    for bit. minimum(x, -x) rather than -abs(x) keeps a NaN's sign bit.
+    otherwise. x then becomes 1.0 where it was >= 0 and 0.0 elsewhere, so
+    max(e, x) is the numerator, 1 or exp(x), and x ends as 1 / (1 + exp(-x))
+    or exp(x) / (1 + exp(x)) bit for bit, with no masked copy. minimum(x, -x)
+    rather than -abs(x) keeps a NaN's sign bit, and maximum passes it on.
     """
     np.negative(x, out=e)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=mask)
-    np.copyto(x, e)
-    np.copyto(x, 1.0, where=mask)
+    np.greater_equal(x, 0.0, out=x)
+    np.maximum(e, x, out=x)
     e += 1.0
     x /= e
+
+
+#: A forward pass's BPTT cache: Z (L+1, F+H, B), G (L, 4H, B), C (L+1, H, B).
+Cache = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def forward(
     X: np.ndarray,
     params: LstmParams,
     keep_steps: bool = True,
-) -> tuple[np.ndarray, Sequence[Step]]:
+) -> tuple[np.ndarray, Cache | tuple[()]]:
     """Run a batch of sequences from a zero state; X is (batch, lookback, features).
 
-    Returns (predictions, steps): the :class:`Steps` cache for
-    :func:`backward`, or an empty tuple when keep_steps is False (inference
-    path), which runs the same loop in two alternating slots of Z and C and
-    one of G.
+    Returns (predictions, cache). The cache for :func:`backward` is the
+    tuple (Z, G, C), stacked over time with the batch last. Slab t of Z is
+    z_t = (x_t, h_{t-1}), so h_t sits in the last H rows of Z[t+1] (the
+    first F rows of Z[L] are unused); G[t] holds the activated gates f, i,
+    o, g of step t as row blocks; C[0] is the zero start state and C[t+1]
+    the cell state after step t. When keep_steps is False (inference path)
+    the cache is an empty tuple, and the same loop runs in two alternating
+    slots of Z and C and one of G.
     """
     if X.ndim != 3:
         raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")
@@ -238,79 +215,84 @@ def forward(
     batch, lookback, F = X.shape
     H = params.hidden_size
     slots = lookback + 1 if keep_steps else 2
-    Z = np.empty((slots, batch, F + H))
-    G = np.empty((slots - 1, batch, 4 * H))
-    C = np.empty((slots, batch, H))
-    Z[0, :, F:] = 0.0
+    Z = np.empty((slots, F + H, batch))
+    G = np.empty((slots - 1, 4 * H, batch))
+    C = np.empty((slots, H, batch))
+    Z[0, F:] = 0.0
     C[0] = 0.0
-    # Scratch: e and mask for the sigmoid, tmp for i * g and then tanh(C).
-    e = np.empty((batch, 3 * H))
-    mask = np.empty((batch, 3 * H), dtype=bool)
-    tmp = np.empty((batch, H))
-    W_T = params.W.T
+    if keep_steps:
+        Z[:lookback, :F] = X.transpose(1, 2, 0)
+    # Scratch: e for the sigmoid, tmp for i * g and then tanh(C).
+    e = np.empty((3 * H, batch))
+    tmp = np.empty((H, batch))
+    b = params.b[:, None]
     for t in range(lookback):
         now, nxt = t % slots, (t + 1) % slots
         z, gates = Z[now], G[t % len(G)]
-        z[:, :F] = X[:, t]
-        np.matmul(z, W_T, out=gates)
-        gates += params.b
-        _sigmoid_inplace(gates[:, :3 * H], e, mask)
-        np.tanh(gates[:, 3 * H:], out=gates[:, 3 * H:])
-        f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
+        if not keep_steps:
+            z[:F] = X[:, t].T
+        np.matmul(params.W, z, out=gates)
+        gates += b
+        _sigmoid_inplace(gates[:3 * H], e)
+        np.tanh(gates[3 * H:], out=gates[3 * H:])
+        f, i, o, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
         C_next = C[nxt]
         np.multiply(f, C[now], out=C_next)
         np.multiply(i, g, out=tmp)
         C_next += tmp
         np.tanh(C_next, out=tmp)
-        np.multiply(o, tmp, out=Z[nxt, :, F:])
-    # A contiguous copy: the product's bits can depend on h's row stride.
-    h = np.ascontiguousarray(Z[lookback % slots, :, F:])
+        np.multiply(o, tmp, out=Z[nxt, F:])
+    # A contiguous (B, H) copy: the product's bits can depend on h's stride.
+    h = np.ascontiguousarray(Z[lookback % slots, F:].T)
     yhat = h @ params.W_y[0] + params.b_y[0]
-    return yhat, (Steps(Z, G, C) if keep_steps else ())
+    return yhat, ((Z, G, C) if keep_steps else ())
 
 
-def backward(steps: Sequence[Step], d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
-    """Backpropagation through time over the steps of a forward pass.
+def backward(cache: Cache, d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
+    """Backpropagation through time over the cache of a forward pass.
 
     ``d_prediction`` is dLoss/dPrediction at the output unit, a scalar for
     one sequence or one entry per sequence of a batch; the caller owns the
     loss (squared error in training: 2 * (prediction - label)). Gradients
-    are summed over the batch and keyed like ``params.tensors()``.
+    are summed over the batch and keyed like ``params.tensors()``. The cache
+    is only read, so it can be backpropagated again.
     """
-    if not steps:
+    if not cache or len(cache[1]) == 0:
         raise PipelineError("steps are empty; run a forward pass first")
+    Z, G, C = cache
+    H, F = params.hidden_size, params.input_size
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
-    h_last = np.ascontiguousarray(steps[-1].h)  # contiguous, as in forward
+    h_last = np.ascontiguousarray(Z[len(G), F:].T)  # contiguous (B, H), as in forward
     if dyhat.shape != (h_last.shape[0],):
         raise PipelineError("d_prediction batch size does not match the forward pass")
 
-    H, F = params.hidden_size, params.input_size
-    W_h = params.W[:, F:]
+    W_hT = params.W[:, F:].T
     grads = {name: np.zeros_like(tensor) for name, tensor in params.tensors()}
 
     grads["W_y"][0] = dyhat @ h_last
     grads["b_y"][0] = dyhat.sum()
-    dh = dyhat[:, None] * params.W_y[0]
+    dh = params.W_y[0][:, None] * dyhat
     dC = np.zeros_like(dh)
-    # dA: the loss gradient at the gate pre-activations, blocks f, i, o, g;
-    # every step overwrites all of it.
-    dA = np.empty((len(dh), 4 * H))
+    # dA: the loss gradient at the gate pre-activations, row blocks f, i, o,
+    # g; every step overwrites all of it.
+    dA = np.empty((4 * H, len(dyhat)))
 
-    for z, gates, C_prev, C, _ in reversed(steps):
-        f, i, o, g = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:3 * H], gates[:, 3 * H:]
-        tanhC = np.tanh(C)
+    for t in reversed(range(len(G))):
+        gates = G[t]
+        f, i, o, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
+        tanhC = np.tanh(C[t + 1])
         dC = dC + dh * o * (1.0 - tanhC * tanhC)
 
-        np.multiply(dC, C_prev, out=dA[:, :H])
-        np.multiply(dC, g, out=dA[:, H:2 * H])
-        np.multiply(dh, tanhC, out=dA[:, 2 * H:3 * H])
-        sig = gates[:, :3 * H]
-        dA[:, :3 * H] *= sig * (1.0 - sig)
-        np.multiply(dC * i, 1.0 - g * g, out=dA[:, 3 * H:])
+        np.multiply(dC, C[t], out=dA[:H])
+        np.multiply(dC, g, out=dA[H:2 * H])
+        np.multiply(dh, tanhC, out=dA[2 * H:3 * H])
+        sig = gates[:3 * H]
+        dA[:3 * H] *= sig * (1.0 - sig)
+        np.multiply(dC * i, 1.0 - g * g, out=dA[3 * H:])
 
-        grads["W"] += dA.T @ z
-        grads["b"] += dA.sum(axis=0)
-        dh = dA @ W_h
+        grads["W"] += dA @ Z[t].T
+        grads["b"] += dA.sum(axis=1)
+        dh = W_hT @ dA
         dC = dC * f
 
     return grads
@@ -386,12 +368,12 @@ def _batch_gradients(
     The batch's cache is local here and dies on return, so ``train`` never
     holds two caches at once.
     """
-    yhat, steps = forward(X, params)
+    yhat, cache = forward(X, params)
     err = yhat - y
     batch_sq = float(np.sum(err * err))
     if not math.isfinite(batch_sq):
         raise NonFiniteLoss(epoch)
-    return batch_sq, backward(steps, (2.0 / len(y)) * err, params)
+    return batch_sq, backward(cache, (2.0 / len(y)) * err, params)
 
 
 def train(

@@ -46,10 +46,15 @@ def zero_params(input_size=2, hidden_size=3):
     )
 
 
-def gates(step, hidden_size):
-    """The activated f, i, o, g blocks of one step, each (batch, hidden)."""
+def gates(cache, t, hidden_size):
+    """The activated f, i, o, g blocks of step t, each (hidden, batch)."""
     H = hidden_size
-    return tuple(step.gates[:, k * H:(k + 1) * H] for k in range(4))
+    return tuple(cache[1][t, k * H:(k + 1) * H] for k in range(4))
+
+
+def hidden(cache, t, input_size):
+    """h after step t, (hidden, batch): the last rows of z_{t+1}."""
+    return cache[0][t + 1, input_size:]
 
 
 def sine_windows(n_samples=20, lookback=5):
@@ -98,25 +103,25 @@ class TestInitParams:
 
 class TestSigmoid:
     def test_bit_identical_to_masked_reference(self):
-        special = [0.0, 1e-300, 36.0, 745.0, 1000.0, np.inf, np.nan]
+        special = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1000.0, np.inf, np.nan]
         arrays = [np.array(special + [-v for v in special])]
         rng = np.random.default_rng(11)
-        arrays += [scale * rng.standard_normal((16, 32)) for scale in (0.1, 1.0, 10.0, 100.0, 800.0)]
+        arrays += [scale * rng.standard_normal((16, 32)) for scale in (0.1, 1.0, 10.0, 50.0, 100.0, 800.0)]
         for x in arrays:
             expected = masked_sigmoid_reference(x).view(np.int64)
             out = x.copy()
-            _sigmoid_inplace(out, np.empty_like(x), np.empty(x.shape, dtype=bool))
+            _sigmoid_inplace(out, np.empty_like(x))
             assert np.array_equal(out.view(np.int64), expected)
-            # Also as forward runs it: on the leading columns of a wider array.
-            wide = np.zeros(x.shape[:-1] + (x.shape[-1] + 3,))
-            view = wide[..., :x.shape[-1]]
+            # Also as forward runs it: on the leading rows of a taller array.
+            tall = np.zeros((len(x) + 3,) + x.shape[1:])
+            view = tall[:len(x)]
             view[...] = x
-            _sigmoid_inplace(view, np.empty_like(x), np.empty(x.shape, dtype=bool))
+            _sigmoid_inplace(view, np.empty_like(x))
             assert np.array_equal(view.view(np.int64), expected)
 
 
 class TestCellForward:
-    """The cell step, seen through ``forward`` on a batch of one and its per-step records."""
+    """The cell step, seen through ``forward`` on a batch of one and its cache."""
 
     def test_zero_weights_halve_everything(self):
         # Only the g block (rows 9-11) reads x, so step 1 leaves a non-zero
@@ -124,31 +129,31 @@ class TestCellForward:
         # at zero.
         p = zero_params()
         p.W[9:12, 0] = [1.0, -2.0, 0.5]
-        _, steps = forward(np.array([[3.0, -1.0], [0.0, 0.0]])[None], p)
-        prev, step = steps
-        f, i, o, g = gates(step, 3)
-        assert np.all(prev.C != 0.0)
+        _, cache = forward(np.array([[3.0, -1.0], [0.0, 0.0]])[None], p)
+        C = cache[2]
+        f, i, o, g = gates(cache, 1, 3)
+        assert np.all(C[1] != 0.0)
         assert np.allclose(f, 0.5) and np.allclose(i, 0.5)
         assert np.allclose(o, 0.5) and np.allclose(g, 0.0)
-        assert np.allclose(step.C, 0.5 * prev.C)
-        assert np.allclose(step.h, 0.5 * np.tanh(0.5 * prev.C))
+        assert np.allclose(C[2], 0.5 * C[1])
+        assert np.allclose(hidden(cache, 1, 2), 0.5 * np.tanh(0.5 * C[1]))
 
     def test_zero_state_zero_weights_gives_zero(self):
         p = zero_params()
-        _, steps = forward(np.array([[5.0, 7.0]])[None], p)
-        assert np.array_equal(steps[0].h, np.zeros((1, 3)))
+        _, cache = forward(np.array([[5.0, 7.0]])[None], p)
+        assert np.array_equal(hidden(cache, 0, 2), np.zeros((3, 1)))
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(12)
         p = init_params(1, 2, seed=12)
         for _ in range(20):
             seq = rng.normal(size=(4, 1))
-            pred, steps = forward(seq[None], p)
+            pred, cache = forward(seq[None], p)
             h_ref, c_ref = [0.0, 0.0], [0.0, 0.0]
-            for x, step in zip(seq, steps):
+            for t, x in enumerate(seq):
                 h_ref, c_ref = scalar_cell_reference(x, h_ref, c_ref, p)
-                assert np.max(np.abs(step.h[0] - np.array(h_ref))) < 1e-12
-                assert np.max(np.abs(step.C[0] - np.array(c_ref))) < 1e-12
+                assert np.max(np.abs(hidden(cache, t, 1)[:, 0] - np.array(h_ref))) < 1e-12
+                assert np.max(np.abs(cache[2][t + 1, :, 0] - np.array(c_ref))) < 1e-12
             assert abs(pred[0] - scalar_sequence_reference(seq, p)) < 1e-12
 
     def test_shape_mismatch(self):
@@ -159,10 +164,10 @@ class TestCellForward:
     def test_gate_ranges_randomized(self):
         rng = np.random.default_rng(8)
         p = init_params(3, 6, seed=8)
-        _, steps = forward(rng.normal(scale=5.0, size=(1, 50, 3)), p)
-        assert len(steps) == 50
-        for step in steps:
-            f, i, o, g = gates(step, 6)
+        _, cache = forward(rng.normal(scale=5.0, size=(1, 50, 3)), p)
+        assert len(cache[1]) == 50
+        for t in range(50):
+            f, i, o, g = gates(cache, t, 6)
             for gate in (f, i, o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
             assert np.all(g > -1.0) and np.all(g < 1.0)
@@ -178,8 +183,9 @@ class TestSequenceForward:
     def test_single_timestep_equals_cell_plus_projection(self):
         p = init_params(2, 3, seed=5)
         x = np.array([[0.4, -0.2]])
-        pred, (step,) = forward(x[None], p)
-        assert pred[0] == pytest.approx(float(step.h[0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
+        pred, cache = forward(x[None], p)
+        assert len(cache[1]) == 1
+        assert pred[0] == pytest.approx(float(hidden(cache, 0, 2)[:, 0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
 
     def test_order_sensitivity_witness(self):
         p = init_params(2, 3, seed=6)
@@ -220,19 +226,23 @@ class TestBackward:
             assert relative_tensor_error(analytic[name], numeric[name]) < 1e-5, name
 
     def test_batch_gradient_is_sum_over_sequences(self):
-        rng = np.random.default_rng(5)
-        p = init_params(3, 4, seed=5)
-        X = rng.normal(size=(3, 5, 3))
-        upstream = rng.normal(size=3)
-        _, steps = forward(X, p)
-        batched = backward(steps, upstream, p)
-        summed = {name: np.zeros_like(t) for name, t in p.tensors()}
-        for seq, d in zip(X, upstream):
-            _, seq_steps = forward(seq[None], p)
-            for name, g in backward(seq_steps, d, p).items():
-                summed[name] += g
-        for name in summed:
-            assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), name
+        # (batch, lookback, features, hidden). Batch 11 is compare_paper's
+        # final short batch; it and batch 64 run the GEMMs on other BLAS
+        # kernels than batch 3 does.
+        for batch, lookback, features, hidden_size in [(3, 5, 3, 4), (11, 15, 3, 32), (11, 15, 4, 32), (64, 15, 4, 128)]:
+            rng = np.random.default_rng(5)
+            p = init_params(features, hidden_size, seed=5)
+            X = rng.normal(size=(batch, lookback, features))
+            upstream = rng.normal(size=batch)
+            _, steps = forward(X, p)
+            batched = backward(steps, upstream, p)
+            summed = {name: np.zeros_like(t) for name, t in p.tensors()}
+            for seq, d in zip(X, upstream):
+                _, seq_steps = forward(seq[None], p)
+                for name, g in backward(seq_steps, d, p).items():
+                    summed[name] += g
+            for name in summed:
+                assert np.allclose(batched[name], summed[name], rtol=1e-12, atol=1e-15), (batch, hidden_size, name)
 
     def test_upstream_batch_size_must_match(self):
         p = init_params(3, 4, seed=5)
@@ -282,6 +292,27 @@ class TestNoAliasing:
         for name in expected:
             assert np.array_equal(again[name], expected[name]), name
 
+    def test_backward_leaves_the_cache_alone(self):
+        rng = np.random.default_rng(22)
+        p = init_params(4, 16, seed=22)
+        _, cache = forward(rng.normal(size=(11, 7, 4)), p)
+        before = [a.copy() for a in cache]
+        backward(cache, rng.normal(size=11), p)
+        for name, kept, now in zip("ZGC", before, cache):
+            assert np.array_equal(now.view(np.int64), kept.view(np.int64)), name
+
+
+class TestCacheLayout:
+    def test_gate_blocks_are_contiguous_slabs(self):
+        H, F, B, L = 8, 3, 5, 4
+        p = init_params(F, H, seed=23)
+        _, (Z, G, C) = forward(np.random.default_rng(23).normal(size=(B, L, F)), p)
+        assert (Z.shape, G.shape, C.shape) == ((L + 1, F + H, B), (L, 4 * H, B), (L + 1, H, B))
+        for t in range(L):
+            assert G[t, :3 * H].flags.c_contiguous
+            for k in range(4):
+                assert G[t, k * H:(k + 1) * H].flags.c_contiguous, (t, k)
+
 
 def traced_peak(fn, *args, **kwargs) -> int:
     """Peak bytes allocated while fn runs; tracemalloc sees numpy's buffers."""
@@ -305,6 +336,16 @@ class TestBoundedMemory:
         cfg = TrainConfig(epochs=1, batch_size=B, hidden_size=H, seed=30)
         one_cache = L * B * (F + 7 * H) * 8  # z, four gates, C and h per step
         assert traced_peak(train, windows, cfg) <= 1.5 * one_cache
+
+    def test_backward_allocates_a_fraction_of_the_cache(self):
+        # Per-step weight-gradient products keep backward's own memory to a
+        # few (4H, B) buffers; one (4H, L*B) product would need a copy of G.
+        L, B, H, F = self.L, self.B, self.H, self.F
+        rng = np.random.default_rng(32)
+        p = init_params(F, H, seed=32)
+        _, cache = forward(rng.normal(size=(B, L, F)), p)
+        one_cache = L * B * (F + 7 * H) * 8
+        assert traced_peak(backward, cache, rng.normal(size=B), p) <= 0.25 * one_cache
 
     def test_inference_forward_peak(self):
         X = np.random.default_rng(31).normal(size=(500, self.L, self.F))

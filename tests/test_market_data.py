@@ -414,6 +414,21 @@ class TestAlignment:
         buckets, _ = align_to_trading_days([tweet], self.CAL)
         assert buckets[date(2020, 1, 7)] == [tweet]
 
+    def test_day_is_the_date_in_the_timestamps_own_offset(self):
+        # One instant, written in two offsets: the New York evening of
+        # Friday the 5th is already Saturday the 6th in UTC. Each tweet
+        # counts toward its own written date, so the two land on different
+        # sessions.
+        ny, utc = (
+            _parse_tweet_line(json.dumps({"timestamp": stamp, "text": "same instant", "id": k}))
+            for k, stamp in enumerate(("2024-01-05T23:30:00-05:00", "2024-01-06T04:30:00Z"))
+        )
+        assert ny.timestamp == utc.timestamp
+        friday, monday = date(2024, 1, 5), date(2024, 1, 8)
+        buckets, dropped = align_to_trading_days([ny, utc], (friday, monday))
+        assert buckets == {friday: [ny], monday: [utc]}
+        assert dropped == 0
+
     def test_after_final_date_dropped(self):
         tweet = Tweet(timestamp=ts(date(2020, 1, 9)), text="late", id="1")
         buckets, dropped = align_to_trading_days([tweet], self.CAL)
