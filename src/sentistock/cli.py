@@ -256,8 +256,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     tweets, _ = _load_tweets(cfg)
     lexicon = _load_lexicon(cfg)
 
-    def sink(variant: str, epochs: int, checkpoint) -> None:
-        save_checkpoint(checkpoint, out / f"checkpoint_{variant}_epochs{epochs}.json")
+    def sink(variant: str, epochs: int, document: str) -> None:
+        (out / f"checkpoint_{variant}_epochs{epochs}.json").write_text(document, encoding="utf-8")
 
     report = run_comparison(
         series,

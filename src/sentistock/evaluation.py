@@ -8,7 +8,6 @@ the sentiment features add.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import sys
@@ -21,8 +20,8 @@ import numpy as np
 
 from .errors import EmptyInput, PipelineError
 from .features import ScalerParams, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
-from .lstm import Checkpoint, TrainConfig, predict, train
-from .market_data import BarSeries, Tweet, align_to_trading_days
+from .lstm import Checkpoint, TrainConfig, checkpoint_to_json, predict, train
+from .market_data import BarSeries, Tweet, _iter_indented_json, align_to_trading_days
 from .sentiment import DailySentiment, Lexicon, aggregate_daily, score_corpus
 
 
@@ -93,7 +92,7 @@ def run_comparison(
     lookback: int = 30,
     split_fraction: float = 0.75,
     target_field: str = "close",
-    checkpoint_sink: Callable[[str, int, Checkpoint], None] | None = None,
+    checkpoint_sink: Callable[[str, int, str], None] | None = None,
 ) -> EvalReport:
     """Train and score both feature modes at every epoch size.
 
@@ -103,16 +102,21 @@ def run_comparison(
     the way; it is the one a separate run of that many epochs would give.
     Records come out epoch-major with the historical-only baseline first,
     mirroring the reporting table. ``checkpoint_sink`` (variant, epochs,
-    checkpoint) is invoked once per record, in record order, so callers can
-    persist the trained models.
+    document) receives the text of :func:`checkpoint_to_json` once per
+    record, in record order, and only after both modes have trained, so
+    callers can persist the trained models; without a sink no document is
+    encoded.
 
     The two trainings read nothing of each other. When :func:`_fork_pays`
     holds (a POSIX host with two usable CPUs, one Python thread, Python
     before 3.12 and gate products too small for BLAS to thread), ``hisa``
     trains in a forked child while ``dlpm`` trains here; otherwise they
-    train here one after the other. The results are byte for byte the same
-    either way, and a divergence raises the same :class:`NonFiniteLoss`,
-    ``dlpm``'s first. The child's memory is not counted in this process's
+    train here one after the other. Each mode's process also encodes its
+    checkpoints and predicts the test windows as each epoch size is
+    reached, so only the texts and predictions come back from the child.
+    The results are byte for byte the same either way, and a divergence
+    raises the same :class:`NonFiniteLoss`, ``dlpm``'s first. The child's
+    memory, its encoding included, is not counted in this process's
     ``ru_maxrss``.
     """
     if not epoch_sizes or min(epoch_sizes) < 1:
@@ -129,14 +133,17 @@ def run_comparison(
         train_sets[variant] = (train_windows, scaler)
         test_sets[variant] = (test_windows, invert_target(test_windows.labels, scaler), dates)
 
-    def snapshots_of(variant: str) -> dict[int, Checkpoint]:
-        """Train one mode and keep its checkpoint at every epoch size."""
+    def snapshots_of(variant: str) -> dict[int, tuple[str | None, np.ndarray]]:
+        """Train one mode; at every epoch size keep the checkpoint's document
+        (None without a sink) and its test predictions, not the checkpoint."""
         train_windows, scaler = train_sets[variant]
+        test_windows = test_sets[variant][0]
         kept = {}
 
         def keep(checkpoint: Checkpoint) -> None:
             if checkpoint.config.epochs in epoch_sizes:
-                kept[checkpoint.config.epochs] = checkpoint
+                document = checkpoint_to_json(checkpoint) if checkpoint_sink is not None else None
+                kept[checkpoint.config.epochs] = (document, predict(checkpoint, test_windows))
 
         train(train_windows, config, scaler=scaler, feature_mode=variant, on_epoch=keep)
         return kept
@@ -150,11 +157,10 @@ def run_comparison(
     records = []
     for epochs in epoch_sizes:
         for variant in ("dlpm", "hisa"):
-            checkpoint = snapshots[variant][epochs]
+            document, predicted = snapshots[variant][epochs]
             if checkpoint_sink is not None:
-                checkpoint_sink(variant, epochs, checkpoint)
-            test_windows, real, dates = test_sets[variant]
-            predicted = predict(checkpoint, test_windows)
+                checkpoint_sink(variant, epochs, document)
+            _, real, dates = test_sets[variant]
             m = mape(real, predicted)
             records.append(
                 VariantRecord(
@@ -206,17 +212,17 @@ def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:
     )
 
 
-def _train_beside_child(
-    snapshots_of: Callable[[str], dict[int, Checkpoint]],
-) -> dict[str, dict[int, Checkpoint]]:
+def _train_beside_child(snapshots_of: Callable[[str], dict]) -> dict[str, dict]:
     """``snapshots_of("hisa")`` in a forked child while ``snapshots_of("dlpm")`` runs here.
 
-    The child pickles its result, or the exception it raised, into a pipe
-    and leaves by ``os._exit``, so it never returns into the caller's stack
-    or flushes its stdio buffers. The pipe is read to EOF before the child
-    is reaped, since the snapshots can exceed a pipe's buffer. If this side
-    raises, its exception wins, as it would inline, and the child is killed
-    and reaped.
+    Each process trains, encodes and predicts its own mode. The child
+    pickles its result, or the exception it raised, into a pipe and leaves
+    by ``os._exit``, so it never returns into the caller's stack or flushes
+    its stdio buffers. The result is unpickled straight from the pipe, so
+    its bytes are never held beside the texts they decode to, and the pipe
+    is read before the child is reaped, since the result can exceed a
+    pipe's buffer. If this side raises, its exception wins, as it would
+    inline, and the child is killed and reaped.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -239,7 +245,10 @@ def _train_beside_child(
         os.close(write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
             dlpm = snapshots_of("dlpm")
-            data = pipe.read()
+            try:
+                hisa = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                hisa = None  # the child ended before its result was whole; its wait status says why
         status = os.waitpid(pid, 0)[1]
     finally:
         if status is None:
@@ -249,7 +258,6 @@ def _train_beside_child(
             os.waitpid(pid, 0)
     if not os.WIFEXITED(status) or os.WEXITSTATUS(status) != 0:
         raise PipelineError(f"training hisa in a child process ended without a result (wait status {status})")
-    hisa = pickle.loads(data)
     if isinstance(hisa, BaseException):
         raise hisa
     return {"dlpm": dlpm, "hisa": hisa}
@@ -321,7 +329,7 @@ def report_to_json(report: EvalReport) -> str:
         ],
         "averages": report.averages,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(_iter_indented_json(doc))
 
 
 def record_plot_csv(dates: Sequence[date], real: Sequence[float], predicted: Sequence[float]) -> str:

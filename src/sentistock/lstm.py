@@ -49,6 +49,19 @@ with the lookback: about 8 B (2(F+H) + 10H) bytes with the scratch.
 memory further, but a GEMM's bits can depend on its batch size: at
 hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
 away from the full batch's, which would change prediction bytes.
+
+``train`` keeps every parameter in one flat vector, in the order of
+:meth:`LstmParams.tensors`, and the model's arrays are views of it; the
+gradient, Adam's moments and one scratch vector share that layout, so
+clipping and each optimizer operation are one numpy call. The clipping
+norm still adds each tensor's sum of squares in tensor order, so the bits
+are those of a tensor-by-tensor update.
+
+A checkpoint is indented JSON from ``market_data``'s shared writer, which
+runs json's C encoder once per array. In ``compare``, each feature mode's
+process encodes its own checkpoints with :func:`checkpoint_to_json` and
+predicts with them as training reaches each epoch size, and the CLI
+writes that text (see ``evaluation.run_comparison``).
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ import numpy as np
 
 from .errors import NonFiniteLoss, PipelineError
 from .features import ScalerParams, WindowedDataset, invert_target, scaler_from_dict, scaler_to_dict
+from .market_data import _iter_indented_json
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -248,14 +262,30 @@ def forward(
     return yhat, ((Z, G, C) if keep_steps else ())
 
 
-def backward(cache: Cache, d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
+def _tensor_views(flat: np.ndarray, input_size: int, hidden_size: int) -> dict[str, np.ndarray]:
+    """Views of a flat vector shaped like the parameter tensors, keyed and
+    laid out in the order of :meth:`LstmParams.tensors`."""
+    H, Z = hidden_size, input_size + hidden_size
+    views, start = {}, 0
+    for name, shape in (("W", (4 * H, Z)), ("b", (4 * H,)), ("W_y", (1, H)), ("b_y", (1,))):
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def backward(
+    cache: Cache, d_prediction, params: LstmParams, out: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Backpropagation through time over the cache of a forward pass.
 
     ``d_prediction`` is dLoss/dPrediction at the output unit, a scalar for
     one sequence or one entry per sequence of a batch; the caller owns the
     loss (squared error in training: 2 * (prediction - label)). Gradients
-    are summed over the batch and keyed like ``params.tensors()``. The cache
-    is only read, so it can be backpropagated again.
+    are summed over the batch into ``out``, one flat vector of every
+    parameter (a new one when None), which is zeroed first. The returned
+    views of it are keyed like ``params.tensors()``. The cache is only
+    read, so it can be backpropagated again.
     """
     if not cache or len(cache[1]) == 0:
         raise PipelineError("steps are empty; run a forward pass first")
@@ -267,7 +297,10 @@ def backward(cache: Cache, d_prediction, params: LstmParams) -> dict[str, np.nda
         raise PipelineError("d_prediction batch size does not match the forward pass")
 
     W_hT = params.W[:, F:].T
-    grads = {name: np.zeros_like(tensor) for name, tensor in params.tensors()}
+    if out is None:
+        out = np.empty(sum(tensor.size for _, tensor in params.tensors()))
+    out.fill(0.0)
+    grads = _tensor_views(out, F, H)
 
     grads["W_y"][0] = dyhat @ h_last
     grads["b_y"][0] = dyhat.sum()
@@ -298,72 +331,52 @@ def backward(cache: Cache, d_prediction, params: LstmParams) -> dict[str, np.nda
     return grads
 
 
-def gradient_norm(grads: dict[str, np.ndarray]) -> float:
-    """Global L2 norm across every parameter tensor."""
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so the global L2 norm does not exceed max_norm."""
-    total = gradient_norm(grads)
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}
-
-
 class _Adam:
-    """Adam with bias correction, updated in place; ``step`` overwrites the
-    gradient arrays, which serve as its second scratch buffer."""
+    """Adam with bias correction over the flat parameter vector, updated in
+    place; ``step`` overwrites the gradient, which serves as its second
+    scratch buffer beside the caller's ``scratch``."""
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, size: int):
         self.lr = lr
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.scratch: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params: LstmParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray, s: np.ndarray) -> None:
         self.t += 1
-        for name, tensor in params.tensors():
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(tensor))
-            v = self.v.setdefault(name, np.zeros_like(tensor))
-            s = self.scratch.setdefault(name, np.empty_like(tensor))
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-            m += s
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - ADAM_BETA2
-            v += s
-            # tensor -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
-            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=s)
-            s *= self.lr
-            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=g)
-            np.sqrt(g, out=g)
-            g += ADAM_EPS
-            s /= g
-            tensor -= s
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - ADAM_BETA2
+        v += s
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+        np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=s)
+        s *= self.lr
+        np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        s /= g
+        theta -= s
 
 
 class _Sgd:
-    """Plain gradient descent; ``step`` overwrites the gradient arrays."""
+    """Plain gradient descent; ``step`` overwrites the gradient."""
 
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, params: LstmParams, grads: dict[str, np.ndarray]) -> None:
-        for name, tensor in params.tensors():
-            g = grads[name]
-            g *= self.lr
-            tensor -= g
+    def step(self, theta: np.ndarray, g: np.ndarray, s: np.ndarray) -> None:
+        g *= self.lr
+        theta -= g
 
 
 def _batch_gradients(
-    X: np.ndarray, y: np.ndarray, params: LstmParams, epoch: int
-) -> tuple[float, dict[str, np.ndarray]]:
-    """The squared-error sum and the BPTT gradients of one batch.
+    X: np.ndarray, y: np.ndarray, params: LstmParams, epoch: int, grad: np.ndarray
+) -> float:
+    """The squared-error sum of one batch; its BPTT gradients go to ``grad``.
 
     The batch's cache is local here and dies on return, so ``train`` never
     holds two caches at once.
@@ -373,7 +386,8 @@ def _batch_gradients(
     batch_sq = float(np.sum(err * err))
     if not math.isfinite(batch_sq):
         raise NonFiniteLoss(epoch)
-    return batch_sq, backward(cache, (2.0 / len(y)) * err, params)
+    backward(cache, (2.0 / len(y)) * err, params, out=grad)
+    return batch_sq
 
 
 def train(
@@ -403,8 +417,16 @@ def train(
     X = np.asarray(windows.sequences, dtype=np.float64)
     y = np.asarray(windows.labels, dtype=np.float64)
 
-    params = init_params(X.shape[2], config.hidden_size, config.seed)
-    optimizer = _Adam(config.learning_rate) if config.optimizer == "adam" else _Sgd(config.learning_rate)
+    F, H = X.shape[2], config.hidden_size
+    # One flat vector holds every parameter, and params' arrays are views of
+    # it, so the clipping and the optimizer run one numpy call per operation.
+    theta = np.concatenate([tensor.ravel() for _, tensor in init_params(F, H, config.seed).tensors()])
+    params = LstmParams(**_tensor_views(theta, F, H), input_size=F, hidden_size=H)
+    grad = np.empty_like(theta)
+    scratch = np.empty_like(theta)  # the squares for clipping, then Adam's scratch
+    squares = tuple(_tensor_views(scratch, F, H).values())
+    max_norm = config.grad_clip_norm
+    optimizer = _Adam(config.learning_rate, theta.size) if config.optimizer == "adam" else _Sgd(config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     loss_history = []
@@ -413,9 +435,15 @@ def train(
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            batch_sq, grads = _batch_gradients(X[idx], y[idx], params, epoch)
-            sq_sum += batch_sq
-            optimizer.step(params, clip_gradients(grads, config.grad_clip_norm))
+            sq_sum += _batch_gradients(X[idx], y[idx], params, epoch, grad)
+            # Clip to a global L2 norm of max_norm. Each tensor's squares are
+            # summed in its own shape and the sums added in tensor order, so
+            # the norm has the bits of a tensor-by-tensor sum.
+            np.multiply(grad, grad, out=scratch)
+            norm = math.sqrt(sum(float(np.sum(sq)) for sq in squares))
+            if not (norm <= max_norm or norm == 0.0):
+                grad *= max_norm / norm
+            optimizer.step(theta, grad, scratch)
         loss_history.append(sq_sum / n)
         if on_epoch is not None:
             on_epoch(
@@ -477,12 +505,8 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
     }
 
 
-#: The checkpoint's one encoder; it keeps no state between documents.
-_CHECKPOINT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-
-
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
-    return _CHECKPOINT_ENCODER.encode(_checkpoint_document(checkpoint))
+    return "".join(_iter_indented_json(_checkpoint_document(checkpoint)))
 
 
 def checkpoint_from_json(text: str | bytes) -> Checkpoint:
@@ -529,11 +553,11 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write :func:`checkpoint_to_json`'s text, streamed chunk by chunk
-    from the same encoder rather than built whole in memory."""
+    """Write :func:`checkpoint_to_json`'s text, streamed one array at a
+    time rather than built whole in memory."""
     doc = _checkpoint_document(checkpoint)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_CHECKPOINT_ENCODER.iterencode(doc))
+        fh.writelines(_iter_indented_json(doc))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from sentistock.lstm import LstmParams, forward
+from sentistock.lstm import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Checkpoint, LstmParams, backward, forward, init_params
 from sentistock.sentiment import Lexicon
 
 
@@ -145,3 +145,90 @@ def relative_tensor_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     diff = float(np.linalg.norm(analytic - numeric))
     scale = float(np.linalg.norm(analytic) + np.linalg.norm(numeric))
     return diff / max(scale, 1e-12)
+
+
+def reference_gradient_norm(grads):
+    """Global L2 norm across every parameter tensor, tensor by tensor."""
+    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def reference_clip_gradients(grads, max_norm):
+    """Scale all gradients so the global L2 norm does not exceed max_norm."""
+    total = reference_gradient_norm(grads)
+    if total <= max_norm or total == 0.0:
+        return grads
+    scale = max_norm / total
+    return {name: g * scale for name, g in grads.items()}
+
+
+class ReferenceAdam:
+    """Adam with bias correction, one parameter tensor at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.t = 0
+        self.m, self.v, self.scratch = {}, {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, tensor in params.tensors():
+            g = grads[name]
+            m = self.m.setdefault(name, np.zeros_like(tensor))
+            v = self.v.setdefault(name, np.zeros_like(tensor))
+            s = self.scratch.setdefault(name, np.empty_like(tensor))
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - ADAM_BETA2
+            v += s
+            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=s)
+            s *= self.lr
+            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=g)
+            np.sqrt(g, out=g)
+            g += ADAM_EPS
+            s /= g
+            tensor -= s
+
+
+class ReferenceSgd:
+    """Plain gradient descent, one parameter tensor at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for name, tensor in params.tensors():
+            g = grads[name]
+            g *= self.lr
+            tensor -= g
+
+
+def reference_train(windows, config, scaler=None, feature_mode=None):
+    """``train``'s loop with a per-tensor gradient, clipping and optimizer.
+
+    Shares ``init_params``, ``forward`` and ``backward`` with the program
+    and draws the same batches, so only the flat parameter vector, the flat
+    clipping and the flat optimizer differ from ``train``.
+    """
+    X = np.asarray(windows.sequences, dtype=np.float64)
+    y = np.asarray(windows.labels, dtype=np.float64)
+    n = len(y)
+    params = init_params(X.shape[2], config.hidden_size, config.seed)
+    optimizer = ReferenceAdam(config.learning_rate) if config.optimizer == "adam" else ReferenceSgd(config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+    loss_history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            yhat, cache = forward(X[idx], params)
+            err = yhat - y[idx]
+            sq_sum += float(np.sum(err * err))
+            grads = backward(cache, (2.0 / len(idx)) * err, params)
+            optimizer.step(params, reference_clip_gradients(grads, config.grad_clip_norm))
+        loss_history.append(sq_sum / n)
+    return Checkpoint(params=params, config=config, loss_history=tuple(loss_history),
+                      scaler=scaler, feature_mode=feature_mode)

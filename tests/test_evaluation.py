@@ -26,7 +26,7 @@ from sentistock.evaluation import (
     _fork_pays,
 )
 from sentistock.features import fuse, invert_target, make_windows, scale_dataset
-from sentistock.lstm import TrainConfig, checkpoint_to_json, load_checkpoint, predict, train
+from sentistock.lstm import TrainConfig, checkpoint_from_json, checkpoint_to_json, predict, train
 
 from fixtures import make_coupled_fixture, write_cli_fixture
 
@@ -212,24 +212,64 @@ class TestRunComparison:
             assert rec.accuracy_pct == 100.0 - rec.mape_pct
             assert rec.accuracy_pct + rec.mape_pct == 100.0
 
-    def test_checkpoint_sink_called_per_run(self, small_inputs, small_config):
+    def test_checkpoint_sink_called_per_run(self, monkeypatch, small_inputs, small_config):
+        # The sink receives each checkpoint's document text, in record order,
+        # on the forked path and on the inline one.
         series, tweets, lexicon = small_inputs
-        seen = []
-        run_comparison(series, tweets, lexicon, [2, 3], small_config, lookback=6,
-                       checkpoint_sink=lambda v, e, cp: seen.append((v, e, cp.config.epochs)))
-        assert seen == [("dlpm", 2, 2), ("hisa", 2, 2), ("dlpm", 3, 3), ("hisa", 3, 3)]
+        for forked in (True, False):
+            monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
+            seen = []
+            run_comparison(series, tweets, lexicon, [2, 3], small_config, lookback=6,
+                           checkpoint_sink=lambda v, e, doc: seen.append((v, e, doc)))
+            assert [(v, e) for v, e, _ in seen] == [("dlpm", 2), ("hisa", 2), ("dlpm", 3), ("hisa", 3)]
+            for variant, epochs, doc in seen:
+                assert isinstance(doc, str)
+                loaded = checkpoint_from_json(doc)
+                assert (loaded.feature_mode, loaded.config.epochs) == (variant, epochs)
 
     @pytest.mark.parametrize("epoch_sizes", [[3, 1, 2], [2, 2]])
-    def test_snapshots_equal_separate_runs(self, epoch_sizes, small_inputs, small_config):
+    def test_snapshots_equal_separate_runs(self, epoch_sizes, monkeypatch, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        seen = []
-        report = run_comparison(series, tweets, lexicon, epoch_sizes, small_config, lookback=6,
-                                checkpoint_sink=lambda v, e, cp: seen.append((v, e, checkpoint_to_json(cp))))
         expected_checkpoints, expected_report = separate_runs(
             series, tweets, lexicon, epoch_sizes, small_config, lookback=6)
-        assert seen == expected_checkpoints
-        assert report_to_json(report) == expected_report
-        assert [r.epochs for r in report.records] == [e for e in epoch_sizes for _ in ("dlpm", "hisa")]
+        for forked in (True, False):
+            monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
+            seen = []
+            report = run_comparison(series, tweets, lexicon, epoch_sizes, small_config, lookback=6,
+                                    checkpoint_sink=lambda v, e, doc: seen.append((v, e, doc)))
+            assert seen == expected_checkpoints, forked
+            assert report_to_json(report) == expected_report, forked
+            assert [r.epochs for r in report.records] == [e for e in epoch_sizes for _ in ("dlpm", "hisa")]
+            assert_no_child_left()
+
+    def test_no_document_encoded_without_sink(self, either_path, monkeypatch, small_inputs, small_config):
+        # A forked child inherits the patch and sends its error back.
+        def refuse(checkpoint):
+            raise AssertionError("a checkpoint was encoded with no sink to take it")
+
+        monkeypatch.setattr(evaluation, "checkpoint_to_json", refuse)
+        series, tweets, lexicon = small_inputs
+        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, lookback=6)
+        assert len(report.records) == 4
+        assert_no_child_left()
+
+    def test_report_json_equals_json_dumps_reference(self, small_inputs, small_config):
+        series, tweets, lexicon = small_inputs
+        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, lookback=6)
+        # The document as json.dumps wrote it before the shared writer.
+        doc = {
+            "version": 1,
+            "records": [
+                {
+                    "variant": r.variant, "epochs": r.epochs, "accuracy_pct": r.accuracy_pct,
+                    "mape_pct": r.mape_pct, "rmse": r.rmse, "dates": [d.isoformat() for d in r.dates],
+                    "real": list(r.real), "predicted": list(r.predicted),
+                }
+                for r in report.records
+            ],
+            "averages": report.averages,
+        }
+        assert report_to_json(report) == json.dumps(doc, sort_keys=True, indent=2)
 
     def test_empty_epoch_sizes_rejected(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
@@ -284,9 +324,13 @@ def stalled(config):
 
 
 def comparison_error(inputs, config):
+    """The error the comparison raises; its sink must not have been called."""
     series, tweets, lexicon = inputs
+    written = []
     with pytest.raises(PipelineError) as err, np.errstate(over="ignore", invalid="ignore"):
-        run_comparison(series, tweets, lexicon, [2, 3], config, lookback=6)
+        run_comparison(series, tweets, lexicon, [2, 3], config, lookback=6,
+                       checkpoint_sink=lambda *args: written.append(args))
+    assert written == []
     return err.value
 
 
@@ -355,7 +399,7 @@ class TestForkedTraining:
         assert_no_child_left()
 
     def test_artifacts_equal_inline(self, monkeypatch, tmp_path):
-        # Hidden 32: the child's pickled snapshots outgrow a 64 KB pipe buffer.
+        # Hidden 32: the child's pickled documents outgrow a 64 KB pipe buffer.
         config = write_cli_fixture(tmp_path, n_days=70, hidden_size=32)
         outs = {}
         for forked in (True, False):
@@ -369,7 +413,8 @@ class TestForkedTraining:
         assert names == sorted(p.name for p in outs[True].iterdir() if p.name != "resolved_config.ini")
         for name in names:
             assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes(), name
-        hisa = {e: load_checkpoint(outs[True] / f"checkpoint_hisa_epochs{e}.json") for e in (1, 2, 3)}
+        # The child sends its documents' text through the pipe.
+        hisa = {e: (outs[True] / f"checkpoint_hisa_epochs{e}.json").read_text(encoding="utf-8") for e in (1, 2, 3)}
         assert len(pickle.dumps(hisa, protocol=pickle.HIGHEST_PROTOCOL)) > 65536
 
 

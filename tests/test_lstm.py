@@ -16,9 +16,7 @@ from sentistock.lstm import (
     backward,
     checkpoint_from_json,
     checkpoint_to_json,
-    clip_gradients,
     forward,
-    gradient_norm,
     init_params,
     predict,
     save_checkpoint,
@@ -31,6 +29,8 @@ from oracles import (
     finite_difference_gradients,
     masked_sigmoid_reference,
     per_gate,
+    reference_gradient_norm,
+    reference_train,
     relative_tensor_error,
     scalar_cell_reference,
     scalar_sequence_reference,
@@ -250,17 +250,31 @@ class TestBackward:
         with pytest.raises(PipelineError, match="d_prediction batch size"):
             backward(steps, np.ones(2), p)
 
-    def test_clip_hits_exact_norm(self):
+    # Clipping runs inside train: one window, one batch and SGD at rate 1
+    # make the first update the negated (clipped) gradient.
+    @staticmethod
+    def one_sgd_step(label, max_norm):
         rng = np.random.default_rng(4)
-        p = init_params(3, 4, seed=4)
-        seq = rng.normal(size=(5, 3))
-        pred, steps = forward(seq[None], p)
-        grads = clip_gradients(backward(steps, 1e6 * 2.0 * (pred[0] - 3.0), p), 5.0)
-        assert gradient_norm(grads) == pytest.approx(5.0, rel=1e-12)
+        seq = rng.normal(size=(1, 5, 3))
+        cfg = TrainConfig(epochs=1, learning_rate=1.0, batch_size=1, seed=4, grad_clip_norm=max_norm,
+                          optimizer="sgd", hidden_size=4)
+        trained = train(WindowedDataset(seq, np.array([label]), 5), cfg).params
+        start = init_params(3, 4, seed=4)
+        pred, cache = forward(seq, start)
+        grads = backward(cache, 2.0 * (pred - label), start)
+        return start, trained, grads
+
+    def test_clip_hits_exact_norm(self):
+        start, trained, grads = self.one_sgd_step(label=-1e6, max_norm=5.0)
+        assert reference_gradient_norm(grads) > 1e3
+        steps = {name: a - b for (name, a), (_, b) in zip(start.tensors(), trained.tensors())}
+        assert reference_gradient_norm(steps) == pytest.approx(5.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        assert clip_gradients(grads, max_norm=5.0)["a"] is grads["a"]
+        start, trained, grads = self.one_sgd_step(label=0.5, max_norm=5.0)
+        assert reference_gradient_norm(grads) < 5.0
+        for (name, a), (_, b) in zip(start.tensors(), trained.tensors()):
+            assert np.array_equal(b.view(np.int64), (a - grads[name]).view(np.int64)), name
 
     def test_empty_caches_rejected(self):
         with pytest.raises(PipelineError, match="steps are empty"):
@@ -421,6 +435,32 @@ class TestTrain:
             tail = cp.loss_history[10:]
             monotone += all(b <= a for a, b in zip(tail, tail[1:]))
         assert monotone >= 9
+
+
+def random_windows(n, lookback, features, seed):
+    rng = np.random.default_rng(seed)
+    return WindowedDataset(rng.normal(size=(n, lookback, features)), rng.normal(size=n), lookback)
+
+
+class TestFlatOptimizer:
+    """``train`` keeps every parameter, the gradient and Adam's state in flat
+    vectors; the per-tensor loop in ``oracles.reference_train`` must give
+    the same checkpoint bit for bit."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+    @pytest.mark.parametrize(
+        "n, features, hidden_size, batch_size",
+        # 171 windows in batches of 16 end in a short batch of 11, as in compare_paper.
+        [(40, 3, 8, 8), (171, 3, 32, 16), (171, 4, 32, 16)],
+        ids=["H8-B8", "H32-B16-F3", "H32-B16-F4"],
+    )
+    def test_equals_per_tensor_reference(self, optimizer, max_norm, n, features, hidden_size, batch_size):
+        windows = random_windows(n, 15, features, seed=n + features)
+        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=batch_size, seed=9,
+                          grad_clip_norm=max_norm, optimizer=optimizer, hidden_size=hidden_size)
+        expected = checkpoint_to_json(reference_train(windows, cfg, feature_mode="dlpm"))
+        assert checkpoint_to_json(train(windows, cfg, feature_mode="dlpm")) == expected
 
 
 class TestPredict:

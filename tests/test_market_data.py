@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from dataclasses import asdict
 from datetime import date, datetime, timedelta, timezone
 
@@ -14,6 +15,7 @@ from sentistock.market_data import (
     Tweet,
     align_to_trading_days,
     bars_to_json,
+    _iter_indented_json,
     _parse_ddmmyyyy,
     _parse_tweet_line,
     parse_ohlcv_csv,
@@ -394,6 +396,43 @@ class TestTextPathReferences:
         for doc in (fields, {**fields, "extra": value}, value):
             line = before + json.dumps(doc) + after
             assert parsed_as_jsonl_line(line) == reference_parse_tweet_line(line)
+
+
+#: Every scalar kind a document holds: NaN, the infinities, both zeros and
+#: numpy's float64 among the floats, and strings with quotes, backslashes,
+#: control characters, non-ASCII text and lone surrogates.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, np.float64(-0.0), np.float64(math.nan)]),
+    st.text(alphabet=st.one_of(st.characters(max_codepoint=0x7f), AWKWARD_CHARS), max_size=12),
+)
+KEYS = st.text(alphabet=st.one_of(st.characters(max_codepoint=0x7f), AWKWARD_CHARS), max_size=8)
+DOCUMENTS = st.recursive(
+    st.one_of(SCALARS, st.just([]), st.just({})),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(st.dictionaries(KEYS, inner, max_size=3), max_size=3),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=15,
+)
+
+
+class TestIndentedJson:
+    """The one indented writer behind the checkpoint, report and bars
+    documents, against the json module's pure-Python indenting encoder."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(doc=DOCUMENTS)
+    def test_equals_json_dumps(self, doc):
+        expected = json.dumps(doc, sort_keys=True, indent=2)
+        assert "".join(_iter_indented_json(doc)) == expected
+
+    def test_named_shapes(self):
+        for doc in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]]], {"b": [{"c": []}], "a": 1},
+                    "x", 1.5, None, [1, [2, [3, [4]]]]):
+            assert "".join(_iter_indented_json(doc)) == json.dumps(doc, sort_keys=True, indent=2), doc
 
 
 def ts(day: date) -> datetime:
