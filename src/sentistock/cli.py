@@ -200,13 +200,20 @@ def cmd_sentiment(cfg: RunConfig) -> int:
     # An empty corpus is not an error here: every day simply reports 100%
     # neutral, which keeps downstream features defined.
     try:
-        tweets, _ = _load_tweets(cfg)
-    except EmptyInput:
+        tweets, skipped = _load_tweets(cfg)
+    except EmptyInput as exc:
         tweets = []
+        print(f"tweets: {exc}")
+    else:
+        print(f"tweets: {len(tweets)} valid, {skipped} skipped")
     records, dropped = daily_sentiment(tweets, series, lexicon)
     (out / "daily_sentiment.csv").write_text(daily_sentiment_csv(records), encoding="utf-8")
     _write_resolved_config(cfg, out)
-    print(f"daily sentiment: {len(records)} trading days, {dropped} tweets past final session dropped")
+    empty_days = sum(1 for rec in records if rec.tweet_count == 0)
+    print(
+        f"daily sentiment: {len(records)} trading days, {empty_days} with no tweets, "
+        f"{dropped} tweets past final session dropped"
+    )
     print(f"wrote {out / 'daily_sentiment.csv'}")
     return 0
 

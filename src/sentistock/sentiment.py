@@ -17,13 +17,20 @@ are reproducible anywhere:
 
 Classification is by sign: positive above zero, negative below, neutral at
 exactly zero. No dead-band.
+
+Tokenizing an ASCII text takes a shorter path with the same result: the
+text is lowercased once, the URL and @-mention patterns run only when it
+holds ``://``, ``www.`` or ``@``, and one byte-table pass turns every byte
+outside ``0-9a-z`` into a space before a whitespace split. Other text keeps
+the regex path, because lowercasing a whole non-ASCII text can split a
+token: ``"İ".lower()`` appends U+0307, which is not alphanumeric.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
@@ -33,6 +40,9 @@ from .market_data import Tweet, _utf8_text
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _TOKEN_RE = re.compile(r"[^\W_]+")
+#: For lowercased ASCII text: keeps the bytes 0-9 and a-z and maps every
+#: other byte to a space.
+_ASCII_TOKEN_TABLE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -52,9 +62,16 @@ class LexiconEntry:
 
 
 def _check_token(token: str, role: str) -> None:
-    """A lexicon term or negator is one non-empty lowercase token."""
+    """A lexicon term or negator is one token that ``tokenize`` can yield.
+
+    That is a lowercased run of letters and digits. Lowercasing "İ" yields
+    "i" plus U+0307, which is not alphanumeric, so that pair counts as a
+    letter here: ``tokenize("İstanbul")`` yields "i\u0307stanbul".
+    """
     if not token or any(c.isspace() for c in token) or token != token.lower():
         raise PipelineError(f"bad lexicon {role} {token!r} (lowercase, no whitespace)")
+    if not token.replace("i\u0307", "i").isalnum():
+        raise PipelineError(f"bad lexicon {role} {token!r} (tokenize never yields it: letters and digits only)")
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,19 @@ class Lexicon:
 
     terms: Mapping[str, LexiconEntry]
     negators: frozenset[str]
+    #: What ``score_text`` reads for each lexicon token: (True, polarity)
+    #: for a scoring term, (False, multiplier) for a negator (-0.5) or an
+    #: intensity term. A word that is both a negator and a term is a negator.
+    token_table: dict[str, tuple[bool, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = {}
+        for word, entry in self.terms.items():
+            scores = entry.intensity == 1.0
+            table[word] = (scores, entry.polarity if scores else entry.intensity)
+        for word in self.negators:
+            table[word] = (False, -0.5)
+        object.__setattr__(self, "token_table", table)
 
 
 @dataclass(frozen=True)
@@ -105,31 +135,36 @@ def tokenize(text: str) -> list[str]:
     Splitting happens on every non-alphanumeric boundary, so a hashtag
     loses its '#' but keeps its body.
     """
+    if text.isascii():
+        text = text.lower()
+        if "://" in text or "www." in text:
+            text = _URL_RE.sub(" ", text)
+        if "@" in text:
+            text = _MENTION_RE.sub(" ", text)
+        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+_NEUTRAL = SentimentScore(0.0)
+
+
 def score_text(tokens: Sequence[str], lexicon: Lexicon) -> SentimentScore:
     """Apply the module's scoring rule (see module docstring) to tokens."""
-    negators, terms = lexicon.negators, lexicon.terms
     clauses: list[float] = []
     pending: list[float] = []
-    for tok in tokens:
-        if tok in negators:
-            pending.append(-0.5)
-        elif tok in terms:
-            entry = terms[tok]
-            if entry.intensity != 1.0:
-                pending.append(entry.intensity)
-            else:
-                score = entry.polarity
-                for mod in pending:
-                    score = score * mod
-                clauses.append(_clip(score))
-                pending = []
+    # Tokens outside the lexicon map to None, which the filter drops.
+    for scores, value in filter(None, map(lexicon.token_table.get, tokens)):
+        if scores:
+            for mod in pending:
+                value = value * mod
+            clauses.append(_clip(value))
+            pending = []
+        else:
+            pending.append(value)
     if not clauses:
-        return SentimentScore(0.0)
+        return _NEUTRAL
     return SentimentScore(_clip(sum(clauses) / len(clauses)))
 
 

@@ -6,11 +6,28 @@ deliberately naive so a bug in the production path cannot hide in both.
 """
 
 import math
+import re
 
 import numpy as np
 
 from sentistock.lstm import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Checkpoint, LstmParams, backward, forward, init_params
 from sentistock.sentiment import Lexicon
+
+
+_REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_REFERENCE_MENTION_RE = re.compile(r"@\w+")
+_REFERENCE_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """The tokenizer rule as three regexes, on any text.
+
+    URLs, then @-mentions, become a space; the tokens are the remaining
+    runs of unicode letters and digits (``_`` splits), each lowercased.
+    """
+    text = _REFERENCE_URL_RE.sub(" ", text)
+    text = _REFERENCE_MENTION_RE.sub(" ", text)
+    return [t.lower() for t in _REFERENCE_TOKEN_RE.findall(text)]
 
 
 def reference_score_polarity(tokens, lexicon: Lexicon) -> float:

@@ -71,6 +71,32 @@ class TestSentiment:
         (tmp_path / "lexicon.tsv").write_text("good\t2.5\t1.0\tterm\n")
         assert run(["sentiment", "--config", fixture_config]) == 2
 
+    def test_skipped_lines_and_empty_days_printed(self, fixture_config, tmp_path, capsys):
+        tweets = tmp_path / "tweets.jsonl"
+        kept = [line for line in tweets.read_text().splitlines()
+                if '"2020-01-01T' not in line and '"2020-01-02T' not in line]
+        tweets.write_text("\n".join(kept) + "\nnot json\n")
+        assert run(["sentiment", "--config", fixture_config]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"tweets: {len(kept)} valid, 1 skipped"
+        assert out[1] == "daily sentiment: 60 trading days, 2 with no tweets, 0 tweets past final session dropped"
+
+    def test_empty_corpus_counts_printed(self, fixture_config, tmp_path, capsys):
+        (tmp_path / "tweets.jsonl").write_text("not json\n\n")
+        assert run(["sentiment", "--config", fixture_config]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "tweets: no valid tweet lines found (1 skipped)"
+        assert out[1] == "daily sentiment: 60 trading days, 60 with no tweets, 0 tweets past final session dropped"
+
+    def test_lexicon_word_tokenize_splits_exits_2(self, fixture_config, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(lexicon.read_text() + "profit-taking\t-0.3\t1.0\tterm\n")
+        capsys.readouterr()
+        assert run(["sentiment", "--config", fixture_config]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 10: bad lexicon term 'profit-taking' (tokenize never yields it: letters and digits only)"
+        ]
+
 
 class TestTrain:
     def test_checkpoint_written(self, fixture_config, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import io
-from datetime import date
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentistock.errors import PipelineError
+from sentistock.market_data import Tweet
 from sentistock.sentiment import (
     DailySentiment,
     Lexicon,
@@ -13,11 +15,12 @@ from sentistock.sentiment import (
     aggregate_daily,
     daily_sentiment_csv,
     load_lexicon,
+    score_corpus,
     score_text,
     tokenize,
 )
 
-from oracles import reference_score_polarity
+from oracles import reference_score_polarity, reference_tokenize
 
 
 def lex(entries=(), negators=()) -> Lexicon:
@@ -55,6 +58,40 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("big_win") == ["big", "win"]
+
+    NAMED = {
+        "upper-case-url": "Sell HTTP://X.CO/Deal now",
+        "mixed-case-www": "see WwW.x/y Here",
+        "mention-with-underscore": "hi @user_name, Rally",
+        "email": "mail a@b.com Today",
+        "nul": "up\x00down",
+        "file-separator": "go www.x\x1cHome http://y\x1cAway",
+        "underscore": "_big__win_",
+        "sharp-s": "Straße STRASSE",
+        "dotted-capital-i": "İstanbul İ",
+        "final-sigma": "ΟΔΟΣ ΣΑΣ",
+        "emoji": "moon🚀MOON 🚀",
+        "lone-surrogate": "up\ud800Down",
+    }
+
+    @pytest.mark.parametrize("text", NAMED.values(), ids=NAMED.keys())
+    def test_named_cases_equal_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    # ASCII-only text takes the byte-table path, any other text the regex
+    # path; the fragments hit both paths' guards and casing edge cases.
+    FRAGMENTS = ("HTTP://", "https://", "wWw.", "www.", "://", "@a_b", "@", "_", ".", " ",
+                 "\x1c", "\x00", "ß", "İ", "Σ", "🚀", "\ud800")
+    ASCII_TEXT = st.lists(
+        st.one_of(st.sampled_from([f for f in FRAGMENTS if f.isascii()]), st.text(st.characters(max_codepoint=127))),
+        max_size=8,
+    ).map("".join)
+    ANY_TEXT = st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text()), max_size=8).map("".join)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(text=st.one_of(ASCII_TEXT, ANY_TEXT))
+    def test_equals_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestScoreText:
@@ -117,6 +154,51 @@ class TestScoreText:
         for _ in range(500):
             tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=rng.integers(0, 12))]
             assert score_text(tokens, BASIC).polarity == reference_score_polarity(tokens, BASIC)
+
+
+    # "never" is both a negator and a scoring term; the negator wins.
+    OVERLAP = lex(
+        entries=(
+            LexiconEntry("good", 0.7),
+            LexiconEntry("bad", -0.6),
+            LexiconEntry("never", 0.4),
+            LexiconEntry("very", 0.0, intensity=1.3),
+            LexiconEntry("slightly", 0.9, intensity=0.5),
+        ),
+        negators=("not", "never"),
+    )
+
+    def test_negator_that_is_also_a_term_is_a_negator(self):
+        assert score_text(["never", "good"], self.OVERLAP).polarity == reference_score_polarity(
+            ["never", "good"], self.OVERLAP
+        ) == pytest.approx(-0.35, abs=1e-12)
+        assert score_text(["never"], self.OVERLAP).polarity == 0.0
+
+    def test_overlapping_lexicon_matches_reference_randomized(self):
+        rng = np.random.default_rng(13)
+        vocab = list(self.OVERLAP.terms) + list(self.OVERLAP.negators) + ["filler"]
+        for _ in range(500):
+            tokens = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=rng.integers(0, 12))]
+            assert score_text(tokens, self.OVERLAP).polarity == reference_score_polarity(tokens, self.OVERLAP)
+
+    def test_score_corpus_matches_reference_per_tweet(self):
+        rng = np.random.default_rng(17)
+        words = ["Good", "BAD", "never", "not", "Very", "slightly", "filler", "Straße", "İ"]
+        noise = ["http://x.co/Good", "WWW.bad.com", "@good", "#Good", "good!", "bad_good", "🚀"]
+        buckets = {}
+        for day in range(1, 21):
+            tweets = []
+            for k in range(int(rng.integers(0, 8))):
+                picks = rng.integers(0, len(words) + len(noise), size=rng.integers(1, 10))
+                text = " ".join((words + noise)[int(i)] for i in picks)
+                stamp = datetime(2024, 1, day, 12, k, tzinfo=timezone.utc)
+                tweets.append(Tweet(timestamp=stamp, text=text, id=f"{day}-{k}"))
+            buckets[date(2024, 1, day)] = tweets
+        scored = score_corpus(buckets, self.OVERLAP)
+        assert list(scored) == list(buckets)
+        for day, tweets in buckets.items():
+            expected = [reference_score_polarity(reference_tokenize(t.text), self.OVERLAP) for t in tweets]
+            assert [s.polarity for s in scored[day]] == expected
 
 
 class TestSentimentScoreType:
@@ -226,6 +308,27 @@ class TestLoadLexicon:
         with pytest.raises(PipelineError) as info:
             load_lexicon(io.BytesIO(tsv.encode()))
         assert str(info.value) == f"line 2: bad lexicon {flag} 'very good' (lowercase, no whitespace)"
+
+    @pytest.mark.parametrize("flag", ["term", "negator"])
+    @pytest.mark.parametrize("word", ["profit-taking", "big_win", "don't"])
+    def test_word_tokenize_splits_names_its_line(self, word, flag):
+        tsv = f"good\t0.7\t1.0\tterm\n{word}\t0.2\t1.0\t{flag}\n"
+        with pytest.raises(PipelineError) as info:
+            load_lexicon(io.BytesIO(tsv.encode()))
+        assert str(info.value) == (
+            f"line 2: bad lexicon {flag} {word!r} (tokenize never yields it: letters and digits only)"
+        )
+
+    def test_dotted_capital_i_term_scores(self):
+        lexicon = load_lexicon(io.BytesIO("İstanbul\t0.5\t1.0\tterm\n".encode()))
+        assert list(lexicon.terms) == tokenize("İstanbul") == ["i\u0307stanbul"]
+        assert score_text(tokenize("İSTANBUL rallies"), lexicon).polarity == 0.5
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(text=TestTokenize.ANY_TEXT)
+    def test_every_token_is_a_valid_term(self, text):
+        for token in tokenize(text):
+            assert LexiconEntry(token, 0.5).term == token
 
     def test_terms_lowercased(self):
         tsv = "GOOD\t0.7\t1.0\tterm\n"
