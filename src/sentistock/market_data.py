@@ -159,12 +159,11 @@ def parse_ohlcv_csv(
 
     dates = _parse_date_column([row.get(schema["date"], "") for row in rows])
 
+    columns = [schema[field] for field in NUMERIC_FIELDS]
     bars = []
     for row, d in zip(rows, dates):
-        values: dict[str, float | None] = {}
-        for field in NUMERIC_FIELDS:
-            values[field] = _parse_numeric_cell(row.get(schema[field], ""))
-        bar = OhlcvBar(date=d, **values)
+        # Positional, in field order: NUMERIC_FIELDS follows OhlcvBar's fields.
+        bar = OhlcvBar(d, *[_parse_numeric_cell(row.get(column, "")) for column in columns])
         if bar.violates_price_box():
             raise PipelineError(
                 f"{d}: low/high do not bracket open/close "
@@ -253,45 +252,86 @@ def parse_tweets_jsonl(stream: BinaryIO) -> tuple[list[Tweet], int]:
     return tweets, skipped
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+#: The C scanner behind ``JSONDecoder.raw_decode``, called without that
+#: method's Python frame: it returns ``(value, end)`` or raises
+#: ``StopIteration`` where ``raw_decode`` would raise "Expecting value".
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _parse_tweet_line(line: str) -> Tweet | None:
     """The tweet on one stripped, non-blank line, or None to skip the line.
 
-    Decodes with the C scanner through ``raw_decode`` instead of
+    Decodes with the C scanner that ``raw_decode`` wraps, instead of
     ``json.loads``, whose wrapper scans for leading and trailing whitespace
     with a regex on every call. The line is already stripped of all
     whitespace, JSON's included, so requiring the value to end at the end
     of the line accepts and rejects exactly what ``json.loads`` does: a
     leading BOM or trailing data is skipped, ``NaN`` and ``Infinity``
-    decode as floats.
+    decode as floats. The decoder yields only exact ``dict``, ``str`` and
+    ``int`` objects, so the checks compare types with ``is``; a ``bool``
+    id fails ``is int`` on its own.
+
+    The tweet is built without ``Tweet.__init__``: its keyword call and
+    ``__post_init__`` cost more than the rest of the line's work together.
+    ``_new_tweet`` first refuses a blank text, as ``__post_init__`` does,
+    then sets the three fields the way the frozen dataclass's own
+    ``__init__`` does, with ``object.__setattr__``. So the result is the
+    same ``Tweet``: equal, hashing, printing and pickling like one built
+    by ``Tweet(timestamp=..., text=..., id=...)``, and just as frozen.
     """
     try:
-        obj, end = _raw_decode(line)
-    except (ValueError, RecursionError):  # also a number too long for int; nested too deep
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # also a number too long for int; nested too deep
         return None
-    if end != len(line) or not isinstance(obj, dict):
+    if end != len(line) or type(obj) is not dict:
         return None
     try:
         ts, text, tweet_id = obj["timestamp"], obj["text"], obj["id"]
     except KeyError:
         return None
-    if not (isinstance(ts, str) and isinstance(text, str)):
+    if type(ts) is not str or type(text) is not str:
         return None
-    if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
+    if type(tweet_id) is not str and type(tweet_id) is not int:
         return None
     try:
-        return Tweet(timestamp=_parse_rfc3339(ts), text=text, id=str(tweet_id))
+        return _new_tweet(_parse_rfc3339(ts), text, str(tweet_id))
     except ValueError:
         return None
 
 
+_object_new = object.__new__
+_object_setattr = object.__setattr__
+
+
+def _new_tweet(timestamp: datetime, text: str, tweet_id: str) -> Tweet:
+    """``Tweet(timestamp=timestamp, text=text, id=tweet_id)`` without the
+    dataclass's keyword ``__init__``; raises the same ``ValueError``."""
+    if not text.strip():
+        raise ValueError("tweet text is empty after trimming")
+    tweet = _object_new(Tweet)
+    _object_setattr(tweet, "timestamp", timestamp)
+    _object_setattr(tweet, "text", text)
+    _object_setattr(tweet, "id", tweet_id)
+    return tweet
+
+
 def _parse_rfc3339(value: str) -> datetime:
-    # datetime.fromisoformat only learned the 'Z' suffix in 3.11.
-    if value.endswith(("Z", "z")):
-        value = value[:-1] + "+00:00"
-    return datetime.fromisoformat(value)
+    """The datetime of an RFC 3339 timestamp or a bare ISO date.
+
+    ``datetime.fromisoformat`` takes any character between the date and
+    the time, so ``2024-01-05+05:00`` would read as 05:00 on a naive clock:
+    a value longer than a date must have ``T``, ``t`` or a space as its
+    11th character. Python 3.11 parses a trailing ``Z`` itself; a lowercase
+    ``z``, and any ``Z`` on Python 3.10, is retried as ``+00:00``.
+    """
+    if len(value) > 10 and value[10] not in "Tt ":
+        raise ValueError(f"no date-time separator in {value!r}")
+    try:
+        return datetime.fromisoformat(value)
+    except ValueError:
+        if not value.endswith(("Z", "z")):
+            raise
+    return datetime.fromisoformat(value[:-1] + "+00:00")
 
 
 def align_to_trading_days(
@@ -393,7 +433,6 @@ def tweet_to_json_line(tweet: Tweet) -> str:
     the bytes are the same without building a ``JSONEncoder`` per tweet.
     """
     return (
-        '{"id": ' + encode_basestring_ascii(tweet.id)
-        + ', "text": ' + encode_basestring_ascii(tweet.text)
-        + ', "timestamp": ' + encode_basestring_ascii(tweet.timestamp.isoformat()) + "}"
+        f'{{"id": {encode_basestring_ascii(tweet.id)}, "text": {encode_basestring_ascii(tweet.text)}, '
+        f'"timestamp": {encode_basestring_ascii(tweet.timestamp.isoformat())}}}'
     )

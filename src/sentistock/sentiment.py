@@ -18,12 +18,15 @@ are reproducible anywhere:
 Classification is by sign: positive above zero, negative below, neutral at
 exactly zero. No dead-band.
 
-Tokenizing an ASCII text takes a shorter path with the same result: the
-text is lowercased once, the URL and @-mention patterns run only when it
-holds ``://``, ``www.`` or ``@``, and one byte-table pass turns every byte
-outside ``0-9a-z`` into a space before a whitespace split. Other text keeps
-the regex path, because lowercasing a whole non-ASCII text can split a
-token: ``"İ".lower()`` appends U+0307, which is not alphanumeric.
+On every text, the URL pattern runs only when the text holds ``://`` or,
+lowercased, ``www.``, and the @-mention pattern only when it holds ``@``.
+The URL pattern ignores case, but only ``w`` and ``W`` match ``w`` under
+it, so the lowercased check skips no URL. Tokenizing an ASCII text then
+takes a shorter path with the same result: the text is lowercased once,
+and one byte-table pass turns every byte outside ``0-9a-z`` into a space
+before a whitespace split. Other text keeps the token regex, because
+lowercasing a whole non-ASCII text can split a token: ``"İ".lower()``
+appends U+0307, which is not alphanumeric.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def tokenize(text: str) -> list[str]:
         if "@" in text:
             text = _MENTION_RE.sub(" ", text)
         return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
-    text = _URL_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
@@ -155,21 +160,21 @@ def score_text(tokens: Sequence[str], lexicon: Lexicon) -> SentimentScore:
     clauses: list[float] = []
     pending: list[float] = []
     # Tokens outside the lexicon map to None, which the filter drops.
+    # Each clip is inline, with the results of max(-1.0, min(1.0, x)), which
+    # differ only on NaN. A polarity is finite and a multiplier finite and
+    # never 0, so a product can overflow to an infinity but never be NaN.
     for scores, value in filter(None, map(lexicon.token_table.get, tokens)):
         if scores:
             for mod in pending:
                 value = value * mod
-            clauses.append(_clip(value))
+            clauses.append(1.0 if value >= 1.0 else -1.0 if value <= -1.0 else value)
             pending = []
         else:
             pending.append(value)
     if not clauses:
         return _NEUTRAL
-    return SentimentScore(_clip(sum(clauses) / len(clauses)))
-
-
-def _clip(x: float) -> float:
-    return max(-1.0, min(1.0, x))
+    mean = sum(clauses) / len(clauses)
+    return SentimentScore(1.0 if mean >= 1.0 else -1.0 if mean <= -1.0 else mean)
 
 
 def score_corpus(

@@ -1,7 +1,8 @@
 import io
 import json
 import math
-from dataclasses import asdict
+import pickle
+from dataclasses import FrozenInstanceError, asdict
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -273,6 +274,21 @@ class TestParseTweetsJsonl:
         tweets, skipped = parse_tweets_jsonl(io.BytesIO(line.encode()))
         assert tweets[0].id == "17" and skipped == 0
 
+    @pytest.mark.parametrize("stamp", [
+        pytest.param("2024-01-05+05:00", id="date-then-offset"),
+        pytest.param("2024-01-05-05:00", id="date-then-negative-offset"),
+        pytest.param("2024-01-05Z", id="date-then-z"),
+        pytest.param("20240105T101112Z", id="basic-format"),
+    ])
+    def test_timestamp_without_date_time_separator_skipped(self, stamp):
+        # fromisoformat takes any character after the date as the separator,
+        # so these read as naive clock times unless refused.
+        valid = '{"timestamp": "2024-01-05", "text": "ok", "id": "0"}\n'
+        line = json.dumps({"timestamp": stamp, "text": "ok", "id": "1"}) + "\n"
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO((valid + line).encode()))
+        assert [(t.id, t.timestamp) for t in tweets] == [("0", datetime(2024, 1, 5))]
+        assert skipped == 1
+
     def test_number_too_long_for_int_skipped(self):
         valid = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": "0"}\n'
         huge = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": ' + "1" * 5000 + "}\n"
@@ -282,7 +298,8 @@ class TestParseTweetsJsonl:
 
 def reference_parse_tweet_line(line: str) -> Tweet | None:
     """_parse_tweet_line's rule through json.loads, as it read before it
-    decoded with raw_decode."""
+    decoded with raw_decode, plus the rule that a timestamp longer than a
+    date has T, t or a space as its 11th character."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):
@@ -293,6 +310,8 @@ def reference_parse_tweet_line(line: str) -> Tweet | None:
     if not (isinstance(ts, str) and isinstance(text, str)):
         return None
     if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
+        return None
+    if len(ts) > 10 and ts[10] not in "Tt ":  # the date-time separator rule
         return None
     if ts.endswith(("Z", "z")):
         ts = ts[:-1] + "+00:00"
@@ -307,7 +326,33 @@ def parsed_as_jsonl_line(line: str) -> Tweet | None:
     return _parse_tweet_line(line.strip())
 
 
+def assert_same_tweet(parsed: Tweet | None, expected: Tweet | None) -> None:
+    """``parsed``, which the parser built without ``Tweet.__init__``, is the
+    same tweet as ``expected``, which ``Tweet(...)`` built: equal, hashing
+    and printing alike, surviving pickle, and frozen."""
+    assert parsed == expected
+    if expected is None:
+        return
+    assert type(parsed) is Tweet
+    assert hash(parsed) == hash(expected)
+    assert repr(parsed) == repr(expected)
+    again = pickle.loads(pickle.dumps(parsed))
+    assert again == expected and repr(again) == repr(expected)
+    with pytest.raises(FrozenInstanceError):
+        parsed.text = "changed"
+    with pytest.raises(ValueError, match="empty after trimming"):
+        Tweet(timestamp=expected.timestamp, text="  ", id=expected.id)
+
+
 VALID_LINE = '{"timestamp": "2020-01-01T10:00:00Z", "text": "good day", "id": "1"}'
+
+#: Timestamps at the edges of the parser's rule: a lowercase z, a short
+#: fraction, a Z after an offset, a space separator, an offset or Z right
+#: after the date, the basic format and a bare date.
+TIMESTAMP_FORMS = (
+    "2020-01-01T10:00:00z", "2020-01-01T10:00:00.5Z", "2020-01-01T10:00:00+00:00Z", "2020-01-01 10:00Z",
+    "2020-01-01Z", "2020-01-01+05:00", "2020-01-01-05:00", "20200101T100000Z", "2020-01-01",
+)
 
 #: Characters the JSON escaper treats specially, and ones beyond ASCII.
 AWKWARD_CHARS = st.sampled_from(
@@ -322,7 +367,7 @@ TIMEZONES = st.sampled_from([
 
 
 class TestTextPathReferences:
-    """The hand-built writer and the raw_decode parser against json.dumps
+    """The hand-built writer and the scanner-based parser against json.dumps
     and json.loads."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -338,7 +383,8 @@ class TestTextPathReferences:
         )
         assert tweet_to_json_line(tweet) == expected
         reparsed = reference_parse_tweet_line(expected)
-        assert reparsed is not None and parsed_as_jsonl_line(expected) == reparsed
+        assert reparsed is not None
+        assert_same_tweet(parsed_as_jsonl_line(expected), reparsed)
 
     @pytest.mark.parametrize("line", [
         pytest.param(VALID_LINE, id="valid"),
@@ -366,9 +412,11 @@ class TestTextPathReferences:
         pytest.param("[]", id="array"),
         pytest.param("{}", id="empty-object"),
         pytest.param("nul", id="truncated-literal"),
+        *(pytest.param(json.dumps({"timestamp": stamp, "text": "good", "id": "1"}),
+                       id=f"timestamp-{stamp.replace(' ', '-space-')}") for stamp in TIMESTAMP_FORMS),
     ])
     def test_parse_equals_json_loads(self, line):
-        assert parsed_as_jsonl_line(line) == reference_parse_tweet_line(line)
+        assert_same_tweet(parsed_as_jsonl_line(line), reference_parse_tweet_line(line))
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
@@ -377,6 +425,11 @@ class TestTextPathReferences:
                 st.datetimes(timezones=TIMEZONES).map(datetime.isoformat),
                 st.datetimes(timezones=TIMEZONES).map(datetime.isoformat),
                 st.sampled_from(["2020-01-01T10:00:00Z", "2020-02-30T10:00:00Z", "2020-01-01", "x"]),
+                st.one_of(
+                    st.sampled_from(TIMESTAMP_FORMS),
+                    st.datetimes(timezones=st.just(timezone.utc)).map(
+                        lambda stamp: stamp.isoformat().replace("+00:00", "Z")),
+                ),
                 st.integers(),
             ),
             "text": st.one_of(TEXT, TEXT, TEXT, st.none(), st.lists(TEXT, max_size=2)),
@@ -395,7 +448,7 @@ class TestTextPathReferences:
         fields.pop(missing, None)
         for doc in (fields, {**fields, "extra": value}, value):
             line = before + json.dumps(doc) + after
-            assert parsed_as_jsonl_line(line) == reference_parse_tweet_line(line)
+            assert_same_tweet(parsed_as_jsonl_line(line), reference_parse_tweet_line(line))
 
 
 #: Every scalar kind a document holds: NaN, the infinities, both zeros and

@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -18,6 +19,7 @@ from sentistock.sentiment import (
     score_corpus,
     score_text,
     tokenize,
+    _URL_RE,
 )
 
 from oracles import reference_score_polarity, reference_tokenize
@@ -72,11 +74,23 @@ class TestTokenize:
         "final-sigma": "ΟΔΟΣ ΣΑΣ",
         "emoji": "moon🚀MOON 🚀",
         "lone-surrogate": "up\ud800Down",
+        "non-ascii-upper-case-www": "voir WWW.café.com Ici",
+        "long-s-scheme": "vente HTTP\u017f://x/y Là",  # only the "://" guard sees it
+        "non-ascii-mention": "merci @ünïcode Très",
+        "non-ascii-no-url-or-mention": "Ça monte, très bien",
     }
 
     @pytest.mark.parametrize("text", NAMED.values(), ids=NAMED.keys())
     def test_named_cases_equal_reference(self, text):
         assert tokenize(text) == reference_tokenize(text)
+
+    def test_only_w_matches_w_in_the_url_pattern(self):
+        # tokenize runs _URL_RE on a non-ASCII text only when it holds "://"
+        # or its lowercase holds "www.". That skips no URL only if no code
+        # point besides w and W matches w under the pattern's flags (s, for
+        # one, also matches U+017F).
+        w = re.compile("w", _URL_RE.flags)
+        assert [chr(c) for c in range(0x110000) if w.fullmatch(chr(c))] == ["W", "w"]
 
     # ASCII-only text takes the byte-table path, any other text the regex
     # path; the fragments hit both paths' guards and casing edge cases.
