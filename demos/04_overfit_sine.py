@@ -22,7 +22,6 @@ normalized = (values - lo) / (hi - lo)
 windows = WindowedDataset(
     sequences=np.stack([normalized[j:j + LOOKBACK, None] for j in range(N_SAMPLES)]),
     labels=np.array([normalized[j + LOOKBACK] for j in range(N_SAMPLES)]),
-    lookback=LOOKBACK,
 )
 scaler = ScalerParams(("value", "target"), (lo, lo), (hi, hi))
 

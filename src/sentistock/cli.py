@@ -26,7 +26,7 @@ from .evaluation import (
     report_to_json,
     run_comparison,
 )
-from .features import ScalerParams, invert_target
+from .features import FEATURE_MODES, ScalerParams, invert_target
 from .lstm import TrainConfig, load_checkpoint, predict, save_checkpoint, train
 from .market_data import (
     BarSeries,
@@ -55,11 +55,12 @@ class RunConfig:
     feature_mode: str = "hisa"
     target_field: str = "close"
     lookback: int = 30
-    hidden_size: int = 32
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    grad_clip_norm: float = 5.0
-    optimizer: str = "adam"
+    # TrainConfig's defaults, except seed and epochs, which differ on purpose.
+    hidden_size: int = TrainConfig.hidden_size
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    grad_clip_norm: float = TrainConfig.grad_clip_norm
+    optimizer: str = TrainConfig.optimizer
     split_fraction: float = 0.75
     seed: int = 7
     epochs: int = 10
@@ -317,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--historical", help="OHLCV CSV path")
         p.add_argument("--tweets", help="tweet corpus JSONL path")
         p.add_argument("--lexicon", help="sentiment lexicon TSV path")
-        p.add_argument("--feature-mode", dest="feature_mode", choices=("hisa", "dlpm"))
+        p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES)
         p.add_argument("--lookback", type=int)
         p.add_argument("--split-fraction", dest="split_fraction", type=float)
         if name == "train":

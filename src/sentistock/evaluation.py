@@ -12,7 +12,7 @@ import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Callable, Sequence
 
@@ -68,19 +68,18 @@ class VariantRecord:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All variant-epoch records plus each variant's average accuracy, in record order."""
+    """All variant-epoch records plus each variant's average accuracy, which
+    is computed from the records: arithmetic means, keyed in record order."""
 
     records: tuple[VariantRecord, ...]
-    averages: dict[str, float]
+    averages: dict[str, float] = field(init=False)
 
-    @classmethod
-    def from_records(cls, records: Sequence[VariantRecord]) -> "EvalReport":
-        """Build a report, computing each variant's arithmetic mean accuracy."""
+    def __post_init__(self):
         averages = {}
-        for variant in dict.fromkeys(rec.variant for rec in records):
-            accs = [r.accuracy_pct for r in records if r.variant == variant]
+        for variant in dict.fromkeys(rec.variant for rec in self.records):
+            accs = [r.accuracy_pct for r in self.records if r.variant == variant]
             averages[variant] = sum(accs) / len(accs)
-        return cls(records=tuple(records), averages=averages)
+        object.__setattr__(self, "averages", averages)
 
 
 def run_comparison(
@@ -100,6 +99,7 @@ def run_comparison(
     feature set and epoch count differ. Each mode is trained once, to the
     largest epoch size, and the checkpoint at every smaller size is taken on
     the way; it is the one a separate run of that many epochs would give.
+    ``base_config.epochs`` is ignored: ``max(epoch_sizes)`` replaces it.
     Records come out epoch-major with the historical-only baseline first,
     mirroring the reporting table. ``checkpoint_sink`` (variant, epochs,
     document) receives the text of :func:`checkpoint_to_json` once per
@@ -174,7 +174,7 @@ def run_comparison(
                     predicted=tuple(predicted.tolist()),
                 )
             )
-    return EvalReport.from_records(records)
+    return EvalReport(tuple(records))
 
 
 def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:

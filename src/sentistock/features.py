@@ -57,14 +57,13 @@ class FusedDataset:
     :func:`scale_dataset` returns the normalized twin with the fitted
     scaler attached. ``dates[t]`` is the as-of date of feature row t and
     ``targets[t]`` is the target field one trading day later.
+    ``feature_names`` are the columns :func:`fuse` chose for its mode.
     """
 
     dates: tuple[date, ...]
     feature_names: tuple[str, ...]
     features: np.ndarray
     targets: np.ndarray
-    feature_mode: str
-    target_field: str
     split_index: int
     scaler: ScalerParams | None = None
 
@@ -79,26 +78,25 @@ class FusedDataset:
             raise PipelineError(f"targets shape {self.targets.shape} != ({rows},)")
         if not 0 < self.split_index < rows:
             raise PipelineError(f"split_index {self.split_index} does not partition {rows} rows")
-        expected = HISA_FEATURES if self.feature_mode == "hisa" else DLPM_FEATURES
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.feature_names != expected:
-            raise PipelineError(f"{self.feature_mode} mode requires columns {expected}")
 
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Supervised sequences: (samples, lookback, features) plus labels."""
+    """Supervised sequences: (samples, lookback, features) plus labels;
+    ``lookback`` reads the sequences' second axis."""
 
     sequences: np.ndarray
     labels: np.ndarray
-    lookback: int
 
     def __post_init__(self):
-        if self.sequences.ndim != 3 or self.sequences.shape[1] != self.lookback:
-            raise PipelineError(f"sequences shape {self.sequences.shape} inconsistent with lookback {self.lookback}")
+        if self.sequences.ndim != 3:
+            raise PipelineError(f"sequences shape {self.sequences.shape} is not (samples, lookback, features)")
         if self.labels.shape != (self.sequences.shape[0],):
             raise PipelineError("one label per sequence required")
+
+    @property
+    def lookback(self) -> int:
+        return self.sequences.shape[1]
 
     def __len__(self) -> int:
         return self.sequences.shape[0]
@@ -155,8 +153,6 @@ def fuse(
         feature_names=tuple(name_cols),
         features=matrix,
         targets=targets,
-        feature_mode=mode,
-        target_field=target_field,
         split_index=train_rows,
     )
 
@@ -238,24 +234,6 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     labels = dataset.targets[lookback:]
 
     n_train = dataset.split_index - lookback
-    train = WindowedDataset(seqs[:n_train], labels[:n_train], lookback)
-    test = WindowedDataset(seqs[n_train:], labels[n_train:], lookback)
+    train = WindowedDataset(seqs[:n_train], labels[:n_train])
+    test = WindowedDataset(seqs[n_train:], labels[n_train:])
     return train, test
-
-
-# Scaler columns as stored in a checkpoint document.
-
-def scaler_to_dict(scaler: ScalerParams) -> dict:
-    return {
-        "feature_names": list(scaler.feature_names),
-        "min": list(scaler.mins),
-        "max": list(scaler.maxs),
-    }
-
-
-def scaler_from_dict(doc: dict) -> ScalerParams:
-    return ScalerParams(
-        feature_names=tuple(doc["feature_names"]),
-        mins=tuple(float(x) for x in doc["min"]),
-        maxs=tuple(float(x) for x in doc["max"]),
-    )

@@ -75,7 +75,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteLoss, PipelineError
-from .features import ScalerParams, WindowedDataset, invert_target, scaler_from_dict, scaler_to_dict
+from .features import ScalerParams, WindowedDataset, invert_target
 from .market_data import _iter_indented_json
 
 OPTIMIZERS = ("adam", "sgd")
@@ -487,7 +487,7 @@ _GATE_BLOCKS = ("f", "i", "o", "g")
 
 
 def _checkpoint_document(checkpoint: Checkpoint) -> dict:
-    p = checkpoint.params
+    p, scaler = checkpoint.params, checkpoint.scaler
     H = p.hidden_size
     arrays = {"W_y": p.W_y, "b_y": p.b_y}
     for k, gate in enumerate(_GATE_BLOCKS):
@@ -499,7 +499,11 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
         "hidden_size": H,
         "params": {name: tensor.ravel().tolist() for name, tensor in arrays.items()},
         "config": asdict(checkpoint.config),
-        "scaler": scaler_to_dict(checkpoint.scaler) if checkpoint.scaler else None,
+        "scaler": None if scaler is None else {
+            "feature_names": list(scaler.feature_names),
+            "min": list(scaler.mins),
+            "max": list(scaler.maxs),
+        },
         "feature_mode": checkpoint.feature_mode,
         "loss_history": list(checkpoint.loss_history),
     }
@@ -540,7 +544,12 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
             hidden_size=hidden_size,
         )
         config = TrainConfig(**doc["config"])
-        scaler = scaler_from_dict(doc["scaler"]) if doc.get("scaler") else None
+        columns = doc.get("scaler")
+        scaler = ScalerParams(
+            feature_names=tuple(columns["feature_names"]),
+            mins=tuple(float(x) for x in columns["min"]),
+            maxs=tuple(float(x) for x in columns["max"]),
+        ) if columns else None
         return Checkpoint(
             params=params,
             config=config,

@@ -70,15 +70,22 @@ class OhlcvBar:
 
 @dataclass(frozen=True)
 class Tweet:
-    """A single tweet; the timestamp retains whatever offset it was posted with."""
+    """A single tweet; the timestamp retains whatever offset it was posted with.
+
+    ``@dataclass`` keeps this hand-written ``__init__``, the one place that
+    refuses a blank text; ``dataclasses.replace`` goes through it too.
+    """
 
     timestamp: datetime
     text: str
     id: str
 
-    def __post_init__(self):
-        if not self.text.strip():
+    def __init__(self, timestamp: datetime, text: str, id: str):
+        if not text.strip():
             raise ValueError("tweet text is empty after trimming")
+        object.__setattr__(self, "timestamp", timestamp)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "id", id)
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,11 @@ class BarSeries:
 def _utf8_text(stream: BinaryIO, kind: str, newline: str | None = None) -> Iterator[io.TextIOWrapper]:
     """Read the caller's binary ``stream`` as UTF-8 text, leaving it open.
 
-    Bytes that are not UTF-8 raise :class:`PipelineError` naming ``kind``.
+    One byte-order mark at the very start of the stream, which spreadsheet
+    programs write when they save "CSV UTF-8", is dropped. Bytes that are
+    not UTF-8 raise :class:`PipelineError` naming ``kind``.
     """
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline=newline)
     try:
         yield text
     except UnicodeDecodeError as exc:
@@ -135,9 +144,6 @@ def parse_ohlcv_csv(
     schema = dict(DEFAULT_SCHEMA)
     if schema_map:
         schema.update(schema_map)
-    missing = [f for f in OHLCV_FIELDS if f not in schema]
-    if missing:
-        raise PipelineError(f"schema map lacks fields: {', '.join(missing)}")
 
     with _utf8_text(stream, "OHLCV CSV", newline="") as text:
         reader = csv.DictReader(text)
@@ -266,18 +272,12 @@ def _parse_tweet_line(line: str) -> Tweet | None:
     with a regex on every call. The line is already stripped of all
     whitespace, JSON's included, so requiring the value to end at the end
     of the line accepts and rejects exactly what ``json.loads`` does: a
-    leading BOM or trailing data is skipped, ``NaN`` and ``Infinity``
+    line that starts with a BOM (past the stream's first, which the reader
+    drops) or has trailing data is skipped, ``NaN`` and ``Infinity``
     decode as floats. The decoder yields only exact ``dict``, ``str`` and
     ``int`` objects, so the checks compare types with ``is``; a ``bool``
-    id fails ``is int`` on its own.
-
-    The tweet is built without ``Tweet.__init__``: its keyword call and
-    ``__post_init__`` cost more than the rest of the line's work together.
-    ``_new_tweet`` first refuses a blank text, as ``__post_init__`` does,
-    then sets the three fields the way the frozen dataclass's own
-    ``__init__`` does, with ``object.__setattr__``. So the result is the
-    same ``Tweet``: equal, hashing, printing and pickling like one built
-    by ``Tweet(timestamp=..., text=..., id=...)``, and just as frozen.
+    id fails ``is int`` on its own. The tweet is built by a positional
+    ``Tweet(...)`` call, whose blank-text refusal skips the line.
     """
     try:
         obj, end = _scan_once(line, 0)
@@ -294,25 +294,14 @@ def _parse_tweet_line(line: str) -> Tweet | None:
     if type(tweet_id) is not str and type(tweet_id) is not int:
         return None
     try:
-        return _new_tweet(_parse_rfc3339(ts), text, str(tweet_id))
+        return Tweet(_parse_rfc3339(ts), text, str(tweet_id))
     except ValueError:
         return None
 
 
-_object_new = object.__new__
-_object_setattr = object.__setattr__
-
-
-def _new_tweet(timestamp: datetime, text: str, tweet_id: str) -> Tweet:
-    """``Tweet(timestamp=timestamp, text=text, id=tweet_id)`` without the
-    dataclass's keyword ``__init__``; raises the same ``ValueError``."""
-    if not text.strip():
-        raise ValueError("tweet text is empty after trimming")
-    tweet = _object_new(Tweet)
-    _object_setattr(tweet, "timestamp", timestamp)
-    _object_setattr(tweet, "text", text)
-    _object_setattr(tweet, "id", tweet_id)
-    return tweet
+#: The seconds fraction of a time that starts right after the date-time
+#: separator: group 1 runs to the decimal point, group 2 is the digits.
+_SECONDS_FRACTION = re.compile(r"\A(.{11}\d\d:\d\d:\d\d\.)(\d+)")
 
 
 def _parse_rfc3339(value: str) -> datetime:
@@ -321,17 +310,22 @@ def _parse_rfc3339(value: str) -> datetime:
     ``datetime.fromisoformat`` takes any character between the date and
     the time, so ``2024-01-05+05:00`` would read as 05:00 on a naive clock:
     a value longer than a date must have ``T``, ``t`` or a space as its
-    11th character. Python 3.11 parses a trailing ``Z`` itself; a lowercase
-    ``z``, and any ``Z`` on Python 3.10, is retried as ``+00:00``.
+    11th character. Python 3.11 parses a trailing ``Z`` and a seconds
+    fraction of any length itself. A value it refuses, and on Python 3.10
+    any ``Z`` or fraction other than 3 or 6 digits, is retried once with a
+    trailing ``Z`` or ``z`` as ``+00:00`` and the fraction padded with
+    zeros or cut to 6 digits, as Python 3.11 reads it.
     """
     if len(value) > 10 and value[10] not in "Tt ":
         raise ValueError(f"no date-time separator in {value!r}")
     try:
         return datetime.fromisoformat(value)
     except ValueError:
-        if not value.endswith(("Z", "z")):
+        retry = value[:-1] + "+00:00" if value.endswith(("Z", "z")) else value
+        retry = _SECONDS_FRACTION.sub(lambda m: m[1] + m[2][:6].ljust(6, "0"), retry)
+        if retry == value:
             raise
-    return datetime.fromisoformat(value[:-1] + "+00:00")
+    return datetime.fromisoformat(retry)
 
 
 def align_to_trading_days(

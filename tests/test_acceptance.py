@@ -72,7 +72,7 @@ def overfit_fixture(n_samples=20, lookback=5):
     sequences = np.stack([normalized[j:j + lookback, None] for j in range(n_samples)])
     labels = np.array([normalized[j + lookback] for j in range(n_samples)])
     scaler = ScalerParams(("value", "target"), (lo, lo), (hi, hi))
-    return WindowedDataset(sequences, labels, lookback), scaler, values[lookback:]
+    return WindowedDataset(sequences, labels), scaler, values[lookback:]
 
 
 def test_criterion_2_overfit_sanity():
@@ -156,7 +156,7 @@ def test_criterion_5_conservation_suites():
             targets = rng.uniform(-100, 100, size=30)
             dataset = FusedDataset(
                 dates=days, feature_names=DLPM_FEATURES, features=rng.uniform(-100, 100, size=(30, 4)),
-                targets=targets, feature_mode="dlpm", target_field="close", split_index=20,
+                targets=targets, split_index=20,
             )
             scaled = scale_dataset(dataset)
             back = invert_target(scaled.targets, scaled.scaler)
@@ -240,7 +240,7 @@ def reference_table_report() -> EvalReport:
         )
         for variant, epochs, acc in reference_values
     ]
-    return EvalReport.from_records(records)
+    return EvalReport(tuple(records))
 
 
 def test_criterion_8_table_format_fidelity():

@@ -249,6 +249,23 @@ class TestNotUtf8Exit2:
         assert len(err) == 1 and err[0].startswith("error: ") and kind in err[0], err
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["prices.csv", "tweets.jsonl", "lexicon.tsv", "config.ini"])
+    def test_same_output_as_without(self, name, fixture_config, tmp_path, capsys):
+        # Spreadsheet programs start a file saved as "CSV UTF-8" with one.
+        def outputs():
+            capsys.readouterr()
+            for command in ("ingest", "sentiment"):
+                assert run([command, "--config", fixture_config]) == 0
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+            return capsys.readouterr().out, files
+
+        plain = outputs()
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert outputs() == plain
+
+
 class TestCompare:
     def test_table_and_artifacts(self, fixture_config, tmp_path, capsys):
         assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2,3"]) == 0

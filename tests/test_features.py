@@ -9,6 +9,7 @@ from sentistock.features import (
     DLPM_FEATURES,
     FusedDataset,
     ScalerParams,
+    WindowedDataset,
     fuse,
     invert_target,
     make_windows,
@@ -48,8 +49,6 @@ def dlpm_dataset(features, targets, split_index):
         feature_names=DLPM_FEATURES,
         features=np.asarray(features, dtype=float),
         targets=targets,
-        feature_mode="dlpm",
-        target_field="close",
         split_index=split_index,
     )
 
@@ -273,6 +272,7 @@ class TestMakeWindows:
         ds = self.make(10, 7)
         train, test = make_windows(ds, lookback=3)
         assert len(train) == 4 and len(test) == 3
+        assert train.lookback == test.lookback == 3
 
     def test_window_contents_and_labels(self):
         ds = self.make(10, 7)
@@ -296,6 +296,11 @@ class TestMakeWindows:
         train, test = make_windows(ds, lookback=1)
         assert len(train) == 6  # split_index - 1
         assert train.sequences.shape == (6, 1, 4)
+        assert train.lookback == test.lookback == 1
+
+    def test_two_dimensional_sequences_refused(self):
+        with pytest.raises(PipelineError, match="is not \\(samples, lookback, features\\)"):
+            WindowedDataset(np.zeros((4, 3)), np.zeros(4))
 
     def test_test_windows_reach_into_train_history(self):
         ds = self.make(10, 7)

@@ -67,7 +67,7 @@ def sine_windows(n_samples=20, lookback=5):
     labels = np.array([u[j + lookback] for j in range(n_samples)])
     scaler = ScalerParams(("value", "target"), (lo, lo), (hi, hi))
     raw_labels = values[lookback:]
-    return WindowedDataset(seqs, labels, lookback), scaler, raw_labels
+    return WindowedDataset(seqs, labels), scaler, raw_labels
 
 
 class TestInitParams:
@@ -258,7 +258,7 @@ class TestBackward:
         seq = rng.normal(size=(1, 5, 3))
         cfg = TrainConfig(epochs=1, learning_rate=1.0, batch_size=1, seed=4, grad_clip_norm=max_norm,
                           optimizer="sgd", hidden_size=4)
-        trained = train(WindowedDataset(seq, np.array([label]), 5), cfg).params
+        trained = train(WindowedDataset(seq, np.array([label])), cfg).params
         start = init_params(3, 4, seed=4)
         pred, cache = forward(seq, start)
         grads = backward(cache, 2.0 * (pred - label), start)
@@ -346,7 +346,7 @@ class TestBoundedMemory:
     def test_train_holds_one_batch_cache(self):
         L, B, H, F = self.L, self.B, self.H, self.F
         rng = np.random.default_rng(30)
-        windows = WindowedDataset(rng.normal(size=(3 * B, L, F)), rng.normal(size=3 * B), L)
+        windows = WindowedDataset(rng.normal(size=(3 * B, L, F)), rng.normal(size=3 * B))
         cfg = TrainConfig(epochs=1, batch_size=B, hidden_size=H, seed=30)
         one_cache = L * B * (F + 7 * H) * 8  # z, four gates, C and h per step
         assert traced_peak(train, windows, cfg) <= 1.5 * one_cache
@@ -439,7 +439,7 @@ class TestTrain:
 
 def random_windows(n, lookback, features, seed):
     rng = np.random.default_rng(seed)
-    return WindowedDataset(rng.normal(size=(n, lookback, features)), rng.normal(size=n), lookback)
+    return WindowedDataset(rng.normal(size=(n, lookback, features)), rng.normal(size=n))
 
 
 class TestFlatOptimizer:
@@ -477,7 +477,7 @@ class TestPredict:
     def test_empty_windows(self):
         cp = Checkpoint(params=zero_params(1, 3), config=TrainConfig(epochs=1, hidden_size=3),
                         loss_history=(0.0,))
-        empty = WindowedDataset(np.empty((0, 4, 1)), np.empty(0), 4)
+        empty = WindowedDataset(np.empty((0, 4, 1)), np.empty(0))
         assert predict(cp, empty).shape == (0,)
 
     def test_feature_count_mismatch(self):
@@ -501,11 +501,15 @@ class TestCheckpointPersistence:
 
     @pytest.mark.parametrize("carried", [True, False], ids=["scaler-and-mode", "bare"])
     def test_saved_file_is_checkpoint_to_json(self, tmp_path, carried):
-        windows, scaler, _ = sine_windows()
+        windows, _, _ = sine_windows()
+        scaler = ScalerParams(("value", "target"), (80.0, 80.5), (120.0, 120.25))
         cfg = TrainConfig(epochs=2, learning_rate=0.02, seed=12, hidden_size=8)
         cp = train(windows, cfg, scaler=scaler if carried else None, feature_mode="hisa" if carried else None)
         save_checkpoint(cp, tmp_path / "checkpoint.json")
         assert (tmp_path / "checkpoint.json").read_bytes() == checkpoint_to_json(cp).encode("utf-8")
+        block = {"feature_names": ["value", "target"], "min": [80.0, 80.5], "max": [120.0, 120.25]}
+        assert json.loads(checkpoint_to_json(cp))["scaler"] == (block if carried else None)
+        assert checkpoint_from_json(checkpoint_to_json(cp)).scaler == (scaler if carried else None)
         # The text as json.dumps wrote it before the module kept one encoder.
         reference = json.dumps(_checkpoint_document(cp), sort_keys=True, indent=2)
         assert checkpoint_to_json(cp) == reference

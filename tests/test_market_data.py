@@ -2,7 +2,8 @@ import io
 import json
 import math
 import pickle
-from dataclasses import FrozenInstanceError, asdict
+import re
+from dataclasses import FrozenInstanceError, asdict, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -289,6 +290,23 @@ class TestParseTweetsJsonl:
         assert [(t.id, t.timestamp) for t in tweets] == [("0", datetime(2024, 1, 5))]
         assert skipped == 1
 
+    @pytest.mark.parametrize("stamp, expected", [
+        pytest.param("2020-01-01T10:00:00.5Z", datetime(2020, 1, 1, 10, 0, 0, 500000, timezone.utc), id="1-digit"),
+        pytest.param("2020-01-01T10:00:00.12345Z", datetime(2020, 1, 1, 10, 0, 0, 123450, timezone.utc),
+                     id="5-digits"),
+        pytest.param("2020-01-01T10:00:00.1234567Z", datetime(2020, 1, 1, 10, 0, 0, 123456, timezone.utc),
+                     id="7-digits"),
+        pytest.param("2020-01-01T10:00:00.5+05:00",
+                     datetime(2020, 1, 1, 10, 0, 0, 500000, timezone(timedelta(hours=5))), id="1-digit-offset"),
+    ])
+    def test_seconds_fraction_of_any_length(self, stamp, expected):
+        # Python 3.10's fromisoformat reads only 3 or 6 digits; 3.11 reads
+        # any count and cuts past 6. Every supported Python keeps these.
+        line = json.dumps({"timestamp": stamp, "text": "ok", "id": "1"}) + "\n"
+        tweets, skipped = parse_tweets_jsonl(io.BytesIO(line.encode()))
+        assert [(t.timestamp, t.timestamp.utcoffset()) for t in tweets] == [(expected, expected.utcoffset())]
+        assert skipped == 0
+
     def test_number_too_long_for_int_skipped(self):
         valid = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": "0"}\n'
         huge = '{"timestamp": "2020-01-01T10:00:00Z", "text": "ok", "id": ' + "1" * 5000 + "}\n"
@@ -299,7 +317,8 @@ class TestParseTweetsJsonl:
 def reference_parse_tweet_line(line: str) -> Tweet | None:
     """_parse_tweet_line's rule through json.loads, as it read before it
     decoded with raw_decode, plus the rule that a timestamp longer than a
-    date has T, t or a space as its 11th character."""
+    date has T, t or a space as its 11th character, and the seconds
+    fraction read as Python 3.11 reads it on every Python."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):
@@ -315,6 +334,8 @@ def reference_parse_tweet_line(line: str) -> Tweet | None:
         return None
     if ts.endswith(("Z", "z")):
         ts = ts[:-1] + "+00:00"
+    # Any count of fraction digits, padded with zeros or cut to 6.
+    ts = re.sub(r"^(.{11}[0-9]{2}:[0-9]{2}:[0-9]{2}\.)([0-9]+)", lambda m: m[1] + (m[2] + "00000")[:6], ts)
     try:
         return Tweet(timestamp=datetime.fromisoformat(ts), text=text, id=str(tweet_id))
     except ValueError:
@@ -327,9 +348,11 @@ def parsed_as_jsonl_line(line: str) -> Tweet | None:
 
 
 def assert_same_tweet(parsed: Tweet | None, expected: Tweet | None) -> None:
-    """``parsed``, which the parser built without ``Tweet.__init__``, is the
-    same tweet as ``expected``, which ``Tweet(...)`` built: equal, hashing
-    and printing alike, surviving pickle, and frozen."""
+    """``parsed``, which the parser built with a positional ``Tweet(...)``,
+    is the same tweet as ``expected``, which a keyword ``Tweet(...)`` built:
+    equal, hashing and printing alike, surviving pickle, and frozen. A
+    blank text is refused positionally, by keyword and through
+    ``dataclasses.replace``."""
     assert parsed == expected
     if expected is None:
         return
@@ -340,18 +363,24 @@ def assert_same_tweet(parsed: Tweet | None, expected: Tweet | None) -> None:
     assert again == expected and repr(again) == repr(expected)
     with pytest.raises(FrozenInstanceError):
         parsed.text = "changed"
-    with pytest.raises(ValueError, match="empty after trimming"):
-        Tweet(timestamp=expected.timestamp, text="  ", id=expected.id)
+    for build in (
+        lambda: Tweet(expected.timestamp, "  ", expected.id),
+        lambda: Tweet(timestamp=expected.timestamp, text="  ", id=expected.id),
+        lambda: replace(parsed, text="  "),
+    ):
+        with pytest.raises(ValueError, match="^tweet text is empty after trimming$"):
+            build()
 
 
 VALID_LINE = '{"timestamp": "2020-01-01T10:00:00Z", "text": "good day", "id": "1"}'
 
-#: Timestamps at the edges of the parser's rule: a lowercase z, a short
-#: fraction, a Z after an offset, a space separator, an offset or Z right
-#: after the date, the basic format and a bare date.
+#: Timestamps at the edges of the parser's rule: a lowercase z, short and
+#: long fractions, a Z after an offset, a space separator, an offset or Z
+#: right after the date, the basic format and a bare date.
 TIMESTAMP_FORMS = (
-    "2020-01-01T10:00:00z", "2020-01-01T10:00:00.5Z", "2020-01-01T10:00:00+00:00Z", "2020-01-01 10:00Z",
-    "2020-01-01Z", "2020-01-01+05:00", "2020-01-01-05:00", "20200101T100000Z", "2020-01-01",
+    "2020-01-01T10:00:00z", "2020-01-01T10:00:00.5Z", "2020-01-01T10:00:00.12345z",
+    "2020-01-01T10:00:00.1234567Z", "2020-01-01T10:00:00.5+05:00", "2020-01-01T10:00:00+00:00Z",
+    "2020-01-01 10:00Z", "2020-01-01Z", "2020-01-01+05:00", "2020-01-01-05:00", "20200101T100000Z", "2020-01-01",
 )
 
 #: Characters the JSON escaper treats specially, and ones beyond ASCII.
