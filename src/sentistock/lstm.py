@@ -27,24 +27,32 @@ The prediction for a sequence is W_y h_T + b_y (no output activation; the
 model works in normalized target space). :func:`forward` runs a batch of
 sequences; a single sequence is a batch of one (``seq[None]``).
 
-Memory. A training forward pass allocates its BPTT cache once per call, as
-three arrays stacked over time and stored feature-major, with the batch
-last: Z (L+1, F+H, B), whose slab t is z_t = (x_t, h_{t-1}), so each h is
-stored once; G (L, 4H, B), the activated gates; and C (L+1, H, B). Each gate
-block of a step, and the sigmoid's whole 3H-row block, is then one
-contiguous slab, which the elementwise operations run on faster than on the
-column slices of a (B, 4H) array. The cache takes 8 B ((L+1)(F+2H) + 4LH)
-bytes, 11.4 MiB at lookback 30, batch 64, 4 features and hidden 128. The
-inputs are copied into Z once per call; every step writes into its slabs in
-place (the product, the sigmoid, tanh and the cell update) and allocates no
-array of its own. ``train`` runs each batch's forward and backward pass in a
-function of its own, so only one cache is alive at a time, and the
-optimizers update in place. :func:`backward` reads the cache and never
-writes into it; it accumulates the weight gradient one step at a time,
-which keeps its own memory at a few (4H, B) buffers. The inference path
-(``keep_steps=False``, used by :func:`predict`) runs the same loop in two
-alternating slots of Z and C and one of G, so its memory does not grow
-with the lookback: about 8 B (2(F+H) + 10H) bytes with the scratch.
+Memory. ``train`` runs every batch through one private workspace, built
+when the batch size changes (at most twice an epoch, around a short last
+batch) after the old one is dropped, so one workspace is alive at a time,
+and released when ``train`` returns. It holds the BPTT cache, three arrays
+stacked over time and stored feature-major with the batch last: Z (L+1,
+F+H, B), whose slab t is z_t = (x_t, h_{t-1}), so each h is stored once;
+G (L, 4H, B), the activated gates; and C (L+1, H, B). Each gate block of a
+step, and the sigmoid's whole 3H-row block, is then one contiguous slab,
+which the elementwise operations run on faster than on the column slices
+of a (B, 4H) array. The cache takes 8 B ((L+1)(F+2H) + 4LH) bytes. Beside
+it lie the forward scratch (a (3H, B) and an (H, B) array and a (B, H)
+copy of the last h) and the backward scratch (dA (4H, B), dh and dC, one
+(3H, B) and three (H, B) temporaries, one step's (4H, F+H) weight-gradient
+product and a (4H,) sum), 8 (B ((L+1)(F+2H) + 4LH + 17H) + 4H (F+H+1))
+bytes in all: 13.0 MiB at lookback 30, batch 64, 4 features and hidden
+128, of which the cache is 11.4 MiB. The workspace also keeps, for each
+step, the tuple of views that step reads and writes, so neither loop
+slices an array and every numpy operation writes into the workspace with
+``out=``. The inputs are copied into Z once per batch. The backward pass
+reads the cache and never writes into it; it accumulates the weight
+gradient one step at a time. The public :func:`forward` and
+:func:`backward` build a workspace of their own per call, and the
+optimizers update in place. The inference path (``keep_steps=False``,
+used by :func:`predict`) runs the same loop in two alternating slots of Z
+and C and one of G, so its memory does not grow with the lookback: about
+8 B (2(F+H) + 11H) bytes with the scratch.
 ``predict`` runs all windows as one batch. Chunks of windows would bound
 memory further, but a GEMM's bits can depend on its batch size: at
 hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
@@ -75,7 +83,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteLoss, PipelineError
-from .features import ScalerParams, WindowedDataset, invert_target
+from .features import FEATURE_MODES, ScalerParams, WindowedDataset, invert_target
 from .market_data import _iter_indented_json
 
 OPTIMIZERS = ("adam", "sgd")
@@ -206,6 +214,142 @@ def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
 Cache = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+class _Workspace:
+    """Every array a forward and backward pass of one batch size use,
+    allocated once, with the views each step reads and writes precomputed.
+
+    ``Z``, ``G`` and ``C`` are the BPTT cache (see :func:`forward`); with
+    ``keep_steps`` False they hold two alternating slots of Z and C and one
+    of G. Given a ``cache``, the workspace wraps it for a backward pass and
+    allocates no forward buffers. ``steps[t]`` is the tuple (z_t, the x
+    rows of z_t, z_t transposed, the gate slab, its sigmoid block, f, i, o,
+    g, C_t, C_{t+1}, the h slot of z_{t+1}). A pass writes every result
+    into these arrays with ``out=``. With ``keep_steps``, slot 0 of C and
+    of Z's h rows is only read, so the zero start state set here holds
+    for batch after batch of this size, and the last batch's ``Z``, ``G``
+    and ``C`` stay valid until the next forward pass. An inference
+    workspace writes over slot 0 and serves one pass.
+    """
+
+    def __init__(self, input_size: int, hidden_size: int, batch: int, lookback: int,
+                 keep_steps: bool = True, cache: Cache | None = None):
+        F, H, B = input_size, hidden_size, batch
+        self.input_size, self.hidden_size, self.batch = F, H, B
+        self.keep_steps = keep_steps
+        if cache is None:
+            slots = lookback + 1 if keep_steps else 2
+            Z = np.empty((slots, F + H, B))
+            G = np.empty((slots - 1, 4 * H, B))
+            C = np.empty((slots, H, B))
+            Z[0, F:] = 0.0
+            C[0] = 0.0
+            # Forward scratch: e for the sigmoid, tmp for i * g and then
+            # tanh(C), h for a contiguous (B, H) copy of the last h.
+            self.e = np.empty((3 * H, B))
+            self.tmp = np.empty((H, B))
+            self.h = np.empty((B, H))
+        else:
+            Z, G, C = cache
+            self.h = np.ascontiguousarray(Z[lookback, F:].T)
+        self.Z, self.G, self.C = Z, G, C
+        slots = len(Z)
+        self.h_last = Z[lookback % slots, F:]
+        self.steps = []
+        for t in range(lookback):
+            now, nxt = t % slots, (t + 1) % slots
+            z, gates = Z[now], G[t % len(G)]
+            self.steps.append((
+                z, z[:F], z.T, gates, gates[:3 * H],
+                gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:],
+                C[now], C[nxt], Z[nxt, F:],
+            ))
+        if keep_steps:
+            # Backward scratch: dA, the loss gradient at the gate
+            # pre-activations (row blocks f, i, o, g), dh and dC, one
+            # (3H, B) and three (H, B) temporaries, the weight-gradient
+            # product and the bias-gradient sum of one step.
+            self.dA = np.empty((4 * H, B))
+            self.dA_blocks = (self.dA[:3 * H], self.dA[:H], self.dA[H:2 * H],
+                              self.dA[2 * H:3 * H], self.dA[3 * H:])
+            self.dh = np.empty((H, B))
+            self.dC = np.empty((H, B))
+            self.sig_scratch = np.empty((3 * H, B))
+            self.t1, self.t2, self.t3 = np.empty((3, H, B))
+            self.dW_step = np.empty((4 * H, F + H))
+            self.db_step = np.empty(4 * H)
+
+    def forward(self, X: np.ndarray, params: LstmParams) -> np.ndarray:
+        """Predictions for the (B, L, F) batch X; the cache is left in Z, G, C."""
+        W, b = params.W, params.b[:, None]
+        e, tmp = self.e, self.tmp
+        xs = X.transpose(1, 2, 0)
+        per_step_x = not self.keep_steps
+        if not per_step_x:
+            self.Z[:len(self.steps), :self.input_size] = xs
+        for t, (z, x_rows, _, gates, sig, f, i, o, g, c, c_next, h_next) in enumerate(self.steps):
+            if per_step_x:
+                x_rows[...] = xs[t]
+            np.matmul(W, z, out=gates)
+            gates += b
+            _sigmoid_inplace(sig, e)
+            np.tanh(g, out=g)
+            np.multiply(f, c, out=c_next)
+            np.multiply(i, g, out=tmp)
+            c_next += tmp
+            np.tanh(c_next, out=tmp)
+            np.multiply(o, tmp, out=h_next)
+        # A contiguous (B, H) copy: the product's bits can depend on h's stride.
+        np.copyto(self.h, self.h_last.T)
+        return self.h @ params.W_y[0] + params.b_y[0]
+
+    def backward(self, dyhat: np.ndarray, params: LstmParams, out: np.ndarray) -> dict[str, np.ndarray]:
+        """BPTT over the cache in Z, G, C; see :func:`backward`."""
+        H, F = self.hidden_size, self.input_size
+        W_hT = params.W[:, F:].T
+        out.fill(0.0)
+        grads = _tensor_views(out, F, H)
+        dW, db = grads["W"], grads["b"]
+        grads["W_y"][0] = dyhat @ self.h
+        grads["b_y"][0] = np.add.reduce(dyhat)
+
+        dA, dh, dC = self.dA, self.dh, self.dC
+        dA_sig, dA_f, dA_i, dA_o, dA_g = self.dA_blocks
+        s3, t1, t2, t3 = self.sig_scratch, self.t1, self.t2, self.t3
+        dW_step, db_step = self.dW_step, self.db_step
+        np.multiply(params.W_y[0][:, None], dyhat, out=dh)
+        dC.fill(0.0)
+        # Each operation keeps the operands and their order from the
+        # expressions dC + dh * o * (1 - tanh(C)^2), sig * (1 - sig) and
+        # (dC * i) * (1 - g^2), so the gradient's bits are theirs.
+        for _, _, zT, _, sig, f, i, o, g, c, c_next, _ in reversed(self.steps):
+            np.tanh(c_next, out=t1)
+            np.multiply(dh, o, out=t3)
+            np.multiply(t1, t1, out=t2)
+            np.subtract(1.0, t2, out=t2)
+            t3 *= t2
+            dC += t3
+
+            np.multiply(dC, c, out=dA_f)
+            np.multiply(dC, g, out=dA_i)
+            np.multiply(dh, t1, out=dA_o)
+            np.subtract(1.0, sig, out=s3)
+            np.multiply(sig, s3, out=s3)
+            dA_sig *= s3
+            np.multiply(dC, i, out=t2)
+            np.multiply(g, g, out=t3)
+            np.subtract(1.0, t3, out=t3)
+            np.multiply(t2, t3, out=dA_g)
+
+            np.matmul(dA, zT, out=dW_step)
+            dW += dW_step
+            np.add.reduce(dA, axis=1, out=db_step)
+            db += db_step
+            np.matmul(W_hT, dA, out=dh)
+            dC *= f
+
+        return grads
+
+
 def forward(
     X: np.ndarray,
     params: LstmParams,
@@ -220,46 +364,17 @@ def forward(
     o, g of step t as row blocks; C[0] is the zero start state and C[t+1]
     the cell state after step t. When keep_steps is False (inference path)
     the cache is an empty tuple, and the same loop runs in two alternating
-    slots of Z and C and one of G.
+    slots of Z and C and one of G. Each call runs in a workspace of its
+    own, so the cache it returns shares no buffer with any other call.
     """
     if X.ndim != 3:
         raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")
     if X.shape[2] != params.input_size:
         raise PipelineError(f"feature count {X.shape[2]} != input_size {params.input_size}")
     batch, lookback, F = X.shape
-    H = params.hidden_size
-    slots = lookback + 1 if keep_steps else 2
-    Z = np.empty((slots, F + H, batch))
-    G = np.empty((slots - 1, 4 * H, batch))
-    C = np.empty((slots, H, batch))
-    Z[0, F:] = 0.0
-    C[0] = 0.0
-    if keep_steps:
-        Z[:lookback, :F] = X.transpose(1, 2, 0)
-    # Scratch: e for the sigmoid, tmp for i * g and then tanh(C).
-    e = np.empty((3 * H, batch))
-    tmp = np.empty((H, batch))
-    b = params.b[:, None]
-    for t in range(lookback):
-        now, nxt = t % slots, (t + 1) % slots
-        z, gates = Z[now], G[t % len(G)]
-        if not keep_steps:
-            z[:F] = X[:, t].T
-        np.matmul(params.W, z, out=gates)
-        gates += b
-        _sigmoid_inplace(gates[:3 * H], e)
-        np.tanh(gates[3 * H:], out=gates[3 * H:])
-        f, i, o, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
-        C_next = C[nxt]
-        np.multiply(f, C[now], out=C_next)
-        np.multiply(i, g, out=tmp)
-        C_next += tmp
-        np.tanh(C_next, out=tmp)
-        np.multiply(o, tmp, out=Z[nxt, F:])
-    # A contiguous (B, H) copy: the product's bits can depend on h's stride.
-    h = np.ascontiguousarray(Z[lookback % slots, F:].T)
-    yhat = h @ params.W_y[0] + params.b_y[0]
-    return yhat, ((Z, G, C) if keep_steps else ())
+    workspace = _Workspace(F, params.hidden_size, batch, lookback, keep_steps)
+    yhat = workspace.forward(X, params)
+    return yhat, ((workspace.Z, workspace.G, workspace.C) if keep_steps else ())
 
 
 def _tensor_views(flat: np.ndarray, input_size: int, hidden_size: int) -> dict[str, np.ndarray]:
@@ -289,46 +404,14 @@ def backward(
     """
     if not cache or len(cache[1]) == 0:
         raise PipelineError("steps are empty; run a forward pass first")
-    Z, G, C = cache
+    Z, G, _ = cache
     H, F = params.hidden_size, params.input_size
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
-    h_last = np.ascontiguousarray(Z[len(G), F:].T)  # contiguous (B, H), as in forward
-    if dyhat.shape != (h_last.shape[0],):
+    if dyhat.shape != (Z.shape[2],):
         raise PipelineError("d_prediction batch size does not match the forward pass")
-
-    W_hT = params.W[:, F:].T
     if out is None:
         out = np.empty(sum(tensor.size for _, tensor in params.tensors()))
-    out.fill(0.0)
-    grads = _tensor_views(out, F, H)
-
-    grads["W_y"][0] = dyhat @ h_last
-    grads["b_y"][0] = dyhat.sum()
-    dh = params.W_y[0][:, None] * dyhat
-    dC = np.zeros_like(dh)
-    # dA: the loss gradient at the gate pre-activations, row blocks f, i, o,
-    # g; every step overwrites all of it.
-    dA = np.empty((4 * H, len(dyhat)))
-
-    for t in reversed(range(len(G))):
-        gates = G[t]
-        f, i, o, g = gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:]
-        tanhC = np.tanh(C[t + 1])
-        dC = dC + dh * o * (1.0 - tanhC * tanhC)
-
-        np.multiply(dC, C[t], out=dA[:H])
-        np.multiply(dC, g, out=dA[H:2 * H])
-        np.multiply(dh, tanhC, out=dA[2 * H:3 * H])
-        sig = gates[:3 * H]
-        dA[:3 * H] *= sig * (1.0 - sig)
-        np.multiply(dC * i, 1.0 - g * g, out=dA[3 * H:])
-
-        grads["W"] += dA @ Z[t].T
-        grads["b"] += dA.sum(axis=1)
-        dh = W_hT @ dA
-        dC = dC * f
-
-    return grads
+    return _Workspace(F, H, Z.shape[2], len(G), cache=cache).backward(dyhat, params, out)
 
 
 class _Adam:
@@ -373,23 +456,6 @@ class _Sgd:
         theta -= g
 
 
-def _batch_gradients(
-    X: np.ndarray, y: np.ndarray, params: LstmParams, epoch: int, grad: np.ndarray
-) -> float:
-    """The squared-error sum of one batch; its BPTT gradients go to ``grad``.
-
-    The batch's cache is local here and dies on return, so ``train`` never
-    holds two caches at once.
-    """
-    yhat, cache = forward(X, params)
-    err = yhat - y
-    batch_sq = float(np.sum(err * err))
-    if not math.isfinite(batch_sq):
-        raise NonFiniteLoss(epoch)
-    backward(cache, (2.0 / len(y)) * err, params, out=grad)
-    return batch_sq
-
-
 def train(
     windows: WindowedDataset,
     config: TrainConfig,
@@ -417,7 +483,7 @@ def train(
     X = np.asarray(windows.sequences, dtype=np.float64)
     y = np.asarray(windows.labels, dtype=np.float64)
 
-    F, H = X.shape[2], config.hidden_size
+    lookback, F, H = X.shape[1], X.shape[2], config.hidden_size
     # One flat vector holds every parameter, and params' arrays are views of
     # it, so the clipping and the optimizer run one numpy call per operation.
     theta = np.concatenate([tensor.ravel() for _, tensor in init_params(F, H, config.seed).tensors()])
@@ -429,18 +495,31 @@ def train(
     optimizer = _Adam(config.learning_rate, theta.size) if config.optimizer == "adam" else _Sgd(config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
+    # One workspace at a time, rebuilt only when the batch size changes
+    # (around a short last batch); the old one is dropped first.
+    workspace = None
     loss_history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         sq_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            sq_sum += _batch_gradients(X[idx], y[idx], params, epoch, grad)
+            if workspace is None or workspace.batch != len(idx):
+                workspace = None
+                workspace = _Workspace(F, H, len(idx), lookback)
+            labels = y[idx]
+            err = workspace.forward(X[idx], params) - labels
+            batch_sq = float(np.add.reduce(err * err))
+            if not math.isfinite(batch_sq):
+                raise NonFiniteLoss(epoch)
+            sq_sum += batch_sq
+            workspace.backward((2.0 / len(labels)) * err, params, grad)
             # Clip to a global L2 norm of max_norm. Each tensor's squares are
-            # summed in its own shape and the sums added in tensor order, so
-            # the norm has the bits of a tensor-by-tensor sum.
+            # summed in its own shape (axis None, as np.sum does) and the sums
+            # added in tensor order, so the norm has the bits of a
+            # tensor-by-tensor sum.
             np.multiply(grad, grad, out=scratch)
-            norm = math.sqrt(sum(float(np.sum(sq)) for sq in squares))
+            norm = math.sqrt(sum(float(np.add.reduce(sq, None)) for sq in squares))
             if not (norm <= max_norm or norm == 0.0):
                 grad *= max_norm / norm
             optimizer.step(theta, grad, scratch)
@@ -513,9 +592,22 @@ def checkpoint_to_json(checkpoint: Checkpoint) -> str:
     return "".join(_iter_indented_json(_checkpoint_document(checkpoint)))
 
 
+def _json_int(value, name: str) -> int:
+    """value itself when it is a JSON integer; a float such as 32.5 or a
+    bool is refused rather than converted."""
+    if type(value) is not int:
+        raise PipelineError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def checkpoint_from_json(text: str | bytes) -> Checkpoint:
     """Rebuild a checkpoint; a document this code cannot read raises
-    :class:`PipelineError`."""
+    :class:`PipelineError`.
+
+    The sizes must be JSON integers, ``config.hidden_size`` must equal
+    ``hidden_size``, and the feature mode must be ``hisa``, ``dlpm`` or
+    null.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -526,8 +618,8 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
     if version != 1:
         raise PipelineError(f"cannot load checkpoint version {version!r}")
     try:
-        input_size = int(doc["input_size"])
-        hidden_size = int(doc["hidden_size"])
+        input_size = _json_int(doc["input_size"], "input_size")
+        hidden_size = _json_int(doc["hidden_size"], "hidden_size")
         arrays = doc["params"]
 
         def array(name: str) -> np.ndarray:
@@ -544,6 +636,11 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
             hidden_size=hidden_size,
         )
         config = TrainConfig(**doc["config"])
+        if _json_int(config.hidden_size, "config.hidden_size") != hidden_size:
+            raise PipelineError(f"config.hidden_size {config.hidden_size} != hidden_size {hidden_size}")
+        feature_mode = doc.get("feature_mode")
+        if feature_mode is not None and feature_mode not in FEATURE_MODES:
+            raise PipelineError(f"feature_mode must be one of {FEATURE_MODES} or null, got {feature_mode!r}")
         columns = doc.get("scaler")
         scaler = ScalerParams(
             feature_names=tuple(columns["feature_names"]),
@@ -555,7 +652,7 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
             config=config,
             loss_history=tuple(doc["loss_history"]),
             scaler=scaler,
-            feature_mode=doc.get("feature_mode"),
+            feature_mode=feature_mode,
         )
     except (KeyError, TypeError, ValueError, OverflowError, PipelineError) as exc:
         raise PipelineError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc

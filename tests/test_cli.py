@@ -212,6 +212,14 @@ class TestBadSettingsExit2:
                      id="predict-input-size-infinity"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc["params"]["W_f"].__setitem__(0, 10**400)),
                      id="predict-parameter-overflows-float"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.update(feature_mode="xyz")),
+                     id="predict-feature-mode-unknown"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.update(feature_mode=5)),
+                     id="predict-feature-mode-number"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.update(hidden_size=doc["hidden_size"] + 0.5)),
+                     id="predict-hidden-size-fraction"),
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc["config"].update(hidden_size=2 * doc["hidden_size"])),
+                     id="predict-config-hidden-size-differs"),
         pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "[" * 100_000 + "]" * 100_000),
                      id="predict-deeply-nested-checkpoint"),
         pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini + b"seed = 8\n"),

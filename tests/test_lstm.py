@@ -315,6 +315,21 @@ class TestNoAliasing:
         for name, kept, now in zip("ZGC", before, cache):
             assert np.array_equal(now.view(np.int64), kept.view(np.int64)), name
 
+    def test_nested_train_and_predict_share_no_buffer(self):
+        # compare's on_epoch predicts in the middle of training; a nested run
+        # at the same shapes must leave the outer run's workspace alone.
+        windows = random_windows(171, 15, 4, seed=40)
+        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=16, seed=9, hidden_size=32)
+        inner_windows = random_windows(40, 15, 4, seed=41)
+        inner_cfg = replace(cfg, seed=10)
+
+        def meddle(checkpoint):
+            predict(checkpoint, inner_windows)
+            predict(train(inner_windows, inner_cfg), windows)
+
+        expected = checkpoint_to_json(reference_train(windows, cfg, feature_mode="dlpm"))
+        assert checkpoint_to_json(train(windows, cfg, feature_mode="dlpm", on_epoch=meddle)) == expected
+
 
 class TestCacheLayout:
     def test_gate_blocks_are_contiguous_slabs(self):
@@ -343,13 +358,26 @@ class TestBoundedMemory:
 
     L, B, H, F = 30, 64, 128, 4
 
-    def test_train_holds_one_batch_cache(self):
+    def train_peak(self, n, epochs):
         L, B, H, F = self.L, self.B, self.H, self.F
         rng = np.random.default_rng(30)
-        windows = WindowedDataset(rng.normal(size=(3 * B, L, F)), rng.normal(size=3 * B))
-        cfg = TrainConfig(epochs=1, batch_size=B, hidden_size=H, seed=30)
-        one_cache = L * B * (F + 7 * H) * 8  # z, four gates, C and h per step
-        assert traced_peak(train, windows, cfg) <= 1.5 * one_cache
+        windows = WindowedDataset(rng.normal(size=(n, L, F)), rng.normal(size=n))
+        cfg = TrainConfig(epochs=epochs, batch_size=B, hidden_size=H, seed=30)
+        return traced_peak(train, windows, cfg)
+
+    def one_cache(self):
+        return self.L * self.B * (self.F + 7 * self.H) * 8  # z, four gates, C and h per step
+
+    def test_train_holds_one_batch_cache(self):
+        assert self.train_peak(3 * self.B, epochs=1) <= 1.5 * self.one_cache()
+
+    def test_short_last_batch_replaces_the_workspace(self):
+        # Batches of B, B, B and 5 twice over: the full-size workspace is
+        # dropped before the short batch's is built, so the peak is that of
+        # full batches alone (holding both would add about 0.1 of a cache).
+        peak = self.train_peak(3 * self.B + 5, epochs=2)
+        assert peak <= 1.5 * self.one_cache()
+        assert peak <= self.train_peak(3 * self.B, epochs=1) + 0.03 * self.one_cache()
 
     def test_backward_allocates_a_fraction_of_the_cache(self):
         # Per-step weight-gradient products keep backward's own memory to a
@@ -452,8 +480,9 @@ class TestFlatOptimizer:
     @pytest.mark.parametrize(
         "n, features, hidden_size, batch_size",
         # 171 windows in batches of 16 end in a short batch of 11, as in compare_paper.
-        [(40, 3, 8, 8), (171, 3, 32, 16), (171, 4, 32, 16)],
-        ids=["H8-B8", "H32-B16-F3", "H32-B16-F4"],
+        # 133 windows in batches of 64 end in a short batch of 5, at shapes BLAS threads.
+        [(40, 3, 8, 8), (171, 3, 32, 16), (171, 4, 32, 16), (133, 4, 128, 64)],
+        ids=["H8-B8", "H32-B16-F3", "H32-B16-F4", "H128-B64"],
     )
     def test_equals_per_tensor_reference(self, optimizer, max_norm, n, features, hidden_size, batch_size):
         windows = random_windows(n, 15, features, seed=n + features)
@@ -510,6 +539,8 @@ class TestCheckpointPersistence:
         block = {"feature_names": ["value", "target"], "min": [80.0, 80.5], "max": [120.0, 120.25]}
         assert json.loads(checkpoint_to_json(cp))["scaler"] == (block if carried else None)
         assert checkpoint_from_json(checkpoint_to_json(cp)).scaler == (scaler if carried else None)
+        # A valid document loads and re-serializes to the same bytes.
+        assert checkpoint_to_json(checkpoint_from_json(checkpoint_to_json(cp))) == checkpoint_to_json(cp)
         # The text as json.dumps wrote it before the module kept one encoder.
         reference = json.dumps(_checkpoint_document(cp), sort_keys=True, indent=2)
         assert checkpoint_to_json(cp) == reference
@@ -528,6 +559,14 @@ class TestCheckpointPersistence:
             assert arrays[f"b_{gate}"] == [float(k)] * H, gate
         again = checkpoint_from_json(text)
         assert np.array_equal(again.params.W, p.W) and np.array_equal(again.params.b, p.b)
+
+    def test_bool_size_refused(self):
+        # One feature: int(True) would have passed as input_size 1.
+        windows, _, _ = sine_windows()
+        doc = json.loads(checkpoint_to_json(train(windows, TrainConfig(epochs=1, hidden_size=4))))
+        doc["input_size"] = True
+        with pytest.raises(PipelineError, match="input_size must be an integer, got True"):
+            checkpoint_from_json(json.dumps(doc))
 
     def test_unknown_version_refused(self):
         windows, _, _ = sine_windows()
