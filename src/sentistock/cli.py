@@ -230,8 +230,9 @@ def _model_windows(cfg: RunConfig, scaler: ScalerParams | None = None):
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    config = cfg.train_config()  # bad settings exit before the inputs are read
     train_windows, _, scaler, _ = _model_windows(cfg)
-    checkpoint = train(train_windows, cfg.train_config(), scaler=scaler, feature_mode=cfg.feature_mode)
+    checkpoint = train(train_windows, config, scaler=scaler, feature_mode=cfg.feature_mode)
     save_checkpoint(checkpoint, out / "checkpoint.json")
     _write_resolved_config(cfg, out)
     print(

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EmptyInput, PipelineError
 from .features import ScalerParams, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, checkpoint_to_json, predict, train

@@ -20,9 +20,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import Sequence
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
+from ._numpy import np
 from .errors import PipelineError
 from .market_data import BarSeries, NUMERIC_FIELDS, OhlcvBar
 from .sentiment import DailySentiment
@@ -230,7 +228,8 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
         )
 
     # Read-only views of the feature rows: window j is features[j:j + lookback].
-    seqs = sliding_window_view(dataset.features, lookback, axis=0)[:rows - lookback].transpose(0, 2, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(dataset.features, lookback, axis=0)
+    seqs = windows[:rows - lookback].transpose(0, 2, 1)
     labels = dataset.targets[lookback:]
 
     n_train = dataset.split_index - lookback

@@ -80,8 +80,7 @@ import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NonFiniteLoss, PipelineError
 from .features import FEATURE_MODES, ScalerParams, WindowedDataset, invert_target
 from .market_data import _iter_indented_json
@@ -211,7 +210,8 @@ def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
 
 
 #: A forward pass's BPTT cache: Z (L+1, F+H, B), G (L, 4H, B), C (L+1, H, B).
-Cache = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: A string, so that importing this module does not load numpy.
+Cache = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
 class _Workspace:

@@ -98,8 +98,10 @@ class Lexicon:
         object.__setattr__(self, "token_table", table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
+    """One tweet's score; slotted, since a corpus holds one per tweet."""
+
     polarity: float
 
     @property

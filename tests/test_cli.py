@@ -348,17 +348,61 @@ class TestBlasThreads:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+#: Runs each command given on the command line (a JSON argv list, run with
+#: the config) in one fresh interpreter and prints, as the last line, each
+#: one's exit code and whether numpy had loaded after it.
+LAZY_NUMPY_RUN = """
+import json, sys, types
+from sentistock.cli import main
+config, commands = sys.argv[1], sys.argv[2:]
+results = []
+for command in commands:
+    code = main(json.loads(command) + ["--config", config])
+    # The lazy module is registered as "numpy" before it loads, so look for
+    # a submodule that only a real import brings in.
+    results.append([code, "numpy.linalg" in sys.modules and type(sys.modules["numpy"]) is types.ModuleType])
+print(json.dumps(results))
+"""
+
+#: One forward pass in a fresh interpreter; prints the type of lstm's np
+#: binding before and after it.
+FIRST_FORWARD_RUN = """
+import sys
+import sentistock.lstm as lstm
+before = type(lstm.np).__name__
+params = lstm.init_params(3, 4, 0)
+lstm.forward(lstm.np.zeros((2, 5, 3)), params)
+print(before, type(lstm.np).__name__, lstm.np is sys.modules["numpy"])
+"""
+
+
+def _fresh_python(*args: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
 class TestStartup:
     def test_import_loads_no_process_pool(self):
         # compare forks with os alone; these modules would add to start-up time.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, sentistock.cli; "
                 "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert _fresh_python("-c", code) == "[]"
+
+    def test_text_commands_never_load_numpy_and_train_does(self, fixture_config):
+        commands = [["ingest"], ["sentiment"], ["train", "--epochs", "0"], ["train"]]
+        out = _fresh_python("-c", LAZY_NUMPY_RUN, str(fixture_config), *map(json.dumps, commands))
+        assert json.loads(out) == [[0, False], [0, False], [2, False], [0, True]]
+
+    def test_no_proxy_left_after_first_forward(self):
+        assert _fresh_python("-c", FIRST_FORWARD_RUN) == "_LazyModule module True"
+
+    def test_lazy_module_on_a_stub_package(self):
+        script = Path(__file__).resolve().parent / "lazy_module_check.py"
+        assert _fresh_python("-W", "error", str(script)) == "ok"
 
 
 class TestConfigHandling:

@@ -280,10 +280,17 @@ class TestParseTweetsJsonl:
         pytest.param("2024-01-05-05:00", id="date-then-negative-offset"),
         pytest.param("2024-01-05Z", id="date-then-z"),
         pytest.param("20240105T101112Z", id="basic-format"),
+        pytest.param("2024-01-05T10:00:00,5Z", id="comma-fraction"),
+        pytest.param("2024-01-05T1000Z", id="basic-format-time"),
+        pytest.param("2024-01-05T10:00:00.5+05", id="hours-only-offset"),
+        pytest.param("2024-01-05T10:00.5Z", id="fraction-on-minutes"),
+        pytest.param("2024-W01-5T10:00:00Z", id="iso-week-date"),
     ])
     def test_timestamp_without_date_time_separator_skipped(self, stamp):
         # fromisoformat takes any character after the date as the separator,
-        # so these read as naive clock times unless refused.
+        # so the first four read as naive clock times unless refused. Python
+        # 3.11 and later read the rest, which 3.10 refuses; every Python
+        # skips them.
         valid = '{"timestamp": "2024-01-05", "text": "ok", "id": "0"}\n'
         line = json.dumps({"timestamp": stamp, "text": "ok", "id": "1"}) + "\n"
         tweets, skipped = parse_tweets_jsonl(io.BytesIO((valid + line).encode()))
@@ -314,11 +321,18 @@ class TestParseTweetsJsonl:
         assert len(tweets) == 1 and skipped == 1
 
 
+#: The timestamp grammar of market_data._in_grammar, digits included.
+TIMESTAMP_GRAMMAR = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[Tt ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]+)?)?)?"
+    r"(?:[Zz]|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
+
+
 def reference_parse_tweet_line(line: str) -> Tweet | None:
     """_parse_tweet_line's rule through json.loads, as it read before it
-    decoded with raw_decode, plus the rule that a timestamp longer than a
-    date has T, t or a space as its 11th character, and the seconds
-    fraction read as Python 3.11 reads it on every Python."""
+    decoded with raw_decode, plus the timestamp grammar as a regex, and the
+    seconds fraction read as Python 3.11 reads it on every Python."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):
@@ -330,7 +344,7 @@ def reference_parse_tweet_line(line: str) -> Tweet | None:
         return None
     if isinstance(tweet_id, bool) or not isinstance(tweet_id, (str, int)):
         return None
-    if len(ts) > 10 and ts[10] not in "Tt ":  # the date-time separator rule
+    if not TIMESTAMP_GRAMMAR.fullmatch(ts):
         return None
     if ts.endswith(("Z", "z")):
         ts = ts[:-1] + "+00:00"
@@ -381,6 +395,10 @@ TIMESTAMP_FORMS = (
     "2020-01-01T10:00:00z", "2020-01-01T10:00:00.5Z", "2020-01-01T10:00:00.12345z",
     "2020-01-01T10:00:00.1234567Z", "2020-01-01T10:00:00.5+05:00", "2020-01-01T10:00:00+00:00Z",
     "2020-01-01 10:00Z", "2020-01-01Z", "2020-01-01+05:00", "2020-01-01-05:00", "20200101T100000Z", "2020-01-01",
+    "2020-01-01T10Z", "2020-01-01T10:00:00+05:00:00.000001", "2020-01-01T10:00:00.123456789-05:00",
+    "2020-01-01T10:00:00,5Z", "2020-01-01T1000Z", "2020-01-01T10:00:00.5+05", "2020-01-01T10:00:00+0500",
+    "2020-01-01T10:00.5Z", "2020-01-01T10:00.500Z", "2020-W01-1T10:00:00Z", "2020-01-01T10:00:00Z+05:00",
+    "2020-01-01T10:00:00.5X+05:00", "2020-01-01T10:00:00.Z",
 )
 
 #: Characters the JSON escaper treats specially, and ones beyond ASCII.
@@ -393,6 +411,16 @@ TIMEZONES = st.sampled_from([
     None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-4)),
     timezone(timedelta(seconds=-3601, microseconds=5)),
 ])
+
+#: Near-timestamps: a date, maybe a separator, then pieces of times, fractions
+#: and offsets in any order, with non-ASCII digits among them.
+TIMESTAMP_LIKE = st.builds(
+    lambda day, sep, pieces: day + sep + "".join(pieces),
+    st.sampled_from(["2020-01-01", "2020-W01-1", "20200101", "2020-001", "2020-01"]),
+    st.sampled_from(["", "T", "t", " ", "X"]),
+    st.lists(st.sampled_from(["10", "00", "0", ":", ".", ",", "5", "123", "123456", "1234567",
+                              "+", "-", "Z", "z", "05", "05:00", "X", " ", "\u0663", "\u00b2"]), max_size=8),
+)
 
 
 class TestTextPathReferences:
@@ -478,6 +506,12 @@ class TestTextPathReferences:
         for doc in (fields, {**fields, "extra": value}, value):
             line = before + json.dumps(doc) + after
             assert_same_tweet(parsed_as_jsonl_line(line), reference_parse_tweet_line(line))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(stamp=TIMESTAMP_LIKE)
+    def test_timestamp_grammar_equals_regex(self, stamp):
+        line = json.dumps({"timestamp": stamp, "text": "good", "id": "1"})
+        assert_same_tweet(parsed_as_jsonl_line(line), reference_parse_tweet_line(line))
 
 
 #: Every scalar kind a document holds: NaN, the infinities, both zeros and
