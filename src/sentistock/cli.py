@@ -228,9 +228,17 @@ def _model_windows(cfg: RunConfig, scaler: ScalerParams | None = None):
                          cfg.target_field, scaler)
 
 
+def _check_lookback(cfg: RunConfig) -> None:
+    """Refuse a lookback below 1 before any input is read, where
+    ``make_windows`` would refuse it only after parsing them."""
+    if cfg.lookback < 1:
+        raise PipelineError(f"lookback must be positive, got {cfg.lookback}")
+
+
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     config = cfg.train_config()  # bad settings exit before the inputs are read
+    _check_lookback(cfg)
     train_windows, _, scaler, _ = _model_windows(cfg)
     checkpoint = train(train_windows, config, scaler=scaler, feature_mode=cfg.feature_mode)
     save_checkpoint(checkpoint, out / "checkpoint.json")
@@ -246,6 +254,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     out = _out_dir(cfg)
+    _check_lookback(cfg)
     checkpoint = load_checkpoint(cfg.checkpoint)
     if checkpoint.scaler is None:
         raise PipelineError("checkpoint carries no scaler; cannot denormalize predictions")
@@ -261,6 +270,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    _check_lookback(cfg)
     series = _load_series(cfg)
     tweets, _ = _load_tweets(cfg)
     lexicon = _load_lexicon(cfg)

@@ -300,94 +300,44 @@ def _parse_tweet_line(line: str) -> Tweet | None:
         return None
 
 
-#: The seconds fraction of a time that starts right after the date-time
-#: separator: group 1 runs to the decimal point, group 2 is the digits.
-_SECONDS_FRACTION = re.compile(r"\A(.{11}\d\d:\d\d:\d\d\.)(\d+)")
-
-#: ``value[4:23:3]`` of the common timestamps, mapped to their length:
-#: ``YYYY-MM-DDTHH:MM:SS``, then nothing, a ``Z`` or a ``±HH:MM`` offset.
-#: The slice holds the date's dashes, the date-time separator, the time's
-#: colons and the offset's sign and colon, so with the length it puts every
-#: separator where ``_in_grammar`` does. A seconds fraction of 3 or more
-#: digits maps to 0: its end is checked apart.
-_COMMON_LENGTHS = {
-    **{f"--{sep}::": 19 for sep in "Tt "},
-    **{f"--{sep}::{z}": 20 for sep in "Tt " for z in "Zz"},
-    **{f"--{sep}::{sign}:": 25 for sep in "Tt " for sign in "+-"},
-    **{f"--{sep}::.{digit}": 0 for sep in "Tt " for digit in "0123456789"},
-}
-
-#: ``value[k + 3:k + 10:3]`` of a UTC offset at index k, by the offset's
-#: length: ``±HH:MM``, ``±HH:MM:SS`` and ``±HH:MM:SS.ffffff``.
-_OFFSET_SEPARATORS = {6: ":", 9: "::", 16: "::."}
-
-
-def _in_grammar(value: str) -> bool:
-    """Whether the separators of ``value`` sit where the timestamp grammar
-    puts them; ``datetime.fromisoformat`` checks the digits between them.
-
-    The grammar is ``YYYY-MM-DD``, optionally followed by ``T``, ``t`` or a
-    space, ``HH[:MM[:SS[.digits]]]`` and a ``Z``, ``z`` or
-    ``±HH:MM[:SS[.ffffff]]`` offset. Python 3.10's ``fromisoformat`` and
-    3.11's both read it, so a timestamp is kept or skipped alike on every
-    Python. 3.11 also reads comma fractions, basic-format times and offsets
-    (``T1000Z``, ``+0500``), hours-only offsets, fractions on the hours or
-    minutes and ISO week dates, and 3.10 a ``Z`` before an offset; both
-    read a stray character after the hours, minutes or seconds. Index
-    checks, not a regex, since every tweet is checked.
-
-    The separator matters because ``fromisoformat`` takes any character
-    between the date and the time: ``2024-01-05+05:00`` would read as 05:00
-    on a naive clock.
-    """
-    n = len(value)
-    if n < 10 or value[4:8:3] != "--":
-        return False
-    if n == 10:
-        return True
-    if value[10] not in "Tt ":
-        return False
-    colons = value[13:19:3]  # after the hours and after the minutes
-    k = 19 if colons == "::" else 16 if colons[:1] == ":" else 13  # where the time ends
-    if k == 19 and value[19:20] == ".":  # a seconds fraction, up to Z, an offset or the end
-        k = value.find("+", 20)
-        if k < 0:
-            k = value.find("-", 20)
-        if k < 0:
-            k = n - 1 if value[-1] in "Zz" else n
-        digits = value[20:k]
-        if not (digits.isascii() and digits.isdigit()):
-            return False
-    if k >= n:
-        return k == n
-    mark = value[k]
-    if mark in "Zz":
-        return k == n - 1
-    return mark in "+-" and _OFFSET_SEPARATORS.get(n - k) == value[k + 3:k + 10:3]
+#: The timestamp grammar: ``YYYY-MM-DD``, optionally followed by ``T``,
+#: ``t`` or a space, ``HH[:MM[:SS[.digits]]]`` and a ``Z``, ``z`` or
+#: ``±HH:MM[:SS[.ffffff]]`` offset; group 1 is the seconds fraction's
+#: digits. Python 3.10's ``fromisoformat`` and 3.11's both read it, so a
+#: timestamp is kept or skipped alike on every Python. 3.11 also reads comma
+#: fractions, basic-format times and offsets (``T1000Z``, ``+0500``),
+#: hours-only offsets, fractions on the hours or minutes and ISO week dates,
+#: and 3.10 a ``Z`` before an offset; both read a stray character after the
+#: hours, minutes or seconds. The separator matters too: ``fromisoformat``
+#: takes any character between the date and the time, so
+#: ``2024-01-05+05:00`` would read as 05:00 on a naive clock.
+_TIMESTAMP = re.compile(
+    r"\d{4}-\d\d-\d\d"
+    r"(?:[Tt ]\d\d(?::\d\d(?::\d\d(?:\.(\d+))?)?)?"
+    r"(?:[Zz]|[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?",
+    re.ASCII,
+)
 
 
 def _parse_rfc3339(value: str) -> datetime:
-    """The datetime of a timestamp in ``_in_grammar``'s grammar.
+    """The datetime of a timestamp in ``_TIMESTAMP``'s grammar.
 
-    ``_COMMON_LENGTHS`` admits the common forms with one slice, and the
-    rest go through ``_in_grammar``. Python 3.11 parses a trailing ``Z``
-    and a seconds fraction of any length itself. A value it refuses, and
-    on Python 3.10 any ``Z`` or fraction other than 3 or 6 digits, is
-    retried once with a trailing ``Z`` or ``z`` as ``+00:00`` and the
-    fraction padded with zeros or cut to 6 digits, as Python 3.11 reads it.
+    Python 3.11 parses a trailing ``Z`` and a seconds fraction of any
+    length itself. A value it refuses, and on Python 3.10 any ``Z`` or
+    fraction other than 3 or 6 digits, is retried once with the fraction
+    padded with zeros or cut to 6 digits and a trailing ``Z`` or ``z`` as
+    ``+00:00``, as Python 3.11 reads it.
     """
-    n = len(value)
-    length = _COMMON_LENGTHS.get(value[4:23:3])
-    if length == 0:  # the fraction's digits, then a Z or a ±HH:MM offset
-        digits = value[20:-1] if value[-1] in "Zz" else value[20:-6] if value[-6:-2:3] in ("+:", "-:") else ""
-        length = n if digits.isascii() and digits.isdigit() else None
-    if length != n and not _in_grammar(value):
+    match = _TIMESTAMP.fullmatch(value)
+    if match is None:
         raise ValueError(f"not a timestamp: {value!r}")
     try:
         return datetime.fromisoformat(value)
     except ValueError:
-        retry = value[:-1] + "+00:00" if value.endswith(("Z", "z")) else value
-        retry = _SECONDS_FRACTION.sub(lambda m: m[1] + m[2][:6].ljust(6, "0"), retry)
+        start, end = match.span(1)  # (-1, -1) without a seconds fraction
+        retry = value if start < 0 else value[:start] + value[start:end][:6].ljust(6, "0") + value[end:]
+        if retry.endswith(("Z", "z")):
+            retry = retry[:-1] + "+00:00"
         if retry == value:
             raise
     return datetime.fromisoformat(retry)

@@ -193,6 +193,8 @@ class TestBadSettingsExit2:
     @pytest.mark.parametrize("argv, prepare", [
         pytest.param(["train", "--epochs", "0"], None, id="train-epochs-0"),
         pytest.param(["train", "--lookback", "0"], None, id="train-lookback-0"),
+        pytest.param(["predict", "--lookback", "0"], edited_checkpoint(lambda doc: None), id="predict-lookback-0"),
+        pytest.param(["compare", "--lookback", "0"], None, id="compare-lookback-0"),
         pytest.param(["train", "--split-fraction", "1.5"], None, id="train-split-fraction-1.5"),
         pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
         pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
@@ -382,7 +384,7 @@ def _fresh_python(*args: str) -> str:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip().splitlines()[-1]
+    return result.stdout.strip()
 
 
 class TestStartup:
@@ -393,9 +395,11 @@ class TestStartup:
         assert _fresh_python("-c", code) == "[]"
 
     def test_text_commands_never_load_numpy_and_train_does(self, fixture_config):
-        commands = [["ingest"], ["sentiment"], ["train", "--epochs", "0"], ["train"]]
+        commands = [["ingest"], ["sentiment"], ["train", "--epochs", "0"], ["train", "--lookback", "0"],
+                    ["compare", "--lookback", "0"], ["train"]]
         out = _fresh_python("-c", LAZY_NUMPY_RUN, str(fixture_config), *map(json.dumps, commands))
-        assert json.loads(out) == [[0, False], [0, False], [2, False], [0, True]]
+        assert json.loads(out.splitlines()[-1]) == [[0, False], [0, False], [2, False], [2, False], [2, False],
+                                                    [0, True]]
 
     def test_no_proxy_left_after_first_forward(self):
         assert _fresh_python("-c", FIRST_FORWARD_RUN) == "_LazyModule module True"

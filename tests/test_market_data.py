@@ -321,7 +321,7 @@ class TestParseTweetsJsonl:
         assert len(tweets) == 1 and skipped == 1
 
 
-#: The timestamp grammar of market_data._in_grammar, digits included.
+#: The timestamp grammar of market_data._TIMESTAMP, written apart as the reference.
 TIMESTAMP_GRAMMAR = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
     r"(?:[Tt ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]+)?)?)?"
