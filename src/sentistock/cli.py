@@ -194,6 +194,13 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _print_daily_counts(trading_days: int, empty_days: int, dropped: int) -> None:
+    print(
+        f"daily sentiment: {trading_days} trading days, {empty_days} with no tweets, "
+        f"{dropped} tweets past final session dropped"
+    )
+
+
 def cmd_sentiment(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     series = _load_series(cfg)
@@ -210,11 +217,7 @@ def cmd_sentiment(cfg: RunConfig) -> int:
     records, dropped = daily_sentiment(tweets, series, lexicon)
     (out / "daily_sentiment.csv").write_text(daily_sentiment_csv(records), encoding="utf-8")
     _write_resolved_config(cfg, out)
-    empty_days = sum(1 for rec in records if rec.tweet_count == 0)
-    print(
-        f"daily sentiment: {len(records)} trading days, {empty_days} with no tweets, "
-        f"{dropped} tweets past final session dropped"
-    )
+    _print_daily_counts(len(records), sum(1 for rec in records if rec.tweet_count == 0), dropped)
     print(f"wrote {out / 'daily_sentiment.csv'}")
     return 0
 
@@ -272,7 +275,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     _check_lookback(cfg)
     series = _load_series(cfg)
-    tweets, _ = _load_tweets(cfg)
+    tweets, skipped = _load_tweets(cfg)
     lexicon = _load_lexicon(cfg)
 
     def sink(variant: str, epochs: int, document: str) -> None:
@@ -295,6 +298,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         csv_text = record_plot_csv(record.dates, record.real, record.predicted)
         (out / name).write_text(csv_text, encoding="utf-8")
     _write_resolved_config(cfg, out)
+    print(f"tweets: {len(tweets)} valid, {skipped} skipped")
+    _print_daily_counts(report.trading_days, report.zero_tweet_days, report.tweets_dropped)
     print(render_table(report), end="")
     print(f"wrote {out / 'report.json'}")
     return 0
@@ -341,6 +346,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: Exception) -> None:
+    """One ``error:`` line on stderr. A message that echoes an input's
+    control characters (a path that configparser continued onto a second
+    line, a key holding a vertical tab) is printed with them escaped."""
+    message = str(exc)
+    if not message.isprintable():
+        message = repr(message)[1:-1]
+    print(f"error: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
@@ -352,10 +367,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         return _COMMANDS[args.command](cfg)
     except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 3
     except (PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return 2
 
 

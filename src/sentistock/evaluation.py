@@ -68,10 +68,18 @@ class VariantRecord:
 @dataclass(frozen=True)
 class EvalReport:
     """All variant-epoch records plus each variant's average accuracy, which
-    is computed from the records: arithmetic means, keyed in record order."""
+    is computed from the records: arithmetic means, keyed in record order.
+
+    The daily-sentiment counts (trading days, days with no tweets, tweets
+    dated after the final session) describe the run for its log; they are
+    not part of the report document.
+    """
 
     records: tuple[VariantRecord, ...]
     averages: dict[str, float] = field(init=False)
+    trading_days: int = 0
+    zero_tweet_days: int = 0
+    tweets_dropped: int = 0
 
     def __post_init__(self):
         averages = {}
@@ -118,10 +126,10 @@ def run_comparison(
     memory, its encoding included, is not counted in this process's
     ``ru_maxrss``.
     """
-    if not epoch_sizes or min(epoch_sizes) < 1:
-        raise PipelineError(f"epoch_sizes must be one or more positive integers, got {list(epoch_sizes)}")
+    if not epoch_sizes or min(epoch_sizes) < 1 or len(set(epoch_sizes)) != len(epoch_sizes):
+        raise PipelineError(f"epoch_sizes must be one or more positive integers, each once, got {list(epoch_sizes)}")
 
-    daily, _ = daily_sentiment(sentiment, historical, lexicon)
+    daily, dropped = daily_sentiment(sentiment, historical, lexicon)
     config = replace(base_config, epochs=max(epoch_sizes))
 
     train_sets, test_sets = {}, {}
@@ -173,7 +181,12 @@ def run_comparison(
                     predicted=tuple(predicted.tolist()),
                 )
             )
-    return EvalReport(tuple(records))
+    return EvalReport(
+        tuple(records),
+        trading_days=len(daily),
+        zero_tweet_days=sum(1 for rec in daily if rec.tweet_count == 0),
+        tweets_dropped=dropped,
+    )
 
 
 def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:

@@ -17,11 +17,22 @@ Gate equations, with z = concat(x_t, h_{t-1}):
 
 The four gates are stored stacked: one weight W of shape (4H, F+H) and one
 bias b of shape (4H,), whose row blocks [kH, (k+1)H) are f, i, o, g in that
-order. A step is then one product W z + b, with the sigmoid applied to the
-first 3H rows and tanh to the last H; backpropagation likewise forms one
-(4H, batch) gradient at the pre-activations and multiplies it once by z and
-once by W. The checkpoint document still names each gate's block
-(W_f ... b_g), so it reads the same as before the stacking.
+order. The checkpoint document still names each gate's block (W_f ...
+b_g), so it reads the same as before the stacking.
+
+The bias rides in the gate product. Each forward pass copies W and b once
+into a gate matrix [W | b] of shape (4H, F+H+1), and the pass stores z_t as
+(x_t, h_{t-1}, 1), so a step is one product [W | b] z_t, with no bias add.
+The sigmoid, on the first 3H rows, is 1 / (1 + exp(-x)) in four in-place
+numpy calls (negative, exp, add 1, reciprocal); exp overflows to inf below
+x of about -709.78, whose reciprocal is the 0.0 the sigmoid rounds to
+there, so each pass runs under one ``np.errstate(over="ignore")``. For
+x >= 0 this is the bits of 1 / (1 + exp(-x)); for x < 0 it is within a
+few ulp of exp(x) / (1 + exp(x)). tanh takes the last H rows.
+Backpropagation likewise forms one (4H, batch) gradient at the
+pre-activations per step and multiplies it once by z_t, whose last column
+is then the bias gradient, and once by W's h columns; the (4H, F+H+1) sums
+are split into the W and b gradients once per batch.
 
 The prediction for a sequence is W_y h_T + b_y (no output activation; the
 model works in normalized target space). :func:`forward` runs a batch of
@@ -32,27 +43,28 @@ when the batch size changes (at most twice an epoch, around a short last
 batch) after the old one is dropped, so one workspace is alive at a time,
 and released when ``train`` returns. It holds the BPTT cache, three arrays
 stacked over time and stored feature-major with the batch last: Z (L+1,
-F+H, B), whose slab t is z_t = (x_t, h_{t-1}), so each h is stored once;
-G (L, 4H, B), the activated gates; and C (L+1, H, B). Each gate block of a
-step, and the sigmoid's whole 3H-row block, is then one contiguous slab,
-which the elementwise operations run on faster than on the column slices
-of a (B, 4H) array. The cache takes 8 B ((L+1)(F+2H) + 4LH) bytes. Beside
-it lie the forward scratch (a (3H, B) and an (H, B) array and a (B, H)
-copy of the last h) and the backward scratch (dA (4H, B), dh and dC, one
-(3H, B) and three (H, B) temporaries, one step's (4H, F+H) weight-gradient
-product and a (4H,) sum), 8 (B ((L+1)(F+2H) + 4LH + 17H) + 4H (F+H+1))
-bytes in all: 13.0 MiB at lookback 30, batch 64, 4 features and hidden
-128, of which the cache is 11.4 MiB. The workspace also keeps, for each
-step, the tuple of views that step reads and writes, so neither loop
-slices an array and every numpy operation writes into the workspace with
-``out=``. The inputs are copied into Z once per batch. The backward pass
-reads the cache and never writes into it; it accumulates the weight
-gradient one step at a time. The public :func:`forward` and
+F+H+1, B), whose slab t is z_t = (x_t, h_{t-1}, 1), so each h is stored
+once and the constant row is set once, when the workspace is built; G (L,
+4H, B), the activated gates; and C (L+1, H, B). Each gate block of a step,
+and the sigmoid's whole 3H-row block, is then one contiguous slab, which
+the elementwise operations run on faster than on the column slices of a
+(B, 4H) array. The cache takes 8 B ((L+1)(F+2H+1) + 4LH) bytes. Beside it
+lie the forward scratch (the (4H, F+H+1) gate matrix, an (H, B) array and
+a (B, H) copy of the last h) and the backward scratch (dA (4H, B), dh and
+dC, one (3H, B) and three (H, B) temporaries, and two (4H, F+H+1) arrays:
+one step's gradient product and the running sum), 8 (B ((L+1)(F+2H+1) +
+4LH + 14H) + 12H (F+H+1)) bytes in all: 13.9 MiB at lookback 30, batch 64,
+4 features and hidden 128, of which the cache is 11.5 MiB. The workspace
+also keeps, for each step, the tuple of views that step reads and writes,
+so neither loop slices an array and every numpy operation writes into the
+workspace with ``out=``. The inputs are copied into Z once per batch. The
+backward pass reads the cache and never writes into it; it accumulates the
+weight gradient one step at a time. The public :func:`forward` and
 :func:`backward` build a workspace of their own per call, and the
-optimizers update in place. The inference path (``keep_steps=False``,
-used by :func:`predict`) runs the same loop in two alternating slots of Z
-and C and one of G, so its memory does not grow with the lookback: about
-8 B (2(F+H) + 11H) bytes with the scratch.
+optimizers update in place. The inference path (``keep_steps=False``, used
+by :func:`predict`) runs the same loop in two alternating slots of Z and C
+and one of G, so its memory does not grow with the lookback: 8 (B (2(F+H+1)
++ 8H) + 4H (F+H+1)) bytes with the scratch.
 ``predict`` runs all windows as one batch. Chunks of windows would bound
 memory further, but a GEMM's bits can depend on its batch size: at
 hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
@@ -190,26 +202,7 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
-def _sigmoid_inplace(x: np.ndarray, e: np.ndarray) -> None:
-    """Overwrite x with its logistic function; e is a scratch array of x's
-    shape.
-
-    e = exp(-|x|) never overflows. It is exp(-x) for x >= 0 and exp(x)
-    otherwise. x then becomes 1.0 where it was >= 0 and 0.0 elsewhere, so
-    max(e, x) is the numerator, 1 or exp(x), and x ends as 1 / (1 + exp(-x))
-    or exp(x) / (1 + exp(x)) bit for bit, with no masked copy. minimum(x, -x)
-    rather than -abs(x) keeps a NaN's sign bit, and maximum passes it on.
-    """
-    np.negative(x, out=e)
-    np.minimum(x, e, out=e)
-    np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=x)
-    np.maximum(e, x, out=x)
-    e += 1.0
-    x /= e
-
-
-#: A forward pass's BPTT cache: Z (L+1, F+H, B), G (L, 4H, B), C (L+1, H, B).
+#: A forward pass's BPTT cache: Z (L+1, F+H+1, B), G (L, 4H, B), C (L+1, H, B).
 #: A string, so that importing this module does not load numpy.
 Cache = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
@@ -223,12 +216,14 @@ class _Workspace:
     of G. Given a ``cache``, the workspace wraps it for a backward pass and
     allocates no forward buffers. ``steps[t]`` is the tuple (z_t, the x
     rows of z_t, z_t transposed, the gate slab, its sigmoid block, f, i, o,
-    g, C_t, C_{t+1}, the h slot of z_{t+1}). A pass writes every result
-    into these arrays with ``out=``. With ``keep_steps``, slot 0 of C and
-    of Z's h rows is only read, so the zero start state set here holds
-    for batch after batch of this size, and the last batch's ``Z``, ``G``
-    and ``C`` stay valid until the next forward pass. An inference
-    workspace writes over slot 0 and serves one pass.
+    g, C_t, C_{t+1}, the h rows of z_{t+1}). A pass writes every result
+    into these arrays with ``out=``. Row F+H of every slab of Z is the
+    constant 1 that carries the bias through the gate product; it is set
+    here and never written again. With ``keep_steps``, slot 0 of C and of
+    Z's h rows is only read, so the zero start state set here holds for
+    batch after batch of this size, and the last batch's ``Z``, ``G`` and
+    ``C`` stay valid until the next forward pass. An inference workspace
+    writes over slot 0 and serves one pass.
     """
 
     def __init__(self, input_size: int, hidden_size: int, batch: int, lookback: int,
@@ -238,22 +233,23 @@ class _Workspace:
         self.keep_steps = keep_steps
         if cache is None:
             slots = lookback + 1 if keep_steps else 2
-            Z = np.empty((slots, F + H, B))
+            Z = np.empty((slots, F + H + 1, B))
             G = np.empty((slots - 1, 4 * H, B))
             C = np.empty((slots, H, B))
-            Z[0, F:] = 0.0
+            Z[0, F:F + H] = 0.0
+            Z[:, F + H] = 1.0
             C[0] = 0.0
-            # Forward scratch: e for the sigmoid, tmp for i * g and then
-            # tanh(C), h for a contiguous (B, H) copy of the last h.
-            self.e = np.empty((3 * H, B))
+            # Forward scratch: the gate matrix [W | b], tmp for i * g and
+            # then tanh(C), h for a contiguous (B, H) copy of the last h.
+            self.Wb = np.empty((4 * H, F + H + 1))
             self.tmp = np.empty((H, B))
             self.h = np.empty((B, H))
         else:
             Z, G, C = cache
-            self.h = np.ascontiguousarray(Z[lookback, F:].T)
+            self.h = np.ascontiguousarray(Z[lookback, F:F + H].T)
         self.Z, self.G, self.C = Z, G, C
         slots = len(Z)
-        self.h_last = Z[lookback % slots, F:]
+        self.h_last = Z[lookback % slots, F:F + H]
         self.steps = []
         for t in range(lookback):
             now, nxt = t % slots, (t + 1) % slots
@@ -261,13 +257,13 @@ class _Workspace:
             self.steps.append((
                 z, z[:F], z.T, gates, gates[:3 * H],
                 gates[:H], gates[H:2 * H], gates[2 * H:3 * H], gates[3 * H:],
-                C[now], C[nxt], Z[nxt, F:],
+                C[now], C[nxt], Z[nxt, F:F + H],
             ))
         if keep_steps:
             # Backward scratch: dA, the loss gradient at the gate
             # pre-activations (row blocks f, i, o, g), dh and dC, one
-            # (3H, B) and three (H, B) temporaries, the weight-gradient
-            # product and the bias-gradient sum of one step.
+            # (3H, B) and three (H, B) temporaries, and the gradient of the
+            # gate matrix [W | b]: one step's product and the running sum.
             self.dA = np.empty((4 * H, B))
             self.dA_blocks = (self.dA[:3 * H], self.dA[:H], self.dA[H:2 * H],
                               self.dA[2 * H:3 * H], self.dA[3 * H:])
@@ -275,29 +271,35 @@ class _Workspace:
             self.dC = np.empty((H, B))
             self.sig_scratch = np.empty((3 * H, B))
             self.t1, self.t2, self.t3 = np.empty((3, H, B))
-            self.dW_step = np.empty((4 * H, F + H))
-            self.db_step = np.empty(4 * H)
+            self.dWb_step = np.empty((4 * H, F + H + 1))
+            self.dWb = np.empty((4 * H, F + H + 1))
 
     def forward(self, X: np.ndarray, params: LstmParams) -> np.ndarray:
         """Predictions for the (B, L, F) batch X; the cache is left in Z, G, C."""
-        W, b = params.W, params.b[:, None]
-        e, tmp = self.e, self.tmp
+        Wb, tmp = self.Wb, self.tmp
+        np.copyto(Wb[:, :-1], params.W)
+        np.copyto(Wb[:, -1], params.b)
         xs = X.transpose(1, 2, 0)
         per_step_x = not self.keep_steps
         if not per_step_x:
             self.Z[:len(self.steps), :self.input_size] = xs
-        for t, (z, x_rows, _, gates, sig, f, i, o, g, c, c_next, h_next) in enumerate(self.steps):
-            if per_step_x:
-                x_rows[...] = xs[t]
-            np.matmul(W, z, out=gates)
-            gates += b
-            _sigmoid_inplace(sig, e)
-            np.tanh(g, out=g)
-            np.multiply(f, c, out=c_next)
-            np.multiply(i, g, out=tmp)
-            c_next += tmp
-            np.tanh(c_next, out=tmp)
-            np.multiply(o, tmp, out=h_next)
+        # sigmoid(x) = 1 / (1 + exp(-x)): exp overflows to inf for x below
+        # about -709.78, and 1 / inf is the 0.0 the sigmoid rounds to there.
+        with np.errstate(over="ignore"):
+            for t, (z, x_rows, _, gates, sig, f, i, o, g, c, c_next, h_next) in enumerate(self.steps):
+                if per_step_x:
+                    x_rows[...] = xs[t]
+                np.matmul(Wb, z, out=gates)
+                np.negative(sig, out=sig)
+                np.exp(sig, out=sig)
+                sig += 1.0
+                np.reciprocal(sig, out=sig)
+                np.tanh(g, out=g)
+                np.multiply(f, c, out=c_next)
+                np.multiply(i, g, out=tmp)
+                c_next += tmp
+                np.tanh(c_next, out=tmp)
+                np.multiply(o, tmp, out=h_next)
         # A contiguous (B, H) copy: the product's bits can depend on h's stride.
         np.copyto(self.h, self.h_last.T)
         return self.h @ params.W_y[0] + params.b_y[0]
@@ -306,18 +308,17 @@ class _Workspace:
         """BPTT over the cache in Z, G, C; see :func:`backward`."""
         H, F = self.hidden_size, self.input_size
         W_hT = params.W[:, F:].T
-        out.fill(0.0)
         grads = _tensor_views(out, F, H)
-        dW, db = grads["W"], grads["b"]
         grads["W_y"][0] = dyhat @ self.h
         grads["b_y"][0] = np.add.reduce(dyhat)
 
         dA, dh, dC = self.dA, self.dh, self.dC
         dA_sig, dA_f, dA_i, dA_o, dA_g = self.dA_blocks
         s3, t1, t2, t3 = self.sig_scratch, self.t1, self.t2, self.t3
-        dW_step, db_step = self.dW_step, self.db_step
+        dWb_step, dWb = self.dWb_step, self.dWb
         np.multiply(params.W_y[0][:, None], dyhat, out=dh)
         dC.fill(0.0)
+        dWb.fill(0.0)
         # Each operation keeps the operands and their order from the
         # expressions dC + dh * o * (1 - tanh(C)^2), sig * (1 - sig) and
         # (dC * i) * (1 - g^2), so the gradient's bits are theirs.
@@ -340,13 +341,15 @@ class _Workspace:
             np.subtract(1.0, t3, out=t3)
             np.multiply(t2, t3, out=dA_g)
 
-            np.matmul(dA, zT, out=dW_step)
-            dW += dW_step
-            np.add.reduce(dA, axis=1, out=db_step)
-            db += db_step
+            # z_t's last row is 1, so the product's last column is the bias
+            # gradient of this step.
+            np.matmul(dA, zT, out=dWb_step)
+            dWb += dWb_step
             np.matmul(W_hT, dA, out=dh)
             dC *= f
 
+        np.copyto(grads["W"], dWb[:, :-1])
+        np.copyto(grads["b"], dWb[:, -1])
         return grads
 
 
@@ -359,13 +362,14 @@ def forward(
 
     Returns (predictions, cache). The cache for :func:`backward` is the
     tuple (Z, G, C), stacked over time with the batch last. Slab t of Z is
-    z_t = (x_t, h_{t-1}), so h_t sits in the last H rows of Z[t+1] (the
-    first F rows of Z[L] are unused); G[t] holds the activated gates f, i,
-    o, g of step t as row blocks; C[0] is the zero start state and C[t+1]
-    the cell state after step t. When keep_steps is False (inference path)
-    the cache is an empty tuple, and the same loop runs in two alternating
-    slots of Z and C and one of G. Each call runs in a workspace of its
-    own, so the cache it returns shares no buffer with any other call.
+    z_t = (x_t, h_{t-1}, 1), so h_t sits in rows [F, F+H) of Z[t+1] (the
+    first F rows of Z[L] are unused) and row F+H is 1 throughout; G[t]
+    holds the activated gates f, i, o, g of step t as row blocks; C[0] is
+    the zero start state and C[t+1] the cell state after step t. When
+    keep_steps is False (inference path) the cache is an empty tuple, and
+    the same loop runs in two alternating slots of Z and C and one of G.
+    Each call runs in a workspace of its own, so the cache it returns
+    shares no buffer with any other call.
     """
     if X.ndim != 3:
         raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")

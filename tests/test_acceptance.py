@@ -191,8 +191,10 @@ def test_criterion_6_protocol_shape(tmp_path, capsys):
     with criterion(6, "compare emits the 3x2-plus-averages protocol structure"):
         config = write_cli_fixture(tmp_path, n_days=80, seed=7)  # epoch_sizes 5,10,15
         assert cli_main(["compare", "--config", str(config)]) == 0
-        out = capsys.readouterr().out
-        table = [ln for ln in out.splitlines() if ln and not ln.startswith("wrote")]
+        out = capsys.readouterr().out.splitlines()
+        # The tweet and daily-sentiment count lines come before the table.
+        assert out[0].startswith("tweets: ") and out[1].startswith("daily sentiment: ")
+        table = [ln for ln in out[2:] if ln and not ln.startswith("wrote")]
         assert len(table) == 10  # header + rule + 3 sizes x 2 models + 2 averages
         assert sum(ln.startswith("Average") for ln in table) == 2
 

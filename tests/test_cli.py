@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentistock.cli import main
 
@@ -198,6 +201,7 @@ class TestBadSettingsExit2:
         pytest.param(["train", "--split-fraction", "1.5"], None, id="train-split-fraction-1.5"),
         pytest.param(["compare", "--epoch-sizes", "0"], None, id="compare-epoch-sizes-0"),
         pytest.param(["compare", "--epoch-sizes", ""], None, id="compare-epoch-sizes-empty"),
+        pytest.param(["compare", "--epoch-sizes", "1,1"], None, id="compare-epoch-sizes-repeated"),
         pytest.param(["train", "--seed", "-1"], None, id="train-seed-negative"),
         pytest.param(["compare", "--seed", "-1"], None, id="compare-seed-negative"),
         pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "not json\n"),
@@ -232,6 +236,10 @@ class TestBadSettingsExit2:
                      id="train-hidden-size-impossible"),
         pytest.param(["ingest"], edited_file("prices.csv", lambda csv: csv + OVERSIZED_ROW),
                      id="ingest-oversized-csv-cell"),
+        pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini.replace(b"= prices", b"= p\r rices")),
+                     id="config-path-continued-on-a-second-line"),
+        pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini.replace(b"historical", b"h\x0bistorical")),
+                     id="config-key-holding-a-vertical-tab"),
     ])
     def test_one_error_line(self, argv, prepare, fixture_config, tmp_path, capsys):
         if prepare is not None:
@@ -279,8 +287,10 @@ class TestByteOrderMark:
 class TestCompare:
     def test_table_and_artifacts(self, fixture_config, tmp_path, capsys):
         assert run(["compare", "--config", fixture_config, "--epoch-sizes", "2,3"]) == 0
-        out = capsys.readouterr().out
-        table_lines = [ln for ln in out.splitlines() if ln and not ln.startswith("wrote")]
+        out = capsys.readouterr().out.splitlines()
+        # The two count lines, then the table.
+        assert out[0].startswith("tweets: ") and out[1].startswith("daily sentiment: ")
+        table_lines = [ln for ln in out[2:] if ln and not ln.startswith("wrote")]
         # header + separator + 2 sizes x 2 models + 2 averages
         assert len(table_lines) == 8
         outdir = tmp_path / "out"
@@ -291,6 +301,21 @@ class TestCompare:
                 assert (outdir / f"checkpoint_{variant}_epochs{epochs}.json").is_file()
         report = json.loads((outdir / "report.json").read_text())
         assert len(report["records"]) == 4
+
+    def test_prints_the_counts_sentiment_prints(self, fixture_config, tmp_path, capsys):
+        tweets = tmp_path / "tweets.jsonl"
+        kept = [line for line in tweets.read_text().splitlines() if '"2020-01-02T' not in line]
+        late = '{"timestamp": "2031-01-01T10:00:00Z", "text": "after the last session", "id": "late"}'
+        tweets.write_text("\n".join(kept) + "\nnot json\n" + late + "\n")
+        assert run(["sentiment", "--config", fixture_config]) == 0
+        expected = capsys.readouterr().out.splitlines()[:2]
+        assert expected == [
+            f"tweets: {len(kept) + 1} valid, 1 skipped",
+            "daily sentiment: 60 trading days, 1 with no tweets, 1 tweets past final session dropped",
+        ]
+        assert run(["compare", "--config", fixture_config, "--epoch-sizes", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == expected
+        assert set(json.loads((tmp_path / "out" / "report.json").read_text())) == {"version", "records", "averages"}
 
     def test_byte_identical_reruns(self, fixture_config, tmp_path):
         artifacts = ("report.json", "plot_hisa_epochs2.csv", "checkpoint_dlpm_epochs2.json",
@@ -447,3 +472,111 @@ class TestConfigHandling:
         out = tmp_path / "dir%x"
         assert run(["ingest", "--config", fixture_config, "--out", out]) == 0
         assert f"out = {out}\n" in (out / "resolved_config.ini").read_text()
+
+
+def edited(data: bytes, edits) -> bytes:
+    """``data`` after each (position, cut, insert) edit in turn: the bytes
+    at position modulo the length are cut and the insert put in their place."""
+    for position, cut, insert in edits:
+        at = position % (len(data) + 1)
+        data = data[:at] + insert + data[at + cut:]
+    return data
+
+
+def byte_edits(syntax: str):
+    """One to four edits whose inserts are mostly runs of the format's own
+    characters, sometimes any text or any bytes."""
+    own = st.text(syntax, max_size=12).map(str.encode)
+    insert = st.one_of(own, own, own, st.text(max_size=4).map(str.encode), st.binary(max_size=4))
+    return st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 40), insert), min_size=1, max_size=4)
+
+
+CSV_SYNTAX = ',\n\r" -.eE0123456789naifNIDate'
+JSONL_SYNTAX = '{}[]":,\n\\ tTzZ+-:.0123456789eu'
+TSV_SYNTAX = "\t\n\r -.0123456789termnegatorintensity"
+INI_SYNTAX = "[]=:;#%\n\r -.,0123456789abcdefghijklmnopqrstuvwxyz_"
+#: Marks a document edit that removes its key.
+REMOVE = object()
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=6),
+    st.lists(st.one_of(st.floats(), st.integers(-5, 5), st.text(max_size=3)), max_size=4),
+    st.dictionaries(st.text(max_size=6), st.integers(-5, 5), max_size=2),
+)
+
+
+class TestFuzzedInputs:
+    """Malformed inputs, one file at a time: every ``main`` outcome is 0, 2
+    or 3, with at most one ``error:`` line and never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz")
+        config = write_cli_fixture(base, n_days=40, lookback=5, epochs=1)
+        assert main(["train", "--config", str(config)]) == 0
+        return base
+
+    def outcome(self, base, argv):
+        """Run ``main`` on argv, writing below ``base``, and check its exit
+        code and stderr."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv] + ["--out", str(base / "fuzz_out")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3), (code, lines)
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
+        assert (code == 0) == (not lines), (code, lines)
+
+    def mutated(self, base, name, edits) -> Path:
+        path = base / f"fuzzed_{name}"
+        path.write_bytes(edited((base / name).read_bytes(), edits))
+        return path
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=byte_edits(CSV_SYNTAX))
+    def test_price_csv(self, base, edits):
+        path = self.mutated(base, "prices.csv", edits)
+        self.outcome(base, ["train", "--config", base / "config.ini", "--historical", path])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=byte_edits(JSONL_SYNTAX))
+    def test_tweet_jsonl(self, base, edits):
+        path = self.mutated(base, "tweets.jsonl", edits)
+        self.outcome(base, ["sentiment", "--config", base / "config.ini", "--tweets", path])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=byte_edits(TSV_SYNTAX))
+    def test_lexicon_tsv(self, base, edits):
+        path = self.mutated(base, "lexicon.tsv", edits)
+        self.outcome(base, ["sentiment", "--config", base / "config.ini", "--lexicon", path])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(edits=byte_edits(INI_SYNTAX))
+    def test_config_ini(self, base, edits):
+        # predict trains nothing, so no edited setting can make the run long;
+        # --out overrides wherever the edited file points.
+        path = self.mutated(base, "config.ini", edits)
+        self.outcome(base, ["predict", "--config", path, "--checkpoint", base / "out" / "checkpoint.json"])
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.sampled_from(["params", "config", "scaler", ""]), st.integers(0, 100),
+                                 st.one_of(st.just(REMOVE), JSON_VALUES)), min_size=1, max_size=3),
+        raw=st.one_of(st.just([]), byte_edits('{}[]":,\n -.0123456789eE')),
+    )
+    def test_checkpoint(self, base, edits, raw):
+        # Document-level edits (a key of the document, or of its params,
+        # config or scaler object, removed or given another value), then
+        # optional byte-level edits of the text.
+        doc = json.loads((base / "out" / "checkpoint.json").read_text())
+        for section, index, value in edits:
+            target = doc.get(section) if section else doc
+            if not isinstance(target, dict) or not target:
+                continue
+            key = sorted(target)[index % len(target)]
+            if value is REMOVE:
+                del target[key]
+            else:
+                target[key] = value
+        path = base / "fuzzed_checkpoint.json"
+        path.write_bytes(edited(json.dumps(doc, indent=2).encode(), raw))
+        self.outcome(base, ["predict", "--config", base / "config.ini", "--checkpoint", path])

@@ -227,7 +227,7 @@ class TestRunComparison:
                 loaded = checkpoint_from_json(doc)
                 assert (loaded.feature_mode, loaded.config.epochs) == (variant, epochs)
 
-    @pytest.mark.parametrize("epoch_sizes", [[3, 1, 2], [2, 2]])
+    @pytest.mark.parametrize("epoch_sizes", [[3, 1, 2], [2]])
     def test_snapshots_equal_separate_runs(self, epoch_sizes, monkeypatch, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
         expected_checkpoints, expected_report = separate_runs(
@@ -275,6 +275,13 @@ class TestRunComparison:
         series, tweets, lexicon = small_inputs
         with pytest.raises(PipelineError, match="epoch_sizes must be one or more positive integers"):
             run_comparison(series, tweets, lexicon, [], small_config)
+
+    def test_repeated_epoch_sizes_rejected(self, small_inputs, small_config):
+        # A repeat would train once but record, average and write each
+        # checkpoint of that size twice.
+        series, tweets, lexicon = small_inputs
+        with pytest.raises(PipelineError, match=r"each once, got \[2, 1, 2\]"):
+            run_comparison(series, tweets, lexicon, [2, 1, 2], small_config)
 
 
 def assert_no_child_left():

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,8 @@ from sentistock.lstm import (
     save_checkpoint,
     train,
     _checkpoint_document,
-    _sigmoid_inplace,
 )
+from sentistock import lstm
 
 from oracles import (
     finite_difference_gradients,
@@ -53,8 +54,9 @@ def gates(cache, t, hidden_size):
 
 
 def hidden(cache, t, input_size):
-    """h after step t, (hidden, batch): the last rows of z_{t+1}."""
-    return cache[0][t + 1, input_size:]
+    """h after step t, (hidden, batch): rows [F, F+H) of z_{t+1}."""
+    H = cache[2].shape[1]
+    return cache[0][t + 1, input_size:input_size + H]
 
 
 def sine_windows(n_samples=20, lookback=5):
@@ -101,23 +103,64 @@ class TestInitParams:
             replace(p, b=np.zeros(3))
 
 
+def identity_gates():
+    """One input, one unit: every gate pre-activation is exactly x, since W
+    is 1 on the x column and 0 elsewhere and b is 0, so W z + b adds only
+    zeros to 1 * x."""
+    p = zero_params(input_size=1, hidden_size=1)
+    p.W[:, 0] = 1.0
+    return p
+
+
+def sigmoid_through_forward(x: np.ndarray) -> np.ndarray:
+    """The sigmoid as ``forward`` takes it, on a one-step batch of x's values."""
+    _, (_, G, _) = forward(x.reshape(-1, 1, 1), identity_gates())
+    assert np.array_equal(G[0, 0], G[0, 1], equal_nan=True)
+    assert np.array_equal(G[0, 0], G[0, 2], equal_nan=True)
+    return G[0, 0].reshape(x.shape)
+
+
 class TestSigmoid:
+    """1 / (1 + exp(-x)) against the masked reference, which takes
+    exp(x) / (1 + exp(x)) for x < 0."""
+
+    special = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1000.0, np.inf]
+
     def test_bit_identical_to_masked_reference(self):
-        special = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1000.0, np.inf, np.nan]
-        arrays = [np.array(special + [-v for v in special])]
+        # Bit for bit where x >= 0 (and at -0.0 and -inf); see the next tests for x < 0.
         rng = np.random.default_rng(11)
-        arrays += [scale * rng.standard_normal((16, 32)) for scale in (0.1, 1.0, 10.0, 50.0, 100.0, 800.0)]
+        arrays = [np.array(self.special + [-0.0, -np.inf])]
+        arrays += [np.abs(scale * rng.standard_normal((16, 32))) for scale in (0.1, 1.0, 10.0, 50.0, 100.0, 800.0)]
         for x in arrays:
             expected = masked_sigmoid_reference(x).view(np.int64)
-            out = x.copy()
-            _sigmoid_inplace(out, np.empty_like(x))
-            assert np.array_equal(out.view(np.int64), expected)
-            # Also as forward runs it: on the leading rows of a taller array.
-            tall = np.zeros((len(x) + 3,) + x.shape[1:])
-            view = tall[:len(x)]
-            view[...] = x
-            _sigmoid_inplace(view, np.empty_like(x))
-            assert np.array_equal(view.view(np.int64), expected)
+            assert np.array_equal(sigmoid_through_forward(x).view(np.int64), expected)
+
+    def test_nan_stays_nan(self):
+        out = sigmoid_through_forward(np.array([np.nan, -np.nan]))
+        assert np.all(np.isnan(out))
+
+    def test_negative_x_within_8_ulp_or_1e_308(self):
+        rng = np.random.default_rng(12)
+        x = -np.concatenate([
+            np.array(self.special),
+            np.abs(rng.standard_normal(20_000)) * 10.0,
+            rng.uniform(0.0, 800.0, 100_000),
+        ])
+        expected = masked_sigmoid_reference(x)
+        out = sigmoid_through_forward(x)
+        normal = expected >= np.finfo(np.float64).tiny
+        ulps = np.abs(out[normal].view(np.int64) - expected[normal].view(np.int64))
+        assert ulps.max() <= 8
+        assert np.max(np.abs(out[~normal] - expected[~normal])) <= 1e-308
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+    def test_no_floating_point_warning(self):
+        # exp(-x) overflows below about -709.78; forward silences only that.
+        x = np.array([-1000.0, -745.0, -709.8, -np.inf, np.nan, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmoid_through_forward(x)
+            forward(x.reshape(-1, 1, 1), identity_gates(), keep_steps=False)
 
 
 class TestCellForward:
@@ -336,11 +379,36 @@ class TestCacheLayout:
         H, F, B, L = 8, 3, 5, 4
         p = init_params(F, H, seed=23)
         _, (Z, G, C) = forward(np.random.default_rng(23).normal(size=(B, L, F)), p)
-        assert (Z.shape, G.shape, C.shape) == ((L + 1, F + H, B), (L, 4 * H, B), (L + 1, H, B))
+        assert (Z.shape, G.shape, C.shape) == ((L + 1, F + H + 1, B), (L, 4 * H, B), (L + 1, H, B))
         for t in range(L):
             assert G[t, :3 * H].flags.c_contiguous
             for k in range(4):
                 assert G[t, k * H:(k + 1) * H].flags.c_contiguous, (t, k)
+
+    @pytest.mark.parametrize("run", ["train", "inference"])
+    def test_bias_row_of_z_stays_one(self, run, monkeypatch):
+        # Row F+H of every slab of Z carries the bias through the gate
+        # product; it is set once, when the workspace is built, and no pass
+        # may write over it.
+        built = []
+
+        class Recorded(lstm._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(lstm, "_Workspace", Recorded)
+        F, H = 4, 8
+        windows = random_windows(37, 6, F, seed=24)
+        if run == "train":
+            # Batches of 16, 16 and 5 per epoch: a workspace for 16, then one for 5, twice.
+            train(windows, TrainConfig(epochs=2, batch_size=16, seed=24, hidden_size=H))
+        else:
+            forward(windows.sequences, init_params(F, H, seed=24), keep_steps=False)
+        assert len(built) == (4 if run == "train" else 1)
+        for workspace in built:
+            assert workspace.Z.shape[1] == F + H + 1
+            assert np.all(workspace.Z[:, F + H] == 1.0)
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -366,7 +434,7 @@ class TestBoundedMemory:
         return traced_peak(train, windows, cfg)
 
     def one_cache(self):
-        return self.L * self.B * (self.F + 7 * self.H) * 8  # z, four gates, C and h per step
+        return self.L * self.B * (self.F + 1 + 7 * self.H) * 8  # z and its 1, four gates, C and h per step
 
     def test_train_holds_one_batch_cache(self):
         assert self.train_peak(3 * self.B, epochs=1) <= 1.5 * self.one_cache()
@@ -386,8 +454,7 @@ class TestBoundedMemory:
         rng = np.random.default_rng(32)
         p = init_params(F, H, seed=32)
         _, cache = forward(rng.normal(size=(B, L, F)), p)
-        one_cache = L * B * (F + 7 * H) * 8
-        assert traced_peak(backward, cache, rng.normal(size=B), p) <= 0.25 * one_cache
+        assert traced_peak(backward, cache, rng.normal(size=B), p) <= 0.25 * self.one_cache()
 
     def test_inference_forward_peak(self):
         X = np.random.default_rng(31).normal(size=(500, self.L, self.F))
