@@ -372,6 +372,9 @@ def main(argv=None) -> int:
     except (PipelineError, OSError) as exc:
         _print_error(exc)
         return 2
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no text
+        _print_error(exc if str(exc) else MemoryError("out of memory"))
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ the sentiment features add.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import sys
@@ -20,7 +21,7 @@ from ._numpy import np
 from .errors import EmptyInput, PipelineError
 from .features import ScalerParams, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, checkpoint_to_json, predict, train
-from .market_data import BarSeries, Tweet, _iter_indented_json, align_to_trading_days
+from .market_data import BarSeries, Tweet, align_to_trading_days
 from .sentiment import DailySentiment, Lexicon, aggregate_daily, score_corpus
 
 
@@ -341,7 +342,7 @@ def report_to_json(report: EvalReport) -> str:
         ],
         "averages": report.averages,
     }
-    return "".join(_iter_indented_json(doc))
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def record_plot_csv(dates: Sequence[date], real: Sequence[float], predicted: Sequence[float]) -> str:

@@ -77,8 +77,8 @@ clipping and each optimizer operation are one numpy call. The clipping
 norm still adds each tensor's sum of squares in tensor order, so the bits
 are those of a tensor-by-tensor update.
 
-A checkpoint is indented JSON from ``market_data``'s shared writer, which
-runs json's C encoder once per array. In ``compare``, each feature mode's
+A checkpoint is one compact ``json.dumps`` with sorted keys, so the json
+module's C encoder writes it whole. In ``compare``, each feature mode's
 process encodes its own checkpoints with :func:`checkpoint_to_json` and
 predicts with them as training reaches each epoch size, and the CLI
 writes that text (see ``evaluation.run_comparison``).
@@ -95,7 +95,6 @@ from dataclasses import asdict, dataclass, replace
 from ._numpy import np
 from .errors import NonFiniteLoss, PipelineError
 from .features import FEATURE_MODES, ScalerParams, WindowedDataset, invert_target
-from .market_data import _iter_indented_json
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -593,7 +592,7 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
 
 
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
-    return "".join(_iter_indented_json(_checkpoint_document(checkpoint)))
+    return json.dumps(_checkpoint_document(checkpoint), sort_keys=True)
 
 
 def _json_int(value, name: str) -> int:
@@ -663,11 +662,9 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write :func:`checkpoint_to_json`'s text, streamed one array at a
-    time rather than built whole in memory."""
-    doc = _checkpoint_document(checkpoint)
+    """Write :func:`checkpoint_to_json`'s text to ``path`` in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_iter_indented_json(doc))
+        fh.write(checkpoint_to_json(checkpoint))
 
 
 def load_checkpoint(path) -> Checkpoint:

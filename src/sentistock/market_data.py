@@ -8,7 +8,6 @@ here are pure; parsed values never change after construction.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -18,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInput, PipelineError
 
@@ -194,7 +193,12 @@ def _parse_numeric_cell(cell: str) -> float | None:
 
 
 def _parse_date_column(raw: Sequence[str]) -> list[date]:
-    """Parse every date cell with one format chosen for the whole file."""
+    """Parse every date cell with one format chosen for the whole file.
+
+    When neither format reads every cell, the error names the cell where
+    the format that read the most rows stopped.
+    """
+    stopped_at = 0
     for parser in (_parse_iso_date, _parse_ddmmyyyy):
         parsed = []
         for cell in raw:
@@ -204,8 +208,8 @@ def _parse_date_column(raw: Sequence[str]) -> list[date]:
             parsed.append(d)
         else:
             return parsed
-    bad = next((c for c in raw if _parse_iso_date(c.strip()) is None), raw[0])
-    raise PipelineError(f"date cell {bad!r} is neither ISO-8601 nor DD-MM-YYYY")
+        stopped_at = max(stopped_at, len(parsed))
+    raise PipelineError(f"date cell {raw[stopped_at]!r} is neither ISO-8601 nor DD-MM-YYYY")
 
 
 def _parse_iso_date(cell: str):
@@ -377,51 +381,6 @@ def align_to_trading_days(
 
 # Serialization of validated intermediates, written by the ingest command.
 
-@functools.cache
-def _flat_encoder(level: int) -> Callable[[object], str]:
-    """A C encoder for a container of scalars at nesting ``level``: it
-    separates items by a newline and the 2(level+1) spaces of their indent."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": ")).encode
-
-
-def _iter_indented_json(value, level: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, in chunks.
-
-    The json module runs its C encoder only without ``indent``. So only
-    containers that hold containers are walked here; every other list or
-    dict, and every scalar, is one call of a C encoder whose item separator
-    is a newline plus its level's indentation, and a non-empty container
-    then gets the newlines after its opening and before its closing
-    bracket. A dict that holds containers must have string keys. Each
-    yielded chunk is one flat container or less, so a caller can stream a
-    large document to a file.
-    """
-    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    is_dict = isinstance(value, dict)
-    if is_dict:
-        items = sorted(value.items())
-        children = [child for _, child in items]
-    else:
-        children = value if isinstance(value, (list, tuple)) else ()
-    if not any(isinstance(child, (dict, list, tuple)) for child in children):
-        text = _flat_encoder(level)(value)
-        if len(children) == 0:  # "[]", "{}" and scalars stay as they are
-            yield text
-        else:
-            yield text[0] + inner
-            yield text[1:-1]
-            yield outer + text[-1]
-        return
-    yield ("{" if is_dict else "[") + inner
-    for k, child in enumerate(children):
-        if k:
-            yield "," + inner
-        if is_dict:
-            yield encode_basestring_ascii(items[k][0]) + ": "
-        yield from _iter_indented_json(child, level + 1)
-    yield outer + ("}" if is_dict else "]")
-
-
 def bars_to_json(series: BarSeries) -> str:
     doc = {
         "version": 1,
@@ -431,7 +390,7 @@ def bars_to_json(series: BarSeries) -> str:
             for b in series.bars
         ],
     }
-    return "".join(_iter_indented_json(doc))
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def tweet_to_json_line(tweet: Tweet) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sentistock.lstm as lstm
 from sentistock.cli import main
 
 from fixtures import write_cli_fixture
@@ -141,6 +142,21 @@ class TestPredict:
         split = int(0.75 * rows)
         assert len(lines) - 1 == rows - split
 
+    def test_indented_checkpoint_on_disk(self, fixture_config, tmp_path):
+        # Checkpoints were once written as json.dumps(doc, sort_keys=True,
+        # indent=2); one left on disk loads, predicts the same bytes as the
+        # compact file train writes now, and re-serializes to that file.
+        assert run(["train", "--config", fixture_config]) == 0
+        compact = tmp_path / "out" / "checkpoint.json"
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=2))
+        predictions = []
+        for path in (compact, indented):
+            assert run(["predict", "--config", fixture_config, "--checkpoint", path, "--out", tmp_path / path.stem]) == 0
+            predictions.append((tmp_path / path.stem / "predictions.csv").read_bytes())
+        assert predictions[0] == predictions[1]
+        assert lstm.checkpoint_to_json(lstm.load_checkpoint(indented)) == compact.read_text()
+
     def test_feature_mode_mismatch_exits_2(self, fixture_config, tmp_path, capsys):
         assert run(["train", "--config", fixture_config]) == 0  # hisa checkpoint
         code = run(["predict", "--config", fixture_config, "--feature-mode", "dlpm",
@@ -188,6 +204,8 @@ def edited_file(name, edit):
 
 #: A hidden size whose (4H, F+H) gate matrix numpy cannot even shape.
 HUGE_H = b"hidden_size = 100000000000000000000\n"
+#: What numpy raises for train's gate matrix at hidden_size 100000, lookback 5.
+NUMPY_OUT_OF_MEMORY = "Unable to allocate 298. GiB for an array with shape (400000, 100004) and data type float64"
 #: A price row whose Open cell exceeds the csv module's 131,072-character field limit.
 OVERSIZED_ROW = b"2030-01-01," + b"1" * 200_000 + b",1,1,1,1,1\n"
 
@@ -248,6 +266,21 @@ class TestBadSettingsExit2:
         assert run(argv + ["--config", fixture_config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("error, message", [
+        pytest.param(MemoryError(NUMPY_OUT_OF_MEMORY), NUMPY_OUT_OF_MEMORY, id="numpy-allocation"),
+        pytest.param(MemoryError(), "out of memory", id="bare"),
+    ])
+    def test_memory_error(self, error, message, fixture_config, monkeypatch, capsys):
+        # A hidden size too large to allocate fails in init_params; the
+        # failure is stood in for here rather than attempted.
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(lstm, "init_params", refuse)
+        capsys.readouterr()
+        assert run(["train", "--config", fixture_config]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestNotUtf8Exit2:
@@ -578,5 +611,5 @@ class TestFuzzedInputs:
             else:
                 target[key] = value
         path = base / "fuzzed_checkpoint.json"
-        path.write_bytes(edited(json.dumps(doc, indent=2).encode(), raw))
+        path.write_bytes(edited(json.dumps(doc, sort_keys=True).encode(), raw))
         self.outcome(base, ["predict", "--config", base / "config.ini", "--checkpoint", path])

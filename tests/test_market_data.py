@@ -1,6 +1,5 @@
 import io
 import json
-import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError, asdict, replace
@@ -17,7 +16,6 @@ from sentistock.market_data import (
     Tweet,
     align_to_trading_days,
     bars_to_json,
-    _iter_indented_json,
     _parse_ddmmyyyy,
     _parse_tweet_line,
     parse_ohlcv_csv,
@@ -124,9 +122,15 @@ class TestParseOhlcvCsv:
         for text in (day, unpadded, " " + unpadded, day[cut:], day + "0", cell):
             assert _parse_ddmmyyyy(text) == reference(text)
 
-    def test_unparseable_date(self):
-        body = "Jan 1 2020,10,11,9,10.5,10.5,100\n"
-        with pytest.raises(PipelineError, match="is neither ISO-8601 nor DD-MM-YYYY"):
+    @pytest.mark.parametrize("dates, bad", [
+        pytest.param(["Jan 1 2020"], "Jan 1 2020", id="neither"),
+        pytest.param(["01-02-2020", "31-02-2020"], "31-02-2020", id="ddmmyyyy-no-such-day"),
+        pytest.param(["2020-01-01", "2020-01-02", "03-01-2020"], "03-01-2020", id="iso-then-ddmmyyyy"),
+    ])
+    def test_unparseable_date(self, dates, bad):
+        # The cell named is where the format that read the most rows stopped.
+        body = "".join(f"{d},10,11,9,10.5,10.5,100\n" for d in dates)
+        with pytest.raises(PipelineError, match=re.escape(f"date cell {bad!r} is neither ISO-8601 nor DD-MM-YYYY")):
             parse_ohlcv_csv(csv_stream(HEADER + body))
 
     def test_price_box_violation(self):
@@ -512,43 +516,6 @@ class TestTextPathReferences:
     def test_timestamp_grammar_equals_regex(self, stamp):
         line = json.dumps({"timestamp": stamp, "text": "good", "id": "1"})
         assert_same_tweet(parsed_as_jsonl_line(line), reference_parse_tweet_line(line))
-
-
-#: Every scalar kind a document holds: NaN, the infinities, both zeros and
-#: numpy's float64 among the floats, and strings with quotes, backslashes,
-#: control characters, non-ASCII text and lone surrogates.
-SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, np.float64(-0.0), np.float64(math.nan)]),
-    st.text(alphabet=st.one_of(st.characters(max_codepoint=0x7f), AWKWARD_CHARS), max_size=12),
-)
-KEYS = st.text(alphabet=st.one_of(st.characters(max_codepoint=0x7f), AWKWARD_CHARS), max_size=8)
-DOCUMENTS = st.recursive(
-    st.one_of(SCALARS, st.just([]), st.just({})),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
-        st.lists(st.dictionaries(KEYS, inner, max_size=3), max_size=3),
-        st.dictionaries(KEYS, inner, max_size=4),
-    ),
-    max_leaves=15,
-)
-
-
-class TestIndentedJson:
-    """The one indented writer behind the checkpoint, report and bars
-    documents, against the json module's pure-Python indenting encoder."""
-
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(doc=DOCUMENTS)
-    def test_equals_json_dumps(self, doc):
-        expected = json.dumps(doc, sort_keys=True, indent=2)
-        assert "".join(_iter_indented_json(doc)) == expected
-
-    def test_named_shapes(self):
-        for doc in ([], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]]], {"b": [{"c": []}], "a": 1},
-                    "x", 1.5, None, [1, [2, [3, [4]]]]):
-            assert "".join(_iter_indented_json(doc)) == json.dumps(doc, sort_keys=True, indent=2), doc
 
 
 def ts(day: date) -> datetime:
