@@ -2,7 +2,8 @@
 
 All commands read one INI config file (section [run], keys documented in
 the README) with per-command flag overrides; flags win. Every run writes
-its resolved configuration beside its outputs so results are replayable.
+its resolved configuration beside its outputs, with paths relative to the
+output directory, so results are replayable wherever the tree is moved.
 No artifact contains a timestamp: identical inputs plus an identical seed
 give byte-identical outputs.
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -89,21 +92,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge config-file values and flag overrides over the defaults."""
     values: dict = {}
     if path is not None:
-        # No interpolation: every value is literal, '%' included.
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         try:
             with open(path, "rb") as fh, _utf8_text(fh, "config INI") as text:
-                parser.read_file(text, source=path)
+                values = _read_run_section(text, path, Path(path).resolve().parent)
         except FileNotFoundError as exc:
             raise PipelineError(f"config file not found: {path}") from exc
-        except configparser.Error as exc:
-            # configparser's messages span several lines; the CLI prints one.
-            raise PipelineError(" ".join(str(exc).split())) from exc
-        if not parser.has_section("run"):
-            raise PipelineError(f"config file {path} has no [run] section")
-        base = Path(path).resolve().parent
-        for key, raw in parser.items("run"):
-            values[key] = _coerce(key, raw, base)
     for key, value in overrides.items():
         if value is not None:
             values[key] = _coerce(key, value, Path.cwd())
@@ -111,6 +104,20 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
     return RunConfig(**values)
+
+
+def _read_run_section(text, source: str, base: Path) -> dict:
+    """The [run] section's values, parsed, with paths resolved against ``base``."""
+    # No interpolation: every value is literal, '%' included.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        parser.read_file(text, source=source)
+    except configparser.Error as exc:
+        # configparser's messages span several lines; the CLI prints one.
+        raise PipelineError(" ".join(str(exc).split())) from exc
+    if not parser.has_section("run"):
+        raise PipelineError(f"config file {source} has no [run] section")
+    return {key: _coerce(key, raw, base) for key, raw in parser.items("run")}
 
 
 def _coerce(key: str, raw, base: Path):
@@ -128,6 +135,8 @@ def _coerce(key: str, raw, base: Path):
     except (TypeError, ValueError) as exc:
         raise PipelineError(f"config key {key!r}: cannot parse {raw!r}") from exc
     if key in _PATH_KEYS and raw:
+        if "\0" in raw:
+            raise PipelineError(f"config key {key!r}: a path cannot hold a NUL byte")
         p = Path(raw)
         return str(p if p.is_absolute() else base / p)
     return raw
@@ -148,18 +157,43 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_resolved_config(cfg: RunConfig, out: Path) -> None:
+def _resolved_config(cfg: RunConfig) -> str:
+    """The text of ``resolved_config.ini``, which reruns ``cfg`` as
+    ``--config <out>/resolved_config.ini``.
+
+    Each path is written relative to the output directory, the file's own,
+    as :func:`load_config` resolves it, so the file holds no trace of where
+    the tree lies. A setting that the text would read back otherwise (a
+    path holding `` #``, which starts an inline comment) is refused.
+    """
+    out = os.path.realpath(cfg.out)
+    written = _resolved_values(cfg, out)
     parser = configparser.ConfigParser(interpolation=None)
-    parser.add_section("run")
+    parser.read_dict({"run": written})
+    buffer = io.StringIO()
+    parser.write(buffer)
+    text = buffer.getvalue()
+    again = _resolved_values(RunConfig(**_read_run_section(io.StringIO(text), "resolved_config.ini", Path(out))), out)
+    for key, value in written.items():
+        if again[key] != value:
+            raise PipelineError(f"config key {key!r}: {value!r} would read back from resolved_config.ini "
+                                f"as {again[key]!r}")
+    return text
+
+
+def _resolved_values(cfg: RunConfig, out: str) -> dict[str, str]:
+    """Each set key's value as ``resolved_config.ini`` writes it."""
+    values = {}
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
         if value is None:
             continue
         if f.name == "epoch_sizes":
             value = ",".join(str(e) for e in value)
-        parser.set("run", f.name, str(value))
-    with open(out / "resolved_config.ini", "w", encoding="utf-8") as fh:
-        parser.write(fh)
+        elif f.name in _PATH_KEYS and value:
+            value = os.path.relpath(os.path.realpath(value), out)
+        values[f.name] = str(value)
+    return values
 
 
 def _load_series(cfg: RunConfig) -> BarSeries:
@@ -187,7 +221,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
     (out / "bars.json").write_text(bars_to_json(series), encoding="utf-8")
     with open(out / "tweets_valid.jsonl", "w", encoding="utf-8") as fh:
         fh.writelines(tweet_to_json_line(tweet) + "\n" for tweet in tweets)
-    _write_resolved_config(cfg, out)
     print(f"bars: {len(series)} rows ({series.bars[0].date}..{series.bars[-1].date})")
     print(f"tweets: {len(tweets)} valid, {skipped} skipped")
     print(f"wrote {out / 'bars.json'} and {out / 'tweets_valid.jsonl'}")
@@ -216,7 +249,6 @@ def cmd_sentiment(cfg: RunConfig) -> int:
         print(f"tweets: {len(tweets)} valid, {skipped} skipped")
     records, dropped = daily_sentiment(tweets, series, lexicon)
     (out / "daily_sentiment.csv").write_text(daily_sentiment_csv(records), encoding="utf-8")
-    _write_resolved_config(cfg, out)
     _print_daily_counts(len(records), sum(1 for rec in records if rec.tweet_count == 0), dropped)
     print(f"wrote {out / 'daily_sentiment.csv'}")
     return 0
@@ -245,7 +277,6 @@ def cmd_train(cfg: RunConfig) -> int:
     train_windows, _, scaler, _ = _model_windows(cfg)
     checkpoint = train(train_windows, config, scaler=scaler, feature_mode=cfg.feature_mode)
     save_checkpoint(checkpoint, out / "checkpoint.json")
-    _write_resolved_config(cfg, out)
     print(
         f"trained {cfg.feature_mode} model: {cfg.epochs} epochs on {len(train_windows)} windows, "
         f"final training loss {checkpoint.loss_history[-1]:.6g}"
@@ -265,7 +296,6 @@ def cmd_predict(cfg: RunConfig) -> int:
     predicted = predict(checkpoint, test_windows)
     real = invert_target(test_windows.labels, scaler)
     (out / "predictions.csv").write_text(record_plot_csv(dates, real, predicted), encoding="utf-8")
-    _write_resolved_config(cfg, out)
     print(f"predicted {len(predicted)} test days with the {checkpoint.feature_mode} checkpoint")
     print(f"wrote {out / 'predictions.csv'}")
     return 0
@@ -297,7 +327,6 @@ def cmd_compare(cfg: RunConfig) -> int:
         name = f"plot_{record.variant}_epochs{record.epochs}.csv"
         csv_text = record_plot_csv(record.dates, record.real, record.predicted)
         (out / name).write_text(csv_text, encoding="utf-8")
-    _write_resolved_config(cfg, out)
     print(f"tweets: {len(tweets)} valid, {skipped} skipped")
     _print_daily_counts(report.trading_days, report.zero_tweet_days, report.tweets_dropped)
     print(render_table(report), end="")
@@ -365,7 +394,10 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        resolved = _resolved_config(cfg)  # before any input is read
+        code = _COMMANDS[args.command](cfg)
+        (Path(cfg.out) / "resolved_config.ini").write_text(resolved, encoding="utf-8")
+        return code
     except NonFiniteLoss as exc:
         _print_error(exc)
         return 3

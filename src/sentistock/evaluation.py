@@ -90,6 +90,9 @@ class EvalReport:
         object.__setattr__(self, "averages", averages)
 
 
+VARIANTS = ("dlpm", "hisa")  # the modes a comparison trains, in record order: the baseline first
+
+
 def run_comparison(
     historical: BarSeries,
     sentiment: Sequence[Tweet],
@@ -101,51 +104,41 @@ def run_comparison(
     target_field: str = "close",
     checkpoint_sink: Callable[[str, int, str], None] | None = None,
 ) -> EvalReport:
-    """Train and score both feature modes at every epoch size.
+    """Train and score every mode of :data:`VARIANTS` at every epoch size.
 
     Each run shares the seed, hidden size, lookback, and split; only the
-    feature set and epoch count differ. Each mode is trained once, to the
-    largest epoch size, and the checkpoint at every smaller size is taken on
-    the way; it is the one a separate run of that many epochs would give.
-    ``base_config.epochs`` is ignored: ``max(epoch_sizes)`` replaces it.
-    Records come out epoch-major with the historical-only baseline first,
-    mirroring the reporting table. ``checkpoint_sink`` (variant, epochs,
-    document) receives the text of :func:`checkpoint_to_json` once per
-    record, in record order, and only after both modes have trained, so
-    callers can persist the trained models; without a sink no document is
-    encoded.
+    feature set and epoch count differ. Each mode is one job: it trains
+    once, to the largest epoch size, and the checkpoint at every smaller
+    size is taken on the way; it is the one a separate run of that many
+    epochs would give. ``base_config.epochs`` is ignored:
+    ``max(epoch_sizes)`` replaces it. Records come out epoch-major, modes
+    in :data:`VARIANTS` order, mirroring the reporting table.
+    ``checkpoint_sink`` (variant, epochs, document) receives the text of
+    :func:`checkpoint_to_json` once per record, in record order, and only
+    after every mode has trained, so callers can persist the trained
+    models; without a sink no document is encoded.
 
-    The two trainings read nothing of each other. When :func:`_fork_pays`
-    holds (a POSIX host with two usable CPUs, one Python thread, Python
-    before 3.12 and gate products too small for BLAS to thread), ``hisa``
-    trains in a forked child while ``dlpm`` trains here; otherwise they
-    train here one after the other. Each mode's process also encodes its
-    checkpoints and predicts the test windows as each epoch size is
-    reached, so only the texts and predictions come back from the child.
-    The results are byte for byte the same either way, and a divergence
-    raises the same :class:`NonFiniteLoss`, ``dlpm``'s first. The child's
-    memory, its encoding included, is not counted in this process's
-    ``ru_maxrss``.
+    The jobs read nothing of each other. Each also encodes its checkpoints
+    and predicts the test windows as each epoch size is reached, so its
+    result is only those texts and predictions. When :func:`_fork_pays`
+    holds, the first mode trains here and the others in a forked child
+    (:func:`_run_jobs`); otherwise all train here, in order. The results
+    are byte for byte the same either way, and a divergence raises the
+    same :class:`NonFiniteLoss`, the first mode's first.
     """
     if not epoch_sizes or min(epoch_sizes) < 1 or len(set(epoch_sizes)) != len(epoch_sizes):
         raise PipelineError(f"epoch_sizes must be one or more positive integers, each once, got {list(epoch_sizes)}")
 
     daily, dropped = daily_sentiment(sentiment, historical, lexicon)
     config = replace(base_config, epochs=max(epoch_sizes))
+    windows = {variant: model_windows(historical, daily, variant, lookback, split_fraction, target_field)
+               for variant in VARIANTS}
+    actuals = {v: (invert_target(test.labels, scaler), dates) for v, (_, test, scaler, dates) in windows.items()}
 
-    train_sets, test_sets = {}, {}
-    for variant in ("dlpm", "hisa"):
-        train_windows, test_windows, scaler, dates = model_windows(
-            historical, daily, variant, lookback, split_fraction, target_field
-        )
-        train_sets[variant] = (train_windows, scaler)
-        test_sets[variant] = (test_windows, invert_target(test_windows.labels, scaler), dates)
-
-    def snapshots_of(variant: str) -> dict[int, tuple[str | None, np.ndarray]]:
+    def job(variant: str) -> dict[int, tuple[str | None, np.ndarray]]:
         """Train one mode; at every epoch size keep the checkpoint's document
         (None without a sink) and its test predictions, not the checkpoint."""
-        train_windows, scaler = train_sets[variant]
-        test_windows = test_sets[variant][0]
+        train_windows, test_windows, scaler, _ = windows[variant]
         kept = {}
 
         def keep(checkpoint: Checkpoint) -> None:
@@ -156,19 +149,17 @@ def run_comparison(
         train(train_windows, config, scaler=scaler, feature_mode=variant, on_epoch=keep)
         return kept
 
-    input_size = max(windows.sequences.shape[2] for windows, _ in train_sets.values())
-    if _fork_pays(input_size, config.hidden_size, config.batch_size):
-        snapshots = _train_beside_child(snapshots_of)
-    else:
-        snapshots = {variant: snapshots_of(variant) for variant in ("dlpm", "hisa")}
+    input_size = max(train_windows.sequences.shape[2] for train_windows, *_ in windows.values())
+    fork = _fork_pays(input_size, config.hidden_size, config.batch_size)
+    snapshots = dict(zip(VARIANTS, _run_jobs(job, VARIANTS, fork)))
 
     records = []
     for epochs in epoch_sizes:
-        for variant in ("dlpm", "hisa"):
+        for variant in VARIANTS:
             document, predicted = snapshots[variant][epochs]
             if checkpoint_sink is not None:
                 checkpoint_sink(variant, epochs, document)
-            _, real, dates = test_sets[variant]
+            real, dates = actuals[variant]
             m = mape(real, predicted)
             records.append(
                 VariantRecord(
@@ -191,7 +182,7 @@ def run_comparison(
 
 
 def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:
-    """Whether training ``hisa`` in a forked child beside ``dlpm`` saves time.
+    """Whether :func:`_run_jobs` saves time with its later jobs in a forked child.
 
     Forking needs ``os.fork``, two usable CPUs and no other Python thread.
     From Python 3.12, ``fork`` in a process with other OS threads warns, and
@@ -225,30 +216,36 @@ def _fork_pays(input_size: int, hidden_size: int, batch_size: int) -> bool:
     )
 
 
-def _train_beside_child(snapshots_of: Callable[[str], dict]) -> dict[str, dict]:
-    """``snapshots_of("hisa")`` in a forked child while ``snapshots_of("dlpm")`` runs here.
+def _run_jobs(job: Callable[[str], object], names: Sequence[str], fork: bool) -> list:
+    """``[job(name) for name in names]``; with ``fork``, ``names[1:]`` run in
+    order in one forked child while ``job(names[0])`` runs here.
 
-    Each process trains, encodes and predicts its own mode. The child
-    pickles its result, or the exception it raised, into a pipe and leaves
-    by ``os._exit``, so it never returns into the caller's stack or flushes
-    its stdio buffers. The result is unpickled straight from the pipe, so
-    its bytes are never held beside the texts they decode to, and the pipe
-    is read before the child is reaped, since the result can exceed a
-    pipe's buffer. If this side raises, its exception wins, as it would
-    inline, and the child is killed and reaped.
+    The child pickles each result, or the exception a job raised, into a
+    pipe as it comes, stops at an exception, and leaves by ``os._exit``, so
+    it never returns into the caller's stack or flushes its stdio buffers.
+    Results are unpickled straight from the pipe, which is read before the
+    child is reaped, since a result can exceed a pipe's buffer. If this
+    side raises, its exception wins, as it would inline, and the child is
+    killed and reaped. The child's memory is not counted in this process's
+    ``ru_maxrss``.
     """
+    if not fork:
+        return [job(name) for name in names]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
-            try:
-                outcome = snapshots_of("hisa")
-            except BaseException as exc:
-                outcome = exc
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                for name in names[1:]:
+                    try:
+                        outcome = job(name)
+                    except BaseException as exc:
+                        outcome = exc
+                    pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    if isinstance(outcome, BaseException):
+                        break
             code = 0
         finally:
             os._exit(code)
@@ -257,11 +254,12 @@ def _train_beside_child(snapshots_of: Callable[[str], dict]) -> dict[str, dict]:
     try:
         os.close(write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
-            dlpm = snapshots_of("dlpm")
+            results = [job(names[0])]
             try:
-                hisa = pickle.load(pipe)
+                for _ in names[1:]:  # an exception is the child's last result
+                    results.append(pickle.load(pipe))
             except (EOFError, pickle.UnpicklingError):
-                hisa = None  # the child ended before its result was whole; its wait status says why
+                pass  # the child ended early; its wait status or its last result says why
         status = os.waitpid(pid, 0)[1]
     finally:
         if status is None:
@@ -270,10 +268,11 @@ def _train_beside_child(snapshots_of: Callable[[str], dict]) -> dict[str, dict]:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if not os.WIFEXITED(status) or os.WEXITSTATUS(status) != 0:
-        raise PipelineError(f"training hisa in a child process ended without a result (wait status {status})")
-    if isinstance(hisa, BaseException):
-        raise hisa
-    return {"dlpm": dlpm, "hisa": hisa}
+        raise PipelineError(f"training {', '.join(names[1:])} in a child process ended without a result "
+                            f"(wait status {status})")
+    if isinstance(results[-1], BaseException):
+        raise results[-1]
+    return results
 
 
 def model_windows(

@@ -306,18 +306,16 @@ def _parse_tweet_line(line: str) -> Tweet | None:
 
 #: The timestamp grammar: ``YYYY-MM-DD``, optionally followed by ``T``,
 #: ``t`` or a space, ``HH[:MM[:SS[.digits]]]`` and a ``Z``, ``z`` or
-#: ``±HH:MM[:SS[.ffffff]]`` offset; group 1 is the seconds fraction's
-#: digits. Python 3.10's ``fromisoformat`` and 3.11's both read it, so a
-#: timestamp is kept or skipped alike on every Python. 3.11 also reads comma
+#: ``±HH:MM[:SS[.ffffff]]`` offset. ``fromisoformat`` reads more: comma
 #: fractions, basic-format times and offsets (``T1000Z``, ``+0500``),
-#: hours-only offsets, fractions on the hours or minutes and ISO week dates,
-#: and 3.10 a ``Z`` before an offset; both read a stray character after the
-#: hours, minutes or seconds. The separator matters too: ``fromisoformat``
-#: takes any character between the date and the time, so
-#: ``2024-01-05+05:00`` would read as 05:00 on a naive clock.
+#: hours-only offsets, fractions on the hours or minutes, ISO week dates
+#: and a stray character after the hours, minutes or seconds. The
+#: separator matters too: ``fromisoformat`` takes any character between
+#: the date and the time, so ``2024-01-05+05:00`` would read as 05:00 on a
+#: naive clock.
 _TIMESTAMP = re.compile(
     r"\d{4}-\d\d-\d\d"
-    r"(?:[Tt ]\d\d(?::\d\d(?::\d\d(?:\.(\d+))?)?)?"
+    r"(?:[Tt ]\d\d(?::\d\d(?::\d\d(?:\.\d+)?)?)?"
     r"(?:[Zz]|[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?",
     re.ASCII,
 )
@@ -326,25 +324,15 @@ _TIMESTAMP = re.compile(
 def _parse_rfc3339(value: str) -> datetime:
     """The datetime of a timestamp in ``_TIMESTAMP``'s grammar.
 
-    Python 3.11 parses a trailing ``Z`` and a seconds fraction of any
-    length itself. A value it refuses, and on Python 3.10 any ``Z`` or
-    fraction other than 3 or 6 digits, is retried once with the fraction
-    padded with zeros or cut to 6 digits and a trailing ``Z`` or ``z`` as
-    ``+00:00``, as Python 3.11 reads it.
+    ``fromisoformat`` reads a trailing ``Z`` and a seconds fraction of any
+    length (cut to 6 digits), but not a trailing ``z``, which is read as
+    ``+00:00``.
     """
-    match = _TIMESTAMP.fullmatch(value)
-    if match is None:
+    if _TIMESTAMP.fullmatch(value) is None:
         raise ValueError(f"not a timestamp: {value!r}")
-    try:
-        return datetime.fromisoformat(value)
-    except ValueError:
-        start, end = match.span(1)  # (-1, -1) without a seconds fraction
-        retry = value if start < 0 else value[:start] + value[start:end][:6].ljust(6, "0") + value[end:]
-        if retry.endswith(("Z", "z")):
-            retry = retry[:-1] + "+00:00"
-        if retry == value:
-            raise
-    return datetime.fromisoformat(retry)
+    if value.endswith("z"):
+        value = value[:-1] + "+00:00"
+    return datetime.fromisoformat(value)
 
 
 def align_to_trading_days(

@@ -45,12 +45,29 @@ def trading_days(n: int, start: date = date(2020, 1, 1)) -> list[date]:
     return out
 
 
+def _tweet_mixes(rng, n_days: int) -> list[tuple[int, int, int]]:
+    """Each day's (positive, negative, neutral) tweet counts, drawn from
+    ``rng`` along a smooth driver s_t in [-1, 1]."""
+    mixes = []
+    s = 0.0
+    for _ in range(n_days):
+        s = float(np.clip(0.5 * s + 0.5 * rng.uniform(-1.0, 1.0), -1.0, 1.0))
+        n_tweets = int(rng.integers(12, 25))
+        k_pos = int(round(n_tweets * (0.4 + 0.3 * s)))
+        k_pos = max(0, min(n_tweets, k_pos))
+        k_neg = int(round(n_tweets * (0.4 - 0.3 * s)))
+        k_neg = max(0, min(n_tweets - k_pos, k_neg))
+        mixes.append((k_pos, k_neg, n_tweets - k_pos - k_neg))
+    return mixes
+
+
 def make_coupled_fixture(
     n_days: int = 250,
     seed: int = 2024,
     gain: float = 0.2,
     mean_reversion: float = 0.15,
     noise_sd: float = 0.25,
+    tweets_seed: int | None = None,
 ):
     """Synthetic market where sentiment partially drives the next close.
 
@@ -61,23 +78,16 @@ def make_coupled_fixture(
     carry genuine information about that row's next-day target. Tweet
     texts are single-keyword so the pipeline's realized daily percentages
     match the generator's intent exactly.
+
+    The tweets follow the driver that ``tweets_seed`` draws (default:
+    ``seed``); any other seed's tweets say nothing about these prices.
     """
     rng = np.random.default_rng(seed)
     days = trading_days(n_days)
 
     level = 100.0
-    tweet_mix = []
-    realized = []
-    s = 0.0
-    for t in range(n_days):
-        s = float(np.clip(0.5 * s + 0.5 * rng.uniform(-1.0, 1.0), -1.0, 1.0))
-        n_tweets = int(rng.integers(12, 25))
-        k_pos = int(round(n_tweets * (0.4 + 0.3 * s)))
-        k_pos = max(0, min(n_tweets, k_pos))
-        k_neg = int(round(n_tweets * (0.4 - 0.3 * s)))
-        k_neg = max(0, min(n_tweets - k_pos, k_neg))
-        tweet_mix.append((k_pos, k_neg, n_tweets - k_pos - k_neg))
-        realized.append((k_pos - k_neg) / n_tweets)
+    realized = [(k_pos - k_neg) / (k_pos + k_neg + k_neu) for k_pos, k_neg, k_neu in _tweet_mixes(rng, n_days)]
+    tweet_mix = _tweet_mixes(np.random.default_rng(seed if tweets_seed is None else tweets_seed), n_days)
 
     closes = [level]
     for t in range(n_days - 1):

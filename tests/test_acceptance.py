@@ -210,22 +210,26 @@ def test_criterion_6_protocol_shape(tmp_path, capsys):
         assert f"{(95.41 + 97.18 + 92.38) / 3:.2f}" == "94.99"
 
 
+def sentiment_wins(series, tweets, lexicon) -> int:
+    """Seeds 0-9 on which hisa's average accuracy matches or beats dlpm's."""
+    wins = 0
+    margins = []
+    for seed in range(10):
+        config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=seed,
+                             grad_clip_norm=5.0, optimizer="adam", hidden_size=32)
+        report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
+        hisa = report.averages["hisa"]
+        dlpm = report.averages["dlpm"]
+        wins += hisa >= dlpm
+        margins.append(hisa - dlpm)
+    print(f"    wins {wins}/10, margins min {min(margins):+.3f} mean {np.mean(margins):+.3f}")
+    return wins
+
+
 def test_criterion_7_directional_claim():
     with criterion(7, "sentiment features win on the coupled fixture (>= 8 of 10 seeds)"):
         started = time.perf_counter()
-        series, tweets, lexicon = make_coupled_fixture(n_days=250, seed=2024)
-        wins = 0
-        margins = []
-        for seed in range(10):
-            config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=seed,
-                                 grad_clip_norm=5.0, optimizer="adam", hidden_size=32)
-            report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
-            hisa = report.averages["hisa"]
-            dlpm = report.averages["dlpm"]
-            wins += hisa >= dlpm
-            margins.append(hisa - dlpm)
-        print(f"    wins {wins}/10, margins min {min(margins):+.3f} mean {np.mean(margins):+.3f}")
-        assert wins >= 8
+        assert sentiment_wins(*make_coupled_fixture(n_days=250, seed=2024)) >= 8
         assert time.perf_counter() - started < 300.0
 
 
@@ -254,3 +258,11 @@ def test_criterion_8_table_format_fidelity():
         assert len(average_rows) == 2
         assert any("89.87%" in ln for ln in average_rows)
         assert any("94.99%" in ln for ln in average_rows)
+
+
+def test_criterion_9_decoupled_claim_refused():
+    # Criterion 7's setup, with the tweets of another seed's driver: the
+    # sentiment features carry nothing about these prices, so the claim
+    # that passes on the coupled fixture must fail here.
+    with criterion(9, "sentiment features do not win on decoupled tweets (<= 3 of 10 seeds)"):
+        assert sentiment_wins(*make_coupled_fixture(n_days=250, seed=2024, tweets_seed=7)) <= 3

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -503,8 +504,79 @@ class TestConfigHandling:
 
     def test_percent_in_out_flag_is_literal(self, fixture_config, tmp_path):
         out = tmp_path / "dir%x"
+        prices = tmp_path / "prices%1.csv"
+        prices.write_bytes((tmp_path / "prices.csv").read_bytes())
+        assert run(["ingest", "--config", fixture_config, "--out", out, "--historical", prices]) == 0
+        text = (out / "resolved_config.ini").read_text()
+        assert "out = .\n" in text and "historical = ../prices%1.csv\n" in text
+
+
+class TestResolvedConfig:
+    """``resolved_config.ini`` reruns its run from wherever the tree lies."""
+
+    def test_paths_relative_to_out(self, fixture_config, tmp_path):
+        assert run(["ingest", "--config", fixture_config]) == 0
+        text = (tmp_path / "out" / "resolved_config.ini").read_text()
+        assert str(tmp_path) not in text
+        assert "historical = ../prices.csv\ntweets = ../tweets.jsonl\nlexicon = ../lexicon.tsv\nout = .\n" in text
+
+    def test_identical_bytes_under_another_parent(self, tmp_path):
+        outs = []
+        for parent in ("a", "a_longer_parent_name"):
+            tree = tmp_path / parent / "run"
+            tree.mkdir(parents=True)
+            config = write_cli_fixture(tree, n_days=60, seed=7)
+            assert run(["compare", "--config", config, "--epoch-sizes", "1,2"]) == 0
+            outs.append(tree / "out")
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "resolved_config.ini" in names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_copied_tree_replays(self, tmp_path):
+        original = tmp_path / "original"
+        original.mkdir()
+        config = write_cli_fixture(original, n_days=60, seed=7)
+        assert run(["compare", "--config", config, "--epoch-sizes", "1,2"]) == 0
+        expected = {p.name: p.read_bytes() for p in (original / "out").iterdir()}
+        copy = tmp_path / "copy"
+        shutil.copytree(original, copy)
+        shutil.rmtree(original)
+        for path in (copy / "out").iterdir():
+            if path.name != "resolved_config.ini":
+                path.unlink()
+        assert run(["compare", "--config", copy / "out" / "resolved_config.ini"]) == 0
+        assert not original.exists()
+        assert {p.name: p.read_bytes() for p in (copy / "out").iterdir()} == expected
+
+    def test_out_with_inline_comment_marker_replays(self, fixture_config, tmp_path):
+        # " #" starts an inline comment, so the directory must be written as
+        # "." for the rerun to land in it rather than in "out".
+        out = tmp_path / "out #1"
         assert run(["ingest", "--config", fixture_config, "--out", out]) == 0
-        assert f"out = {out}\n" in (out / "resolved_config.ini").read_text()
+        expected = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(["ingest", "--config", out / "resolved_config.ini"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+        assert not (tmp_path / "out").exists()
+
+    def test_nul_byte_in_path_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "nul.ini"
+        config.write_bytes(b"[run]\nout = a\x00b\n")
+        assert run(["ingest", "--config", config]) == 2
+        assert capsys.readouterr().err == "error: config key 'out': a path cannot hold a NUL byte\n"
+
+    @pytest.mark.parametrize("marker", [" #", " ;"])
+    def test_unreplayable_path_exits_2_before_reading_input(self, marker, fixture_config, tmp_path, capsys):
+        # Were the file read, its bytes would fail as UTF-8 instead.
+        prices = tmp_path / f"data{marker}1" / "prices.csv"
+        prices.parent.mkdir()
+        prices.write_bytes(b"\xff\n")
+        out = tmp_path / "new_out"
+        assert run(["ingest", "--config", fixture_config, "--historical", prices, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'historical': ") and err.count("\n") == 1
+        assert f"data{marker}1/prices.csv" in err
+        assert not out.exists()
 
 
 def edited(data: bytes, edits) -> bytes:

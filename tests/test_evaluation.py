@@ -24,6 +24,7 @@ from sentistock.evaluation import (
     rmse,
     run_comparison,
     _fork_pays,
+    _run_jobs,
 )
 from sentistock.features import fuse, invert_target, make_windows, scale_dataset
 from sentistock.lstm import TrainConfig, checkpoint_from_json, checkpoint_to_json, predict, train
@@ -423,6 +424,42 @@ class TestForkedTraining:
         # The child sends its documents' text through the pipe.
         hisa = {e: (outs[True] / f"checkpoint_hisa_epochs{e}.json").read_text(encoding="utf-8") for e in (1, 2, 3)}
         assert len(pickle.dumps(hisa, protocol=pickle.HIGHEST_PROTOCOL)) > 65536
+
+
+class TestRunJobs:
+    """``_run_jobs`` knows nothing of the modes: any names, in order, and on
+    the forked path every name after the first runs in one child."""
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_results_in_name_order(self, fork):
+        assert _run_jobs(lambda name: name * 2, ("a", "b", "c"), fork) == ["aa", "bb", "cc"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_first_failing_job_raises_and_later_jobs_never_run(self, fork, tmp_path):
+        ran = tmp_path / "ran"
+
+        def job(name):
+            with open(ran, "a") as fh:
+                fh.write(name)
+            if name in ("b", "c"):
+                raise KeyError(name)
+            return name
+
+        with pytest.raises(KeyError, match="b"):
+            _run_jobs(job, ("a", "b", "c", "d"), fork)
+        assert sorted(ran.read_text()) == ["a", "b"]
+        assert_no_child_left()
+
+    def test_killed_child_names_its_jobs(self):
+        def job(name):
+            if os.getpid() != TEST_PID:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return name
+
+        with pytest.raises(PipelineError, match=rf"training b, c in a child .* \(wait status {signal.SIGKILL.value}\)"):
+            _run_jobs(job, ("a", "b", "c"), True)
+        assert_no_child_left()
 
 
 class TestForkGate:

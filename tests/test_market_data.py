@@ -292,9 +292,8 @@ class TestParseTweetsJsonl:
     ])
     def test_timestamp_without_date_time_separator_skipped(self, stamp):
         # fromisoformat takes any character after the date as the separator,
-        # so the first four read as naive clock times unless refused. Python
-        # 3.11 and later read the rest, which 3.10 refuses; every Python
-        # skips them.
+        # so the first four read as naive clock times unless refused, and it
+        # reads the rest too; the timestamp grammar skips them all.
         valid = '{"timestamp": "2024-01-05", "text": "ok", "id": "0"}\n'
         line = json.dumps({"timestamp": stamp, "text": "ok", "id": "1"}) + "\n"
         tweets, skipped = parse_tweets_jsonl(io.BytesIO((valid + line).encode()))
@@ -311,8 +310,7 @@ class TestParseTweetsJsonl:
                      datetime(2020, 1, 1, 10, 0, 0, 500000, timezone(timedelta(hours=5))), id="1-digit-offset"),
     ])
     def test_seconds_fraction_of_any_length(self, stamp, expected):
-        # Python 3.10's fromisoformat reads only 3 or 6 digits; 3.11 reads
-        # any count and cuts past 6. Every supported Python keeps these.
+        # fromisoformat reads any count of digits and cuts past 6.
         line = json.dumps({"timestamp": stamp, "text": "ok", "id": "1"}) + "\n"
         tweets, skipped = parse_tweets_jsonl(io.BytesIO(line.encode()))
         assert [(t.timestamp, t.timestamp.utcoffset()) for t in tweets] == [(expected, expected.utcoffset())]
@@ -336,7 +334,7 @@ TIMESTAMP_GRAMMAR = re.compile(
 def reference_parse_tweet_line(line: str) -> Tweet | None:
     """_parse_tweet_line's rule through json.loads, as it read before it
     decoded with raw_decode, plus the timestamp grammar as a regex, and the
-    seconds fraction read as Python 3.11 reads it on every Python."""
+    seconds fraction padded or cut to 6 digits."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError):
