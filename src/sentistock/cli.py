@@ -17,7 +17,7 @@ import configparser
 import io
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import EmptyInput, NonFiniteLoss, PipelineError
@@ -303,6 +303,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
+    # run_comparison trains to max(epoch_sizes), so train's epochs key plays no part.
+    config = replace(cfg, epochs=1).train_config()  # bad settings exit before the inputs are read
     _check_lookback(cfg)
     series = _load_series(cfg)
     tweets, skipped = _load_tweets(cfg)
@@ -316,7 +318,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         tweets,
         lexicon,
         cfg.epoch_sizes,
-        cfg.train_config(),
+        config,
         lookback=cfg.lookback,
         split_fraction=cfg.split_fraction,
         target_field=cfg.target_field,

@@ -59,8 +59,9 @@ also keeps, for each step, the tuple of views that step reads and writes,
 so neither loop slices an array and every numpy operation writes into the
 workspace with ``out=``. The inputs are copied into Z once per batch. The
 backward pass reads the cache and never writes into it; it accumulates the
-weight gradient one step at a time. The public :func:`forward` and
-:func:`backward` build a workspace of their own per call, and the
+weight gradient one step at a time. The public :func:`forward` builds a
+workspace per call and returns it as the cache; :func:`backward` runs in
+that workspace, so it allocates only the flat gradient it returns. The
 optimizers update in place. The inference path (``keep_steps=False``, used
 by :func:`predict`) runs the same loop in two alternating slots of Z and C
 and one of G, so its memory does not grow with the lookback: 8 (B (2(F+H+1)
@@ -201,22 +202,16 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
-#: A forward pass's BPTT cache: Z (L+1, F+H+1, B), G (L, 4H, B), C (L+1, H, B).
-#: A string, so that importing this module does not load numpy.
-Cache = "tuple[np.ndarray, np.ndarray, np.ndarray]"
-
-
 class _Workspace:
     """Every array a forward and backward pass of one batch size use,
     allocated once, with the views each step reads and writes precomputed.
 
     ``Z``, ``G`` and ``C`` are the BPTT cache (see :func:`forward`); with
     ``keep_steps`` False they hold two alternating slots of Z and C and one
-    of G. Given a ``cache``, the workspace wraps it for a backward pass and
-    allocates no forward buffers. ``steps[t]`` is the tuple (z_t, the x
-    rows of z_t, z_t transposed, the gate slab, its sigmoid block, f, i, o,
-    g, C_t, C_{t+1}, the h rows of z_{t+1}). A pass writes every result
-    into these arrays with ``out=``. Row F+H of every slab of Z is the
+    of G, and there is no backward scratch. ``steps[t]`` is the tuple (z_t,
+    the x rows of z_t, z_t transposed, the gate slab, its sigmoid block, f,
+    i, o, g, C_t, C_{t+1}, the h rows of z_{t+1}). A pass writes every
+    result into these arrays with ``out=``. Row F+H of every slab of Z is the
     constant 1 that carries the bias through the gate product; it is set
     here and never written again. With ``keep_steps``, slot 0 of C and of
     Z's h rows is only read, so the zero start state set here holds for
@@ -225,29 +220,22 @@ class _Workspace:
     writes over slot 0 and serves one pass.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, batch: int, lookback: int,
-                 keep_steps: bool = True, cache: Cache | None = None):
+    def __init__(self, input_size: int, hidden_size: int, batch: int, lookback: int, keep_steps: bool = True):
         F, H, B = input_size, hidden_size, batch
         self.input_size, self.hidden_size, self.batch = F, H, B
         self.keep_steps = keep_steps
-        if cache is None:
-            slots = lookback + 1 if keep_steps else 2
-            Z = np.empty((slots, F + H + 1, B))
-            G = np.empty((slots - 1, 4 * H, B))
-            C = np.empty((slots, H, B))
-            Z[0, F:F + H] = 0.0
-            Z[:, F + H] = 1.0
-            C[0] = 0.0
-            # Forward scratch: the gate matrix [W | b], tmp for i * g and
-            # then tanh(C), h for a contiguous (B, H) copy of the last h.
-            self.Wb = np.empty((4 * H, F + H + 1))
-            self.tmp = np.empty((H, B))
-            self.h = np.empty((B, H))
-        else:
-            Z, G, C = cache
-            self.h = np.ascontiguousarray(Z[lookback, F:F + H].T)
-        self.Z, self.G, self.C = Z, G, C
-        slots = len(Z)
+        slots = lookback + 1 if keep_steps else 2
+        self.Z = Z = np.empty((slots, F + H + 1, B))
+        self.G = G = np.empty((slots - 1, 4 * H, B))
+        self.C = C = np.empty((slots, H, B))
+        Z[0, F:F + H] = 0.0
+        Z[:, F + H] = 1.0
+        C[0] = 0.0
+        # Forward scratch: the gate matrix [W | b], tmp for i * g and then
+        # tanh(C), h for a contiguous (B, H) copy of the last h.
+        self.Wb = np.empty((4 * H, F + H + 1))
+        self.tmp = np.empty((H, B))
+        self.h = np.empty((B, H))
         self.h_last = Z[lookback % slots, F:F + H]
         self.steps = []
         for t in range(lookback):
@@ -356,19 +344,20 @@ def forward(
     X: np.ndarray,
     params: LstmParams,
     keep_steps: bool = True,
-) -> tuple[np.ndarray, Cache | tuple[()]]:
+) -> tuple[np.ndarray, _Workspace | None]:
     """Run a batch of sequences from a zero state; X is (batch, lookback, features).
 
-    Returns (predictions, cache). The cache for :func:`backward` is the
-    tuple (Z, G, C), stacked over time with the batch last. Slab t of Z is
-    z_t = (x_t, h_{t-1}, 1), so h_t sits in rows [F, F+H) of Z[t+1] (the
-    first F rows of Z[L] are unused) and row F+H is 1 throughout; G[t]
-    holds the activated gates f, i, o, g of step t as row blocks; C[0] is
-    the zero start state and C[t+1] the cell state after step t. When
-    keep_steps is False (inference path) the cache is an empty tuple, and
-    the same loop runs in two alternating slots of Z and C and one of G.
-    Each call runs in a workspace of its own, so the cache it returns
-    shares no buffer with any other call.
+    Returns (predictions, cache). The cache is the workspace the pass ran
+    in, which :func:`backward` runs in too; its ``Z``, ``G`` and ``C`` are
+    stacked over time with the batch last. Slab t of Z is z_t = (x_t,
+    h_{t-1}, 1), so h_t sits in rows [F, F+H) of Z[t+1] (the first F rows
+    of Z[L] are unused) and row F+H is 1 throughout; G[t] holds the
+    activated gates f, i, o, g of step t as row blocks; C[0] is the zero
+    start state and C[t+1] the cell state after step t. When keep_steps is
+    False (inference path) the cache is None, and the same loop runs in two
+    alternating slots of Z and C and one of G. Each call builds a workspace
+    of its own, so the cache it returns shares no buffer with any other
+    call.
     """
     if X.ndim != 3:
         raise PipelineError(f"expected (batch, lookback, features), got {X.shape}")
@@ -377,7 +366,7 @@ def forward(
     batch, lookback, F = X.shape
     workspace = _Workspace(F, params.hidden_size, batch, lookback, keep_steps)
     yhat = workspace.forward(X, params)
-    return yhat, ((workspace.Z, workspace.G, workspace.C) if keep_steps else ())
+    return yhat, (workspace if keep_steps else None)
 
 
 def _tensor_views(flat: np.ndarray, input_size: int, hidden_size: int) -> dict[str, np.ndarray]:
@@ -392,29 +381,22 @@ def _tensor_views(flat: np.ndarray, input_size: int, hidden_size: int) -> dict[s
     return views
 
 
-def backward(
-    cache: Cache, d_prediction, params: LstmParams, out: np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Backpropagation through time over the cache of a forward pass.
+def backward(cache: _Workspace, d_prediction, params: LstmParams) -> dict[str, np.ndarray]:
+    """Backpropagation through time in the workspace :func:`forward` returned.
 
     ``d_prediction`` is dLoss/dPrediction at the output unit, a scalar for
     one sequence or one entry per sequence of a batch; the caller owns the
     loss (squared error in training: 2 * (prediction - label)). Gradients
-    are summed over the batch into ``out``, one flat vector of every
-    parameter (a new one when None), which is zeroed first. The returned
-    views of it are keyed like ``params.tensors()``. The cache is only
-    read, so it can be backpropagated again.
+    are summed over the batch into a new flat vector of every parameter;
+    the returned views of it are keyed like ``params.tensors()``. The
+    cache is only read, so it can be backpropagated again.
     """
-    if not cache or len(cache[1]) == 0:
+    if not isinstance(cache, _Workspace) or not cache.keep_steps or not cache.steps:
         raise PipelineError("steps are empty; run a forward pass first")
-    Z, G, _ = cache
-    H, F = params.hidden_size, params.input_size
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
-    if dyhat.shape != (Z.shape[2],):
+    if dyhat.shape != (cache.batch,):
         raise PipelineError("d_prediction batch size does not match the forward pass")
-    if out is None:
-        out = np.empty(sum(tensor.size for _, tensor in params.tensors()))
-    return _Workspace(F, H, Z.shape[2], len(G), cache=cache).backward(dyhat, params, out)
+    return cache.backward(dyhat, params, np.empty(sum(tensor.size for _, tensor in params.tensors())))
 
 
 class _Adam:
@@ -553,8 +535,6 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
     Without a scaler on the checkpoint, raw normalized outputs come back.
     An empty window set yields an empty vector.
     """
-    if len(windows) == 0:
-        return np.empty(0, dtype=np.float64)
     X = np.asarray(windows.sequences, dtype=np.float64)
     yhat, _ = forward(X, checkpoint.params, keep_steps=False)
     if checkpoint.scaler is None:

@@ -361,6 +361,42 @@ class TestCompare:
         for name in artifacts:
             assert (outdir / name).read_bytes() == first[name], name
 
+    @staticmethod
+    def with_epochs(config, line):
+        """A copy of the fixture config whose epochs line is ``line``."""
+        text = config.read_text()
+        assert "\nepochs = 5\n" in text
+        edited = config.with_name("edited.ini")
+        edited.write_text(text.replace("\nepochs = 5\n", f"\n{line}"))
+        return edited
+
+    def test_ignores_epochs(self, fixture_config, tmp_path):
+        # compare trains to max(epoch_sizes); epochs is train's key.
+        def artifacts(config, out):
+            assert run(["compare", "--config", config, "--epoch-sizes", "2,3", "--out", out]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "resolved_config.ini"}
+
+        default = artifacts(self.with_epochs(fixture_config, ""), tmp_path / "default")
+        assert len(default) == 9
+        assert artifacts(self.with_epochs(fixture_config, "epochs = 0\n"), tmp_path / "zero") == default
+
+    @pytest.mark.parametrize("sizes", ["0", "", "1,1"])
+    def test_epoch_sizes_message_with_epochs_0(self, sizes, fixture_config, capsys):
+        capsys.readouterr()
+        config = self.with_epochs(fixture_config, "epochs = 0\n")
+        assert run(["compare", "--config", config, "--epoch-sizes", sizes]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epoch_sizes must be one or more positive integers"), err
+
+    def test_training_settings_checked_before_inputs_are_read(self, fixture_config, tmp_path, capsys):
+        (tmp_path / "prices.csv").write_bytes(b"\xff")
+        text = fixture_config.read_text()
+        assert "\nhidden_size = 8\n" in text
+        fixture_config.write_text(text.replace("\nhidden_size = 8\n", "\nhidden_size = 0\n"))
+        capsys.readouterr()
+        assert run(["compare", "--config", fixture_config]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: hidden_size must be a positive integer"]
+
 
 class TestCommandsAgree:
     """train and predict build their windows as compare does, so their

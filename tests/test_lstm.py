@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import pickle
@@ -50,13 +51,13 @@ def zero_params(input_size=2, hidden_size=3):
 def gates(cache, t, hidden_size):
     """The activated f, i, o, g blocks of step t, each (hidden, batch)."""
     H = hidden_size
-    return tuple(cache[1][t, k * H:(k + 1) * H] for k in range(4))
+    return tuple(cache.G[t, k * H:(k + 1) * H] for k in range(4))
 
 
 def hidden(cache, t, input_size):
     """h after step t, (hidden, batch): rows [F, F+H) of z_{t+1}."""
-    H = cache[2].shape[1]
-    return cache[0][t + 1, input_size:input_size + H]
+    H = cache.C.shape[1]
+    return cache.Z[t + 1, input_size:input_size + H]
 
 
 def sine_windows(n_samples=20, lookback=5):
@@ -114,7 +115,8 @@ def identity_gates():
 
 def sigmoid_through_forward(x: np.ndarray) -> np.ndarray:
     """The sigmoid as ``forward`` takes it, on a one-step batch of x's values."""
-    _, (_, G, _) = forward(x.reshape(-1, 1, 1), identity_gates())
+    _, cache = forward(x.reshape(-1, 1, 1), identity_gates())
+    G = cache.G
     assert np.array_equal(G[0, 0], G[0, 1], equal_nan=True)
     assert np.array_equal(G[0, 0], G[0, 2], equal_nan=True)
     return G[0, 0].reshape(x.shape)
@@ -173,7 +175,7 @@ class TestCellForward:
         p = zero_params()
         p.W[9:12, 0] = [1.0, -2.0, 0.5]
         _, cache = forward(np.array([[3.0, -1.0], [0.0, 0.0]])[None], p)
-        C = cache[2]
+        C = cache.C
         f, i, o, g = gates(cache, 1, 3)
         assert np.all(C[1] != 0.0)
         assert np.allclose(f, 0.5) and np.allclose(i, 0.5)
@@ -196,7 +198,7 @@ class TestCellForward:
             for t, x in enumerate(seq):
                 h_ref, c_ref = scalar_cell_reference(x, h_ref, c_ref, p)
                 assert np.max(np.abs(hidden(cache, t, 1)[:, 0] - np.array(h_ref))) < 1e-12
-                assert np.max(np.abs(cache[2][t + 1, :, 0] - np.array(c_ref))) < 1e-12
+                assert np.max(np.abs(cache.C[t + 1, :, 0] - np.array(c_ref))) < 1e-12
             assert abs(pred[0] - scalar_sequence_reference(seq, p)) < 1e-12
 
     def test_shape_mismatch(self):
@@ -208,7 +210,7 @@ class TestCellForward:
         rng = np.random.default_rng(8)
         p = init_params(3, 6, seed=8)
         _, cache = forward(rng.normal(scale=5.0, size=(1, 50, 3)), p)
-        assert len(cache[1]) == 50
+        assert len(cache.G) == 50
         for t in range(50):
             f, i, o, g = gates(cache, t, 6)
             for gate in (f, i, o):
@@ -227,7 +229,7 @@ class TestSequenceForward:
         p = init_params(2, 3, seed=5)
         x = np.array([[0.4, -0.2]])
         pred, cache = forward(x[None], p)
-        assert len(cache[1]) == 1
+        assert len(cache.G) == 1
         assert pred[0] == pytest.approx(float(hidden(cache, 0, 2)[:, 0] @ p.W_y[0] + p.b_y[0]), abs=1e-15)
 
     def test_order_sensitivity_witness(self):
@@ -293,6 +295,22 @@ class TestBackward:
         with pytest.raises(PipelineError, match="d_prediction batch size"):
             backward(steps, np.ones(2), p)
 
+    @pytest.mark.parametrize("kind", ["inference path", "bare tuple", "inference workspace"])
+    def test_only_a_training_workspace_is_backpropagated(self, kind):
+        p = init_params(3, 4, seed=5)
+        X = np.ones((2, 3, 3))
+        if kind == "inference path":
+            _, cache = forward(X, p, keep_steps=False)
+            assert cache is None
+        elif kind == "bare tuple":
+            _, workspace = forward(X, p)
+            cache = (workspace.Z, workspace.G, workspace.C)
+        else:
+            cache = lstm._Workspace(3, 4, 2, 3, keep_steps=False)
+            cache.forward(X, p)
+        with pytest.raises(PipelineError, match="steps are empty"):
+            backward(cache, np.ones(2), p)
+
     # Clipping runs inside train: one window, one batch and SGD at rate 1
     # make the first update the negated (clipped) gradient.
     @staticmethod
@@ -353,9 +371,10 @@ class TestNoAliasing:
         rng = np.random.default_rng(22)
         p = init_params(4, 16, seed=22)
         _, cache = forward(rng.normal(size=(11, 7, 4)), p)
-        before = [a.copy() for a in cache]
+        arrays = (cache.Z, cache.G, cache.C)
+        before = [a.copy() for a in arrays]
         backward(cache, rng.normal(size=11), p)
-        for name, kept, now in zip("ZGC", before, cache):
+        for name, kept, now in zip("ZGC", before, arrays):
             assert np.array_equal(now.view(np.int64), kept.view(np.int64)), name
 
     def test_nested_train_and_predict_share_no_buffer(self):
@@ -378,7 +397,8 @@ class TestCacheLayout:
     def test_gate_blocks_are_contiguous_slabs(self):
         H, F, B, L = 8, 3, 5, 4
         p = init_params(F, H, seed=23)
-        _, (Z, G, C) = forward(np.random.default_rng(23).normal(size=(B, L, F)), p)
+        _, cache = forward(np.random.default_rng(23).normal(size=(B, L, F)), p)
+        Z, G, C = cache.Z, cache.G, cache.C
         assert (Z.shape, G.shape, C.shape) == ((L + 1, F + H + 1, B), (L, 4 * H, B), (L + 1, H, B))
         for t in range(L):
             assert G[t, :3 * H].flags.c_contiguous
@@ -410,6 +430,28 @@ class TestCacheLayout:
             assert workspace.Z.shape[1] == F + H + 1
             assert np.all(workspace.Z[:, F + H] == 1.0)
 
+    def test_forward_returns_a_workspace_built_as_train_builds_it(self, monkeypatch):
+        # The gradient oracles check backward through forward's cache, so it
+        # must be the construction every training batch runs in.
+        built = []
+
+        class Recorded(lstm._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                arguments = inspect.signature(super().__init__).bind(*args, **kwargs)
+                arguments.apply_defaults()
+                built.append((self, arguments.arguments))
+
+        monkeypatch.setattr(lstm, "_Workspace", Recorded)
+        F, H, B, L = 4, 8, 16, 6
+        windows = random_windows(B, L, F, seed=25)
+        train(windows, TrainConfig(epochs=1, batch_size=B, seed=25, hidden_size=H))
+        _, cache = forward(windows.sequences, init_params(F, H, seed=25))
+        (_, in_train), (workspace, in_forward) = built
+        assert cache is workspace
+        assert in_forward == in_train == {"input_size": F, "hidden_size": H, "batch": B, "lookback": L,
+                                          "keep_steps": True}
+
 
 def traced_peak(fn, *args, **kwargs) -> int:
     """Peak bytes allocated while fn runs; tracemalloc sees numpy's buffers."""
@@ -436,6 +478,12 @@ class TestBoundedMemory:
     def one_cache(self):
         return self.L * self.B * (self.F + 1 + 7 * self.H) * 8  # z and its 1, four gates, C and h per step
 
+    def one_workspace(self):
+        """The lstm module docstring's size of a training workspace: the
+        cache and the scratch of both passes."""
+        L, B, H, F = self.L, self.B, self.H, self.F
+        return 8 * (B * ((L + 1) * (F + 2 * H + 1) + 4 * L * H + 14 * H) + 12 * H * (F + H + 1))
+
     def test_train_holds_one_batch_cache(self):
         assert self.train_peak(3 * self.B, epochs=1) <= 1.5 * self.one_cache()
 
@@ -447,14 +495,24 @@ class TestBoundedMemory:
         assert peak <= 1.5 * self.one_cache()
         assert peak <= self.train_peak(3 * self.B, epochs=1) + 0.03 * self.one_cache()
 
+    def test_forward_peak_is_one_workspace(self):
+        # forward builds backward's scratch too. Per-step weight-gradient
+        # products keep that to a few (4H, B) buffers; one (4H, L*B) product
+        # would add a copy of G, about half a workspace, where 1% is allowed.
+        rng = np.random.default_rng(32)
+        p = init_params(self.F, self.H, seed=32)
+        X = rng.normal(size=(self.B, self.L, self.F))
+        assert traced_peak(forward, X, p) <= 1.01 * self.one_workspace()
+
     def test_backward_allocates_a_fraction_of_the_cache(self):
-        # Per-step weight-gradient products keep backward's own memory to a
-        # few (4H, B) buffers; one (4H, L*B) product would need a copy of G.
+        # backward runs in forward's workspace: beside the flat gradient it
+        # returns, it allocates only a few small temporaries.
         L, B, H, F = self.L, self.B, self.H, self.F
         rng = np.random.default_rng(32)
         p = init_params(F, H, seed=32)
         _, cache = forward(rng.normal(size=(B, L, F)), p)
-        assert traced_peak(backward, cache, rng.normal(size=B), p) <= 0.25 * self.one_cache()
+        gradient = 8 * sum(tensor.size for _, tensor in p.tensors())
+        assert traced_peak(backward, cache, rng.normal(size=B), p) <= 1.5 * gradient
 
     def test_inference_forward_peak(self):
         X = np.random.default_rng(31).normal(size=(500, self.L, self.F))
@@ -582,6 +640,14 @@ class TestPredict:
                         config=TrainConfig(epochs=1, hidden_size=2), loss_history=(0.0,))
         with pytest.raises(PipelineError, match="feature count 1 != input_size 3"):
             predict(cp, windows)
+
+    def test_empty_windows_with_the_wrong_feature_count(self):
+        # No window is a batch of 0 on the one inference path, so the
+        # feature count is checked as for any other batch.
+        cp = Checkpoint(params=zero_params(1, 3), config=TrainConfig(epochs=1, hidden_size=3),
+                        loss_history=(0.0,))
+        with pytest.raises(PipelineError, match="feature count 2 != input_size 1"):
+            predict(cp, WindowedDataset(np.empty((0, 4, 2)), np.empty(0)))
 
 
 class TestCheckpointPersistence:
