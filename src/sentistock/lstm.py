@@ -15,15 +15,14 @@ Gate equations, with z = concat(x_t, h_{t-1}):
     C_t = f * C_{t-1} + i * g
     h_t = o * tanh(C_t)
 
-The four gates are stored stacked: one weight W of shape (4H, F+H) and one
-bias b of shape (4H,), whose row blocks [kH, (k+1)H) are f, i, o, g in that
-order. The checkpoint document still names each gate's block (W_f ...
-b_g), so it reads the same as before the stacking.
+The four gates are stored stacked in one gate matrix W of shape
+(4H, F+H+1): row blocks [kH, (k+1)H) are f, i, o, g in that order, and the
+last column is the gate bias. The checkpoint document still names each
+gate's weights and bias (W_f ... b_g), so it reads as before the stacking.
 
-The bias rides in the gate product. Each forward pass copies W and b once
-into a gate matrix [W | b] of shape (4H, F+H+1), and the pass stores z_t as
-(x_t, h_{t-1}, 1), so a step is one product [W | b] z_t, with no bias add.
-The sigmoid, on the first 3H rows, is 1 / (1 + exp(-x)) in four in-place
+The bias rides in the gate product: a pass stores z_t as (x_t, h_{t-1}, 1),
+so a step is one product W z_t, with no bias add and no weight copy. The
+sigmoid, on the first 3H rows, is 1 / (1 + exp(-x)) in four in-place
 numpy calls (negative, exp, add 1, reciprocal); exp overflows to inf below
 x of about -709.78, whose reciprocal is the 0.0 the sigmoid rounds to
 there, so each pass runs under one ``np.errstate(over="ignore")``. For
@@ -31,8 +30,8 @@ x >= 0 this is the bits of 1 / (1 + exp(-x)); for x < 0 it is within a
 few ulp of exp(x) / (1 + exp(x)). tanh takes the last H rows.
 Backpropagation likewise forms one (4H, batch) gradient at the
 pre-activations per step and multiplies it once by z_t, whose last column
-is then the bias gradient, and once by W's h columns; the (4H, F+H+1) sums
-are split into the W and b gradients once per batch.
+is then the bias gradient, and once by W's h columns; the first product
+is added straight into W's gradient.
 
 The prediction for a sequence is W_y h_T + b_y (no output activation; the
 model works in normalized target space). :func:`forward` runs a batch of
@@ -49,23 +48,22 @@ once and the constant row is set once, when the workspace is built; G (L,
 and the sigmoid's whole 3H-row block, is then one contiguous slab, which
 the elementwise operations run on faster than on the column slices of a
 (B, 4H) array. The cache takes 8 B ((L+1)(F+2H+1) + 4LH) bytes. Beside it
-lie the forward scratch (the (4H, F+H+1) gate matrix, an (H, B) array and
-a (B, H) copy of the last h) and the backward scratch (dA (4H, B), dh and
-dC, one (3H, B) and three (H, B) temporaries, and two (4H, F+H+1) arrays:
-one step's gradient product and the running sum), 8 (B ((L+1)(F+2H+1) +
-4LH + 14H) + 12H (F+H+1)) bytes in all: 13.9 MiB at lookback 30, batch 64,
-4 features and hidden 128, of which the cache is 11.5 MiB. The workspace
-also keeps, for each step, the tuple of views that step reads and writes,
-so neither loop slices an array and every numpy operation writes into the
-workspace with ``out=``. The inputs are copied into Z once per batch. The
-backward pass reads the cache and never writes into it; it accumulates the
-weight gradient one step at a time. The public :func:`forward` builds a
-workspace per call and returns it as the cache; :func:`backward` runs in
-that workspace, so it allocates only the flat gradient it returns. The
-optimizers update in place. The inference path (``keep_steps=False``, used
+lie the forward scratch (an (H, B) array and a (B, H) copy of the last h)
+and the backward scratch (dA (4H, B), dh and dC, one (3H, B) and three
+(H, B) temporaries, and one step's (4H, F+H+1) gradient product), 8 (B
+((L+1)(F+2H+1) + 4LH + 14H) + 4H (F+H+1)) bytes in all: 12.9 MiB at
+lookback 30, batch 64, 4 features and hidden 128, of which the cache is
+11.5 MiB. The workspace also keeps, for each step, the tuple of views that
+step reads and writes, so neither loop slices an array and every numpy
+operation writes with ``out=``. The inputs are copied into Z once per
+batch. The backward pass reads the cache and never writes into it; it
+accumulates the weight gradient one step at a time. The public
+:func:`forward` builds a workspace per call and returns it as the cache;
+:func:`backward` runs in that workspace, so it allocates only the flat
+gradient it returns. The optimizers update in place. The inference path (``keep_steps=False``, used
 by :func:`predict`) runs the same loop in two alternating slots of Z and C
-and one of G, so its memory does not grow with the lookback: 8 (B (2(F+H+1)
-+ 8H) + 4H (F+H+1)) bytes with the scratch.
+and one of G, so its memory does not grow with the lookback: 8 B
+(2(F+H+1) + 8H) bytes with the scratch.
 ``predict`` runs all windows as one batch. Chunks of windows would bound
 memory further, but a GEMM's bits can depend on its batch size: at
 hidden 128, chunks of 1 or 7 of 500 windows gave predictions up to 2.2e-16
@@ -75,8 +73,8 @@ away from the full batch's, which would change prediction bytes.
 :meth:`LstmParams.tensors`, and the model's arrays are views of it; the
 gradient, Adam's moments and one scratch vector share that layout, so
 clipping and each optimizer operation are one numpy call. The clipping
-norm still adds each tensor's sum of squares in tensor order, so the bits
-are those of a tensor-by-tensor update.
+norm still adds each tensor's sum of squares in tensor order (W's bias
+column inside W's sum), so the bits are those of a tensor-by-tensor update.
 
 A checkpoint is one compact ``json.dumps`` with sorted keys, so the json
 module's C encoder writes it whole. In ``compare``, each feature mode's
@@ -106,25 +104,23 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class LstmParams:
-    """The stacked gate weights and bias plus the linear output projection.
+    """The gate matrix plus the linear output projection.
 
-    ``W`` is (4H, F+H) and ``b`` is (4H,); rows [kH, (k+1)H) hold gate k of
-    f, i, o, g.
+    ``W`` is (4H, F+H+1), the matrix [W | b] that the gate product
+    multiplies: rows [kH, (k+1)H) hold gate k of f, i, o, g, and the last
+    column is the gate bias, so the bias of gate row r is ``W[r, -1]``.
     """
 
     W: np.ndarray
-    b: np.ndarray
     W_y: np.ndarray
     b_y: np.ndarray
     input_size: int
     hidden_size: int
 
     def __post_init__(self):
-        h, z = self.hidden_size, self.input_size + self.hidden_size
-        if self.W.shape != (4 * h, z) or self.b.shape != (4 * h,):
-            raise PipelineError(
-                f"gate stack must be W ({4 * h}, {z}) and b ({4 * h},), got {self.W.shape} and {self.b.shape}"
-            )
+        h, z = self.hidden_size, self.input_size + self.hidden_size + 1
+        if self.W.shape != (4 * h, z):
+            raise PipelineError(f"gate stack must be W ({4 * h}, {z}), got {self.W.shape}")
         if self.W_y.shape != (1, h) or self.b_y.shape != (1,):
             raise PipelineError("output projection must be (1, hidden) with scalar bias")
         for name, tensor in self.tensors():
@@ -133,7 +129,7 @@ class LstmParams:
 
     def tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(name, array) pairs in the fixed order used everywhere."""
-        return (("W", self.W), ("b", self.b), ("W_y", self.W_y), ("b_y", self.b_y))
+        return (("W", self.W), ("W_y", self.W_y), ("b_y", self.b_y))
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,11 @@ class Checkpoint:
 def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     """Xavier-uniform weights from a seeded generator.
 
-    One draw fills the gate stack W, then one fills W_y, so identical seeds
-    give bit-identical parameters. Every gate block gets the Xavier limit of
-    its own (H, F+H) shape, so W is the four per-gate draws stacked. The
-    forget block of b starts at 1.0, every other bias at 0.
+    One draw fills the (4H, F+H) weights of the gate matrix W, then one
+    fills W_y, so identical seeds give bit-identical parameters. Every gate
+    block gets the Xavier limit of its own (H, F+H) shape, so the weights
+    are the four per-gate draws stacked. The bias column starts at 1.0 in
+    the forget rows and at 0 in every other.
     """
     if input_size < 1 or hidden_size < 1:
         raise ValueError("input_size and hidden_size must be positive")
@@ -192,14 +189,14 @@ def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
     h, z = hidden_size, input_size + hidden_size
     gate_limit = math.sqrt(6.0 / (h + z))
     try:
-        W = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
+        W = np.zeros((4 * h, z + 1))
+        W[:, :z] = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
     except ValueError as exc:  # numpy refuses a shape past its maximum dimension
-        raise PipelineError(f"hidden_size {hidden_size} needs a ({4 * h}, {z}) gate matrix: {exc}") from exc
+        raise PipelineError(f"hidden_size {hidden_size} needs a ({4 * h}, {z + 1}) gate matrix: {exc}") from exc
+    W[:h, z] = 1.0
     out_limit = math.sqrt(6.0 / (1 + h))
     W_y = rng.uniform(-out_limit, out_limit, size=(1, h))
-    b = np.zeros(4 * h)
-    b[:h] = 1.0
-    return LstmParams(W=W, b=b, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
+    return LstmParams(W=W, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
 class _Workspace:
@@ -212,7 +209,7 @@ class _Workspace:
     the x rows of z_t, z_t transposed, the gate slab, its sigmoid block, f,
     i, o, g, C_t, C_{t+1}, the h rows of z_{t+1}). A pass writes every
     result into these arrays with ``out=``. Row F+H of every slab of Z is the
-    constant 1 that carries the bias through the gate product; it is set
+    constant 1 that multiplies the bias column of the gate matrix; it is set
     here and never written again. With ``keep_steps``, slot 0 of C and of
     Z's h rows is only read, so the zero start state set here holds for
     batch after batch of this size, and the last batch's ``Z``, ``G`` and
@@ -231,9 +228,8 @@ class _Workspace:
         Z[0, F:F + H] = 0.0
         Z[:, F + H] = 1.0
         C[0] = 0.0
-        # Forward scratch: the gate matrix [W | b], tmp for i * g and then
-        # tanh(C), h for a contiguous (B, H) copy of the last h.
-        self.Wb = np.empty((4 * H, F + H + 1))
+        # Forward scratch: tmp for i * g and then tanh(C), h for a
+        # contiguous (B, H) copy of the last h.
         self.tmp = np.empty((H, B))
         self.h = np.empty((B, H))
         self.h_last = Z[lookback % slots, F:F + H]
@@ -249,8 +245,8 @@ class _Workspace:
         if keep_steps:
             # Backward scratch: dA, the loss gradient at the gate
             # pre-activations (row blocks f, i, o, g), dh and dC, one
-            # (3H, B) and three (H, B) temporaries, and the gradient of the
-            # gate matrix [W | b]: one step's product and the running sum.
+            # (3H, B) and three (H, B) temporaries, and one step's product
+            # dA z_t^T, the gate matrix's gradient from that step.
             self.dA = np.empty((4 * H, B))
             self.dA_blocks = (self.dA[:3 * H], self.dA[:H], self.dA[H:2 * H],
                               self.dA[2 * H:3 * H], self.dA[3 * H:])
@@ -258,14 +254,11 @@ class _Workspace:
             self.dC = np.empty((H, B))
             self.sig_scratch = np.empty((3 * H, B))
             self.t1, self.t2, self.t3 = np.empty((3, H, B))
-            self.dWb_step = np.empty((4 * H, F + H + 1))
-            self.dWb = np.empty((4 * H, F + H + 1))
+            self.dW_step = np.empty((4 * H, F + H + 1))
 
     def forward(self, X: np.ndarray, params: LstmParams) -> np.ndarray:
         """Predictions for the (B, L, F) batch X; the cache is left in Z, G, C."""
-        Wb, tmp = self.Wb, self.tmp
-        np.copyto(Wb[:, :-1], params.W)
-        np.copyto(Wb[:, -1], params.b)
+        W, tmp = params.W, self.tmp
         xs = X.transpose(1, 2, 0)
         per_step_x = not self.keep_steps
         if not per_step_x:
@@ -276,7 +269,7 @@ class _Workspace:
             for t, (z, x_rows, _, gates, sig, f, i, o, g, c, c_next, h_next) in enumerate(self.steps):
                 if per_step_x:
                     x_rows[...] = xs[t]
-                np.matmul(Wb, z, out=gates)
+                np.matmul(W, z, out=gates)
                 np.negative(sig, out=sig)
                 np.exp(sig, out=sig)
                 sig += 1.0
@@ -294,18 +287,18 @@ class _Workspace:
     def backward(self, dyhat: np.ndarray, params: LstmParams, out: np.ndarray) -> dict[str, np.ndarray]:
         """BPTT over the cache in Z, G, C; see :func:`backward`."""
         H, F = self.hidden_size, self.input_size
-        W_hT = params.W[:, F:].T
+        W_hT = params.W[:, F:F + H].T
         grads = _tensor_views(out, F, H)
+        dW, dW_step = grads["W"], self.dW_step
         grads["W_y"][0] = dyhat @ self.h
         grads["b_y"][0] = np.add.reduce(dyhat)
 
         dA, dh, dC = self.dA, self.dh, self.dC
         dA_sig, dA_f, dA_i, dA_o, dA_g = self.dA_blocks
         s3, t1, t2, t3 = self.sig_scratch, self.t1, self.t2, self.t3
-        dWb_step, dWb = self.dWb_step, self.dWb
         np.multiply(params.W_y[0][:, None], dyhat, out=dh)
         dC.fill(0.0)
-        dWb.fill(0.0)
+        dW.fill(0.0)
         # Each operation keeps the operands and their order from the
         # expressions dC + dh * o * (1 - tanh(C)^2), sig * (1 - sig) and
         # (dC * i) * (1 - g^2), so the gradient's bits are theirs.
@@ -330,13 +323,11 @@ class _Workspace:
 
             # z_t's last row is 1, so the product's last column is the bias
             # gradient of this step.
-            np.matmul(dA, zT, out=dWb_step)
-            dWb += dWb_step
+            np.matmul(dA, zT, out=dW_step)
+            dW += dW_step
             np.matmul(W_hT, dA, out=dh)
             dC *= f
 
-        np.copyto(grads["W"], dWb[:, :-1])
-        np.copyto(grads["b"], dWb[:, -1])
         return grads
 
 
@@ -372,9 +363,9 @@ def forward(
 def _tensor_views(flat: np.ndarray, input_size: int, hidden_size: int) -> dict[str, np.ndarray]:
     """Views of a flat vector shaped like the parameter tensors, keyed and
     laid out in the order of :meth:`LstmParams.tensors`."""
-    H, Z = hidden_size, input_size + hidden_size
+    H, Z = hidden_size, input_size + hidden_size + 1
     views, start = {}, 0
-    for name, shape in (("W", (4 * H, Z)), ("b", (4 * H,)), ("W_y", (1, H)), ("b_y", (1,))):
+    for name, shape in (("W", (4 * H, Z)), ("W_y", (1, H)), ("b_y", (1,))):
         size = math.prod(shape)
         views[name] = flat[start:start + size].reshape(shape)
         start += size
@@ -389,10 +380,14 @@ def backward(cache: _Workspace, d_prediction, params: LstmParams) -> dict[str, n
     loss (squared error in training: 2 * (prediction - label)). Gradients
     are summed over the batch into a new flat vector of every parameter;
     the returned views of it are keyed like ``params.tensors()``. The
-    cache is only read, so it can be backpropagated again.
+    cache is only read, so it can be backpropagated again; ``params`` must
+    have the sizes of the forward pass.
     """
     if not isinstance(cache, _Workspace) or not cache.keep_steps or not cache.steps:
         raise PipelineError("steps are empty; run a forward pass first")
+    if (params.input_size, params.hidden_size) != (cache.input_size, cache.hidden_size):
+        raise PipelineError(f"params have input_size {params.input_size} and hidden_size {params.hidden_size}, "
+                            f"the forward pass {cache.input_size} and {cache.hidden_size}")
     dyhat = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
     if dyhat.shape != (cache.batch,):
         raise PipelineError("d_prediction batch size does not match the forward pass")
@@ -543,8 +538,8 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
 
 
 # Checkpoint persistence: versioned JSON with flattened row-major weights.
-# The document keeps one array per gate; this order maps the gate names to
-# the row blocks of W and b.
+# The document keeps one weight and one bias array per gate; this order maps
+# the gate names to the row blocks of W, whose last column is the bias.
 _GATE_BLOCKS = ("f", "i", "o", "g")
 
 
@@ -553,8 +548,9 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
     H = p.hidden_size
     arrays = {"W_y": p.W_y, "b_y": p.b_y}
     for k, gate in enumerate(_GATE_BLOCKS):
-        arrays[f"W_{gate}"] = p.W[k * H:(k + 1) * H]
-        arrays[f"b_{gate}"] = p.b[k * H:(k + 1) * H]
+        block = p.W[k * H:(k + 1) * H]
+        arrays[f"W_{gate}"] = block[:, :-1]
+        arrays[f"b_{gate}"] = block[:, -1]
     return {
         "version": 1,
         "input_size": p.input_size,
@@ -608,11 +604,14 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
         def array(name: str) -> np.ndarray:
             return np.array(arrays[name], dtype=np.float64)
 
-        # Each gate block is reshaped on its own, so entries one gate lacks
-        # and another has to spare cannot pass as a well-shaped stack.
+        # Each gate's weights and bias are reshaped on their own, so entries
+        # one array lacks and another has to spare cannot pass as a
+        # well-shaped gate matrix.
         params = LstmParams(
-            W=np.concatenate([array(f"W_{g}").reshape(hidden_size, -1) for g in _GATE_BLOCKS]),
-            b=np.concatenate([array(f"b_{g}").reshape(hidden_size) for g in _GATE_BLOCKS]),
+            W=np.concatenate([
+                np.column_stack((array(f"W_{g}").reshape(hidden_size, -1), array(f"b_{g}").reshape(hidden_size)))
+                for g in _GATE_BLOCKS
+            ]),
             W_y=array("W_y").reshape(1, -1),
             b_y=array("b_y"),
             input_size=input_size,

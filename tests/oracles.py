@@ -78,8 +78,8 @@ def scalar_cell_reference(x, h_prev, C_prev, params: LstmParams):
 
     Independent of every numpy vectorization choice in the production cell.
     Unit j of each gate reads row j of that gate's block of the stacked
-    ``params.W`` and ``params.b``: f at rows [0, H), i at [H, 2H), o at
-    [2H, 3H) and g at [3H, 4H).
+    ``params.W``, whose last column is the bias: f at rows [0, H), i at
+    [H, 2H), o at [2H, 3H) and g at [3H, 4H).
     Returns (h, C) as lists of floats.
     """
 
@@ -90,7 +90,7 @@ def scalar_cell_reference(x, h_prev, C_prev, params: LstmParams):
     H = params.hidden_size
 
     def pre(row):
-        return sum(params.W[row][k] * z[k] for k in range(len(z))) + params.b[row]
+        return sum(params.W[row][k] * z[k] for k in range(len(z))) + params.W[row][-1]
 
     h_out, C_out = [], []
     for j in range(H):
@@ -143,17 +143,18 @@ def finite_difference_gradients(sequence, label, params: LstmParams, eps=1e-5):
 
 
 def per_gate(grads, hidden_size):
-    """Gradients with the stacked W and b split into their gate blocks.
+    """Gradients with the stacked W split into its gate blocks.
 
     Rows [0, H), [H, 2H), [2H, 3H) and [3H, 4H) become W_f, W_i, W_o, W_g
-    (and b_f ... b_g), so a gradient check holds each gate to its own scale
-    and a small gate's error cannot hide behind a large one's norm.
+    and their last column b_f ... b_g, so a gradient check holds each gate's
+    weights and bias to their own scale and a small block's error cannot
+    hide behind a large one's norm.
     """
     H = hidden_size
     blocks = {"W_y": grads["W_y"], "b_y": grads["b_y"]}
     for k, gate in enumerate("fiog"):
-        blocks[f"W_{gate}"] = grads["W"][k * H:(k + 1) * H]
-        blocks[f"b_{gate}"] = grads["b"][k * H:(k + 1) * H]
+        blocks[f"W_{gate}"] = grads["W"][k * H:(k + 1) * H, :-1]
+        blocks[f"b_{gate}"] = grads["W"][k * H:(k + 1) * H, -1]
     return blocks
 
 

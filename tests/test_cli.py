@@ -203,10 +203,10 @@ def edited_file(name, edit):
     return prepare
 
 
-#: A hidden size whose (4H, F+H) gate matrix numpy cannot even shape.
+#: A hidden size whose (4H, F+H+1) gate matrix numpy cannot even shape.
 HUGE_H = b"hidden_size = 100000000000000000000\n"
-#: What numpy raises for train's gate matrix at hidden_size 100000, lookback 5.
-NUMPY_OUT_OF_MEMORY = "Unable to allocate 298. GiB for an array with shape (400000, 100004) and data type float64"
+#: What numpy raises for train's (4H, F+H+1) gate matrix at hidden_size 100000 and 4 features.
+NUMPY_OUT_OF_MEMORY = "Unable to allocate 298. GiB for an array with shape (400000, 100005) and data type float64"
 #: A price row whose Open cell exceeds the csv module's 131,072-character field limit.
 OVERSIZED_ROW = b"2030-01-01," + b"1" * 200_000 + b",1,1,1,1,1\n"
 

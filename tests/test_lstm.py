@@ -40,10 +40,9 @@ from oracles import (
 
 
 def zero_params(input_size=2, hidden_size=3):
-    z = input_size + hidden_size
+    z = input_size + hidden_size + 1
     return LstmParams(
-        W=np.zeros((4 * hidden_size, z)), b=np.zeros(4 * hidden_size),
-        W_y=np.zeros((1, hidden_size)), b_y=np.zeros(1),
+        W=np.zeros((4 * hidden_size, z)), W_y=np.zeros((1, hidden_size)), b_y=np.zeros(1),
         input_size=input_size, hidden_size=hidden_size,
     )
 
@@ -82,32 +81,41 @@ class TestInitParams:
 
     def test_shapes(self):
         p = init_params(3, 4, seed=0)
-        assert p.W.shape == (16, 7)
-        assert p.b.shape == (16,)
+        assert p.W.shape == (16, 8)
         assert p.W_y.shape == (1, 4)
 
     def test_forget_bias_ones(self):
         p = init_params(3, 4, seed=0)
-        assert p.b[:4].tolist() == [1.0, 1.0, 1.0, 1.0]
-        assert p.b[4:].tolist() == [0.0] * 12
+        assert p.W[:4, -1].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert p.W[4:, -1].tolist() == [0.0] * 12
 
     def test_xavier_bounds(self):
         p = init_params(3, 4, seed=0)
         limit = math.sqrt(6.0 / (7 + 4))
-        assert np.max(np.abs(p.W)) <= limit
+        assert np.max(np.abs(p.W[:, :-1])) <= limit
+
+    def test_draws_the_weights_then_the_output_projection(self):
+        # The bias column is no draw: the (4H, F+H) weights come first, then
+        # W_y, from one generator, as before the bias joined the gate matrix.
+        p = init_params(3, 4, seed=5)
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(-math.sqrt(6.0 / 11), math.sqrt(6.0 / 11), size=(16, 7))
+        W_y = rng.uniform(-math.sqrt(6.0 / 5), math.sqrt(6.0 / 5), size=(1, 4))
+        assert np.array_equal(p.W[:, :-1], weights) and np.array_equal(p.W_y, W_y)
 
     def test_misshaped_stack_rejected(self):
         p = zero_params(2, 3)
         with pytest.raises(PipelineError, match="gate stack must be"):
             replace(p, W=np.zeros((3, 5)))
-        with pytest.raises(PipelineError, match="gate stack must be"):
-            replace(p, b=np.zeros(3))
+        # The (4H, F+H) weights without their bias column.
+        with pytest.raises(PipelineError, match=r"gate stack must be W \(12, 6\), got \(12, 5\)"):
+            replace(p, W=np.zeros((12, 5)))
 
 
 def identity_gates():
     """One input, one unit: every gate pre-activation is exactly x, since W
-    is 1 on the x column and 0 elsewhere and b is 0, so W z + b adds only
-    zeros to 1 * x."""
+    is 1 on the x column and 0 elsewhere, its bias column included, so W z
+    adds only zeros to 1 * x."""
     p = zero_params(input_size=1, hidden_size=1)
     p.W[:, 0] = 1.0
     return p
@@ -337,6 +345,15 @@ class TestBackward:
         for (name, a), (_, b) in zip(start.tensors(), trained.tensors()):
             assert np.array_equal(b.view(np.int64), (a - grads[name]).view(np.int64)), name
 
+    @pytest.mark.parametrize("input_size, hidden_size", [(2, 4), (3, 5)], ids=["input_size", "hidden_size"])
+    def test_params_of_another_size_refused(self, input_size, hidden_size):
+        p = init_params(3, 4, seed=5)
+        _, cache = forward(np.ones((2, 3, 3)), p)
+        message = (f"params have input_size {input_size} and hidden_size {hidden_size}, "
+                   "the forward pass 3 and 4")
+        with pytest.raises(PipelineError, match=message):
+            backward(cache, np.ones(2), init_params(input_size, hidden_size, seed=5))
+
     def test_empty_caches_rejected(self):
         with pytest.raises(PipelineError, match="steps are empty"):
             backward([], 1.0, init_params(2, 2, seed=0))
@@ -482,7 +499,7 @@ class TestBoundedMemory:
         """The lstm module docstring's size of a training workspace: the
         cache and the scratch of both passes."""
         L, B, H, F = self.L, self.B, self.H, self.F
-        return 8 * (B * ((L + 1) * (F + 2 * H + 1) + 4 * L * H + 14 * H) + 12 * H * (F + H + 1))
+        return 8 * (B * ((L + 1) * (F + 2 * H + 1) + 4 * L * H + 14 * H) + 4 * H * (F + H + 1))
 
     def test_train_holds_one_batch_cache(self):
         assert self.train_peak(3 * self.B, epochs=1) <= 1.5 * self.one_cache()
@@ -679,19 +696,40 @@ class TestCheckpointPersistence:
         assert checkpoint_to_json(cp) == reference
 
     def test_gate_names_map_to_row_blocks(self):
+        # Gate k's weights are k and its bias 10 + k, so a bias column read
+        # as a weight column, or the reverse, shows.
         H, F = 2, 3
         p = zero_params(input_size=F, hidden_size=H)
         for k in range(4):
-            p.W[k * H:(k + 1) * H] = k
-            p.b[k * H:(k + 1) * H] = k
+            p.W[k * H:(k + 1) * H, :-1] = k
+            p.W[k * H:(k + 1) * H, -1] = 10 + k
         cp = Checkpoint(params=p, config=TrainConfig(epochs=1, hidden_size=H), loss_history=(0.0,))
         text = checkpoint_to_json(cp)
         arrays = json.loads(text)["params"]
         for k, gate in enumerate("fiog"):
             assert arrays[f"W_{gate}"] == [float(k)] * (H * (F + H)), gate
-            assert arrays[f"b_{gate}"] == [float(k)] * H, gate
+            assert arrays[f"b_{gate}"] == [float(10 + k)] * H, gate
         again = checkpoint_from_json(text)
-        assert np.array_equal(again.params.W, p.W) and np.array_equal(again.params.b, p.b)
+        assert np.array_equal(again.params.W, p.W)
+
+    #: A version-1 document written out by hand: one feature, one unit, and
+    #: every parameter entry distinct.
+    HAND_WRITTEN_V1 = (
+        '{"config": {"batch_size": 32, "epochs": 1, "grad_clip_norm": 5.0, "hidden_size": 1, '
+        '"learning_rate": 0.001, "optimizer": "adam", "seed": 0}, "feature_mode": null, "hidden_size": 1, '
+        '"input_size": 1, "loss_history": [0.5], "params": {"W_f": [0.1, 0.2], "W_g": [1.0, 1.1], '
+        '"W_i": [0.4, 0.5], "W_o": [0.7, 0.8], "W_y": [1.3], "b_f": [0.3], "b_g": [1.2], "b_i": [0.6], '
+        '"b_o": [0.9], "b_y": [1.4]}, "scaler": null, "version": 1}'
+    )
+
+    def test_hand_written_document_loads_into_the_gate_matrix(self):
+        cp = checkpoint_from_json(self.HAND_WRITTEN_V1)
+        # Rows f, i, o, g: each gate's weights (x, then h), then its bias.
+        expected = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]]
+        assert cp.params.W.shape == (4, 3)
+        assert cp.params.W.tolist() == expected
+        assert cp.params.W_y.tolist() == [[1.3]] and cp.params.b_y.tolist() == [1.4]
+        assert checkpoint_to_json(cp) == self.HAND_WRITTEN_V1
 
     def test_bool_size_refused(self):
         # One feature: int(True) would have passed as input_size 1.
