@@ -8,9 +8,10 @@ Two feature modes exist:
     input is ignored entirely.
 
 Both modes share the same next-day target so a comparison between them
-isolates the feature set. :func:`fuse` fills missing cells with train-side
-means, and scaling statistics are always fitted on the training rows
-alone; test rows may legitimately land outside [0, 1].
+isolates the feature set. :func:`fuse` reads the bars one numeric field at
+a time and fills each field's missing cells with its train-side mean, and
+scaling statistics are always fitted on the training rows alone; test rows
+may legitimately land outside [0, 1].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .errors import PipelineError
-from .market_data import BarSeries, NUMERIC_FIELDS, OhlcvBar
+from .market_data import BarSeries, NUMERIC_FIELDS
 from .sentiment import DailySentiment
 
 FEATURE_MODES = ("hisa", "dlpm")
@@ -111,10 +112,10 @@ def fuse(
 
     Row t carries date t's features; its target is ``target_field`` at date
     t+1, so the final bar contributes only a target. The chronological
-    split lands at floor(split_fraction * rows). A missing numeric cell
-    becomes its field's mean over the train-side bars, so no test row
-    informs it. Raw currency values are kept; call :func:`scale_dataset`
-    before windowing for training.
+    split lands at floor(split_fraction * rows). The bars are read column by
+    column: a missing cell takes its field's mean over the train-side bars,
+    so no test row informs it. Raw currency values are kept, as float64;
+    call :func:`scale_dataset` before windowing for training.
     """
     if mode not in FEATURE_MODES:
         raise PipelineError(f"unknown feature mode {mode!r}")
@@ -129,47 +130,44 @@ def fuse(
         raise PipelineError(
             f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
         )
-    bars = _impute_mean(series.bars, train_rows)
+    bars = series.bars
+    cells = {field: [getattr(b, field) for b in bars] for field in NUMERIC_FIELDS}
+    means: dict[str, float] = {}
+    for field, values in cells.items():
+        present = [v for v in values[:train_rows] if v is not None]
+        if not present:
+            raise PipelineError(f"field {field!r} has no present value in the training range "
+                                f"ending {bars[train_rows - 1].date}")
+        means[field] = sum(present) / len(present)
+    # A mean that overflowed is refused at the earliest bar it would fill.
+    overflowed = [(values.index(None), k, field) for k, (field, values) in enumerate(cells.items())
+                  if None in values and not math.isfinite(means[field])]
+    if overflowed:
+        t, _, field = min(overflowed)
+        raise PipelineError(f"{bars[t].date}: non-finite {field} {means[field]!r}")
+    columns = {field: [means[field] if v is None else v for v in values]
+               for field, values in cells.items()}
 
     name_cols = HISA_FEATURES if mode == "hisa" else DLPM_FEATURES
-    by_date: dict[date, DailySentiment] = {s.date: s for s in sentiment}
+    if mode == "hisa":
+        by_date: dict[date, DailySentiment] = {s.date: s for s in sentiment}
+        days = [by_date.get(b.date) for b in bars[:rows]]
+        if None in days:
+            raise PipelineError(f"no sentiment record for trading date {bars[days.index(None)].date}")
+        columns["pos_pct"] = [d.pos_pct for d in days]
+        columns["neg_pct"] = [d.neg_pct for d in days]
+    # Column by column into float64, whatever numeric type the bars hold.
     matrix = np.empty((rows, len(name_cols)), dtype=np.float64)
-    targets = np.empty(rows, dtype=np.float64)
-    for t in range(rows):
-        bar = bars[t]
-        if mode == "hisa":
-            day = by_date.get(bar.date)
-            if day is None:
-                raise PipelineError(f"no sentiment record for trading date {bar.date}")
-            matrix[t] = (bar.open, day.pos_pct, day.neg_pct)
-        else:
-            matrix[t] = tuple(getattr(bar, c) for c in DLPM_FEATURES)
-        targets[t] = getattr(bars[t + 1], target_field)
+    for j, name in enumerate(name_cols):
+        matrix[:, j] = columns[name][:rows]
 
     return FusedDataset(
         dates=tuple(b.date for b in bars[:rows]),
         feature_names=tuple(name_cols),
         features=matrix,
-        targets=targets,
+        targets=np.array(columns[target_field][1:], dtype=np.float64),
         split_index=train_rows,
     )
-
-
-def _impute_mean(bars: tuple[OhlcvBar, ...], train_rows: int) -> tuple[OhlcvBar, ...]:
-    """Fill missing numeric cells with each field's mean over bars[:train_rows]."""
-    means: dict[str, float] = {}
-    for field in NUMERIC_FIELDS:
-        present = [getattr(b, field) for b in bars[:train_rows] if getattr(b, field) is not None]
-        if not present:
-            raise PipelineError(f"field {field!r} has no present value in the training range "
-                                f"ending {bars[train_rows - 1].date}")
-        means[field] = sum(present) / len(present)
-
-    filled = []
-    for bar in bars:
-        updates = {field: means[field] for field in NUMERIC_FIELDS if getattr(bar, field) is None}
-        filled.append(replace(bar, **updates) if updates else bar)
-    return tuple(filled)
 
 
 def scale_dataset(dataset: FusedDataset, scaler: ScalerParams | None = None) -> FusedDataset:

@@ -145,8 +145,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise PipelineError("epochs must be a positive integer")
-        if not self.learning_rate > 0:
-            raise PipelineError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise PipelineError("learning_rate must be a positive finite number")
         if self.batch_size < 1:
             raise PipelineError("batch_size must be a positive integer")
         if not self.grad_clip_norm > 0:
@@ -482,27 +482,30 @@ def train(
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         sq_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if workspace is None or workspace.batch != len(idx):
-                workspace = None
-                workspace = _Workspace(F, H, len(idx), lookback)
-            labels = y[idx]
-            err = workspace.forward(X[idx], params) - labels
-            batch_sq = float(np.add.reduce(err * err))
-            if not math.isfinite(batch_sq):
-                raise NonFiniteLoss(epoch)
-            sq_sum += batch_sq
-            workspace.backward((2.0 / len(labels)) * err, params, grad)
-            # Clip to a global L2 norm of max_norm. Each tensor's squares are
-            # summed in its own shape (axis None, as np.sum does) and the sums
-            # added in tensor order, so the norm has the bits of a
-            # tensor-by-tensor sum.
-            np.multiply(grad, grad, out=scratch)
-            norm = math.sqrt(sum(float(np.add.reduce(sq, None)) for sq in squares))
-            if not (norm <= max_norm or norm == 0.0):
-                grad *= max_norm / norm
-            optimizer.step(theta, grad, scratch)
+        # A diverging run overflows here before its loss turns non-finite;
+        # the loss check reports it as NonFiniteLoss, so numpy stays quiet.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                if workspace is None or workspace.batch != len(idx):
+                    workspace = None
+                    workspace = _Workspace(F, H, len(idx), lookback)
+                labels = y[idx]
+                err = workspace.forward(X[idx], params) - labels
+                batch_sq = float(np.add.reduce(err * err))
+                if not math.isfinite(batch_sq):
+                    raise NonFiniteLoss(epoch)
+                sq_sum += batch_sq
+                workspace.backward((2.0 / len(labels)) * err, params, grad)
+                # Clip to a global L2 norm of max_norm. Each tensor's squares
+                # are summed in its own shape (axis None, as np.sum does) and
+                # the sums added in tensor order, so the norm has the bits of
+                # a tensor-by-tensor sum.
+                np.multiply(grad, grad, out=scratch)
+                norm = math.sqrt(sum(float(np.add.reduce(sq, None)) for sq in squares))
+                if not (norm <= max_norm or norm == 0.0):
+                    grad *= max_norm / norm
+                optimizer.step(theta, grad, scratch)
         loss_history.append(sq_sum / n)
         if on_epoch is not None:
             on_epoch(

@@ -121,14 +121,14 @@ class TestTrain:
         code = run(["train", "--config", fixture_config, "--feature-mode", "dlpm"])
         assert code == 0
 
-    def test_divergence_exits_3(self, tmp_path):
+    def test_divergence_exits_3(self, tmp_path, capsys):
         config = write_cli_fixture(tmp_path, n_days=60, seed=7,
                                    learning_rate=1e200, optimizer="sgd",
                                    grad_clip_norm=1e300, batch_size=8)
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["train", "--config", config]) == 3
+        capsys.readouterr()
+        assert run(["train", "--config", config]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training loss became non-finite"), err
 
 
 class TestPredict:
@@ -391,11 +391,15 @@ class TestCompare:
     def test_training_settings_checked_before_inputs_are_read(self, fixture_config, tmp_path, capsys):
         (tmp_path / "prices.csv").write_bytes(b"\xff")
         text = fixture_config.read_text()
-        assert "\nhidden_size = 8\n" in text
-        fixture_config.write_text(text.replace("\nhidden_size = 8\n", "\nhidden_size = 0\n"))
-        capsys.readouterr()
-        assert run(["compare", "--config", fixture_config]) == 2
-        assert capsys.readouterr().err.splitlines() == ["error: hidden_size must be a positive integer"]
+        for line, bad, message in [
+            ("hidden_size = 8", "hidden_size = 0", "hidden_size must be a positive integer"),
+            ("learning_rate = 0.01", "learning_rate = inf", "learning_rate must be a positive finite number"),
+        ]:
+            assert f"\n{line}\n" in text
+            fixture_config.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+            capsys.readouterr()
+            assert run(["compare", "--config", fixture_config]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestCommandsAgree:

@@ -335,7 +335,7 @@ def comparison_error(inputs, config):
     """The error the comparison raises; its sink must not have been called."""
     series, tweets, lexicon = inputs
     written = []
-    with pytest.raises(PipelineError) as err, np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(PipelineError) as err:
         run_comparison(series, tweets, lexicon, [2, 3], config, lookback=6,
                        checkpoint_sink=lambda *args: written.append(args))
     assert written == []
@@ -389,8 +389,7 @@ class TestForkedTraining:
     def test_cli_exits_3_without_checkpoint_when_hisa_diverges(self, either_path, monkeypatch, tmp_path, capsys):
         config = write_cli_fixture(tmp_path, n_days=60)
         train_where(monkeypatch, hisa=diverge)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["compare", "--config", str(config), "--epoch-sizes", "2,3"]) == 3
+        assert main(["compare", "--config", str(config), "--epoch-sizes", "2,3"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: training loss became non-finite") and err.count("\n") == 1
         assert not list((tmp_path / "out").glob("checkpoint_*"))

@@ -1,12 +1,16 @@
+import math
 from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentistock.errors import PipelineError
 from sentistock.features import (
     DLPM_FEATURES,
+    FEATURE_MODES,
+    HISA_FEATURES,
     FusedDataset,
     ScalerParams,
     WindowedDataset,
@@ -15,7 +19,7 @@ from sentistock.features import (
     make_windows,
     scale_dataset,
 )
-from sentistock.market_data import BarSeries, OhlcvBar
+from sentistock.market_data import NUMERIC_FIELDS, PRICE_FIELDS, BarSeries, OhlcvBar
 from sentistock.sentiment import DailySentiment
 
 from fixtures import make_coupled_fixture, trading_days
@@ -91,29 +95,132 @@ class TestImputeMean:
         with pytest.raises(PipelineError, match="has no present value in the training range"):
             fuse(BarSeries("T", bars), [], mode="dlpm")
 
+    @pytest.mark.parametrize("missing, refused", [
+        ({(1, "volume"), (3, "high")}, "2020-01-02: non-finite volume inf"),
+        ({(3, "volume"), (3, "high")}, "2020-01-06: non-finite high inf"),
+    ])
+    def test_overflowing_mean_refused_at_earliest_bar(self, missing, refused):
+        # high's and volume's training means overflow to inf; the refusal
+        # names the earliest bar they would fill, then the first such field.
+        def value(k, field):
+            if (k, field) in missing:
+                return None
+            return 1e308 if field in ("high", "volume") and k < 3 else 10.0
+
+        bars = tuple(OhlcvBar(day, *[value(k, field) for field in NUMERIC_FIELDS])
+                     for k, day in enumerate(trading_days(5)))
+        with pytest.raises(PipelineError) as err:
+            fuse(BarSeries("T", bars), [], mode="dlpm")
+        assert str(err.value) == refused
+
     def test_train_only_mean_excludes_test_rows(self):
         series = series_of([10.0, None, 50.0, 60.0])  # 3 rows, 2 on the train side
         ds = fuse(series, [], mode="dlpm")
         # mean over the training range {10.0} only, not the later 50.0
         assert ds.features[1, 0] == 10.0
 
-    def test_present_values_untouched_randomized(self):
-        rng = np.random.default_rng(1)
-        days = trading_days(20)
-        bars = []
-        for d in days:
-            o = None if rng.uniform() < 0.3 else float(rng.uniform(10, 20))
-            bars.append(OhlcvBar(date=d, open=o, high=25.0, low=5.0, close=15.0,
-                                 adj_close=15.0, volume=float(rng.integers(1, 100))))
-        series = BarSeries("T", tuple(bars))
-        ds = fuse(series, [], mode="dlpm", split_fraction=0.55)  # floor(0.55 * 19) = 10
-        present = [b.open for b in bars[:10] if b.open is not None]
-        for before, row in zip(series.bars, ds.features):
-            if before.open is not None:
-                assert row[0] == before.open
-            else:
-                assert row[0] == sum(present) / len(present)
-            assert row[3] == before.close
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), n_bars=st.integers(5, 16), mode=st.sampled_from(FEATURE_MODES),
+           target_field=st.sampled_from(NUMERIC_FIELDS),
+           split_fraction=st.floats(0.05, 0.95))
+    def test_present_values_untouched_randomized(self, data, n_bars, mode, target_field, split_fraction):
+        """fuse equals the per-row rule bit for bit, or both refuse alike."""
+        days = trading_days(n_bars)
+        columns = [data.draw(st.lists(VOLUME_CELL if field == "volume" else CELL,
+                                      min_size=n_bars, max_size=n_bars))
+                   for field in NUMERIC_FIELDS]
+        if data.draw(st.integers(0, 3)) == 3:
+            # Two near the float limit: the field's training mean overflows to inf.
+            data.draw(st.sampled_from(columns))[:2] = [1.7e308, 1.7e308]
+        bars = BarSeries("T", tuple(OhlcvBar(day, *cells) for day, *cells in zip(days, *columns)))
+        sentiment = []
+        if mode == "hisa":
+            # About one trading day in twenty has no record.
+            kept = data.draw(st.lists(st.integers(0, 19), min_size=n_bars, max_size=n_bars))
+            sentiment = [data.draw(daily_sentiment(day)) for day, k in zip(days, kept) if k]
+        try:
+            expected = fuse_by_rows(bars, sentiment, mode, target_field, split_fraction)
+        except PipelineError as exc:
+            with pytest.raises(PipelineError) as err:
+                fuse(bars, sentiment, mode, target_field, split_fraction)
+            assert str(err.value) == str(exc)
+            return
+        ds = fuse(bars, sentiment, mode, target_field, split_fraction)
+        assert (ds.dates, ds.feature_names, ds.split_index) == expected[:3]
+        for got, want in zip((ds.features, ds.targets), expected[3:]):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_bars_give_contiguous_float64(self):
+        bars = BarSeries("T", tuple(
+            OhlcvBar(day, 10 + k, 12 + k, 9 + k, 11 + k, 11 + k, None if k == 1 else 100 * k)
+            for k, day in enumerate(trading_days(5))))
+        for target_field in ("close", "volume"):
+            ds = fuse(bars, [], mode="dlpm", target_field=target_field)
+            for got in (ds.features, ds.targets):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert ds.features[:, 0].tolist() == [10.0, 11.0, 12.0, 13.0]
+        assert ds.targets.tolist() == [(0 + 200) / 2, 200.0, 300.0, 400.0]
+
+
+def cell(value):
+    """A numeric cell: missing one time in eight, else a ``value``."""
+    return st.one_of(*[value] * 7, st.none())
+
+
+CELL = cell(st.one_of(st.floats(-1e3, 1e3), st.integers(-10**6, 10**6)))
+VOLUME_CELL = cell(st.one_of(st.floats(0.0, 1e9), st.integers(0, 10**12)))
+
+
+@st.composite
+def daily_sentiment(draw, day):
+    count = draw(st.integers(0, 5))
+    if count == 0:
+        return DailySentiment(day, 0.0, 0.0, 100.0, 0)
+    pos = draw(st.floats(0.0, 100.0))
+    neg = draw(st.floats(0.0, 100.0 - pos))
+    return DailySentiment(day, pos, neg, 100.0 - pos - neg, count)
+
+
+def fuse_by_rows(series, sentiment, mode, target_field, split_fraction):
+    """fuse's rule, one bar at a time: (dates, feature names, split index,
+    features, targets). Missing cells are filled in copies of the bars,
+    which OhlcvBar validates again, then the rows are read one by one."""
+    if mode not in FEATURE_MODES:
+        raise PipelineError(f"unknown feature mode {mode!r}")
+    if target_field not in NUMERIC_FIELDS:
+        raise PipelineError(f"unknown target field {target_field!r}")
+    if not 0.0 < split_fraction < 1.0:
+        raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
+    rows = len(series.bars) - 1
+    train_rows = math.floor(split_fraction * rows)
+    if train_rows < 1 or train_rows >= rows:
+        raise PipelineError(
+            f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
+        )
+    means = {}
+    for field in NUMERIC_FIELDS:
+        present = [getattr(b, field) for b in series.bars[:train_rows] if getattr(b, field) is not None]
+        if not present:
+            raise PipelineError(f"field {field!r} has no present value in the training range "
+                                f"ending {series.bars[train_rows - 1].date}")
+        means[field] = sum(present) / len(present)
+    bars = [replace(b, **{f: means[f] for f in NUMERIC_FIELDS if getattr(b, f) is None}) for b in series.bars]
+
+    by_date = {s.date: s for s in sentiment}
+    names = HISA_FEATURES if mode == "hisa" else DLPM_FEATURES
+    features = np.empty((rows, len(names)))
+    targets = np.empty(rows)
+    for t in range(rows):
+        if mode == "hisa":
+            day = by_date.get(bars[t].date)
+            if day is None:
+                raise PipelineError(f"no sentiment record for trading date {bars[t].date}")
+            features[t] = (bars[t].open, day.pos_pct, day.neg_pct)
+        else:
+            features[t] = tuple(getattr(bars[t], c) for c in DLPM_FEATURES)
+        targets[t] = getattr(bars[t + 1], target_field)
+    return tuple(b.date for b in bars[:rows]), names, train_rows, features, targets
 
 
 class TestScaler:

@@ -340,10 +340,12 @@ class TestBackward:
         assert reference_gradient_norm(steps) == pytest.approx(5.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
-        start, trained, grads = self.one_sgd_step(label=0.5, max_norm=5.0)
-        assert reference_gradient_norm(grads) < 5.0
-        for (name, a), (_, b) in zip(start.tensors(), trained.tensors()):
-            assert np.array_equal(b.view(np.int64), (a - grads[name]).view(np.int64)), name
+        # A max norm of inf ("never clip") leaves a gradient above 1e3 alone too.
+        for label, max_norm in [(0.5, 5.0), (-1e6, math.inf)]:
+            start, trained, grads = self.one_sgd_step(label=label, max_norm=max_norm)
+            assert reference_gradient_norm(grads) < max_norm
+            for (name, a), (_, b) in zip(start.tensors(), trained.tensors()):
+                assert np.array_equal(b.view(np.int64), (a - grads[name]).view(np.int64)), name
 
     @pytest.mark.parametrize("input_size, hidden_size", [(2, 4), (3, 5)], ids=["input_size", "hidden_size"])
     def test_params_of_another_size_refused(self, input_size, hidden_size):
@@ -574,9 +576,13 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, learning_rate=1e200, batch_size=8, optimizer="sgd",
                           grad_clip_norm=1e300, hidden_size=8, seed=0)
         with pytest.raises(NonFiniteLoss) as err:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train(windows, cfg)
+            train(windows, cfg)
         assert err.value.epoch >= 0
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(PipelineError, match="^learning_rate must be a positive finite number$"):
+            TrainConfig(epochs=1, learning_rate=rate)
 
     @pytest.mark.parametrize("message", [None, "loss overflowed"])
     def test_nonfinite_loss_survives_pickling(self, message):
