@@ -14,7 +14,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
-from sentistock import BarSeries, OhlcvBar, Tweet, TrainConfig, load_lexicon, render_table, run_comparison
+from sentistock import BarSeries, OhlcvBar, Tweet, TrainConfig, WindowSpec, load_lexicon, render_table, run_comparison
 
 LEXICON = "good\t0.8\t1.0\tterm\nbad\t-0.8\t1.0\tterm\n"
 N_DAYS, LEVEL = 160, 100.0
@@ -72,7 +72,7 @@ print("training both feature modes at epoch sizes 5, 10, 15 (shared seed)...\n")
 
 config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=1,
                      grad_clip_norm=5.0, optimizer="adam", hidden_size=32)
-report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
+report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, spec=WindowSpec(lookback=15))
 
 print(render_table(report))
 gap = report.averages["hisa"] - report.averages["dlpm"]

@@ -5,8 +5,8 @@ The package is organized along the pipeline:
   market_data  parse and validate OHLCV CSVs and tweet JSONL, align tweets
                onto the trading calendar
   sentiment    lexicon scoring, three-way classification, daily percentages
-  features     feature fusion with train-range imputation, train-fitted
-               min-max scaling, walk-forward windowing
+  features     the window spec, feature fusion with train-range imputation,
+               train-fitted min-max scaling, walk-forward windowing
   lstm         from-scratch LSTM regressor with BPTT, Adam/SGD, checkpoints
   evaluation   MAPE-based accuracy, RMSE, and the two-model comparison
   cli          batch commands (ingest, sentiment, train, predict, compare)
@@ -35,6 +35,7 @@ from .sentiment import (
 from .features import (
     FusedDataset,
     ScalerParams,
+    WindowSpec,
     WindowedDataset,
     fuse,
     make_windows,
@@ -70,7 +71,7 @@ __all__ = [
     "align_to_trading_days", "parse_ohlcv_csv", "parse_tweets_jsonl",
     "DailySentiment", "Lexicon", "LexiconEntry", "SentimentScore",
     "aggregate_daily", "load_lexicon", "score_corpus", "score_text", "tokenize",
-    "FusedDataset", "ScalerParams", "WindowedDataset",
+    "FusedDataset", "ScalerParams", "WindowSpec", "WindowedDataset",
     "fuse", "make_windows", "scale_dataset",
     "Checkpoint", "LstmParams", "TrainConfig",
     "backward", "forward", "init_params", "load_checkpoint",

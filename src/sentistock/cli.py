@@ -29,7 +29,7 @@ from .evaluation import (
     report_to_json,
     run_comparison,
 )
-from .features import FEATURE_MODES, ScalerParams, invert_target
+from .features import FEATURE_MODES, ScalerParams, WindowSpec, invert_target
 from .lstm import TrainConfig, load_checkpoint, predict, save_checkpoint, train
 from .market_data import (
     BarSeries,
@@ -55,16 +55,16 @@ class RunConfig:
     checkpoint: str | None = None
     out: str = "out"
     symbol: str = ""
-    feature_mode: str = "hisa"
-    target_field: str = "close"
-    lookback: int = 30
-    # TrainConfig's defaults, except seed and epochs, which differ on purpose.
+    # WindowSpec's and TrainConfig's defaults, except seed and epochs, which differ on purpose.
+    feature_mode: str = WindowSpec.feature_mode
+    target_field: str = WindowSpec.target_field
+    lookback: int = WindowSpec.lookback
     hidden_size: int = TrainConfig.hidden_size
     learning_rate: float = TrainConfig.learning_rate
     batch_size: int = TrainConfig.batch_size
     grad_clip_norm: float = TrainConfig.grad_clip_norm
     optimizer: str = TrainConfig.optimizer
-    split_fraction: float = 0.75
+    split_fraction: float = WindowSpec.split_fraction
     seed: int = 7
     epochs: int = 10
     epoch_sizes: tuple[int, ...] = (5, 10, 15)
@@ -81,6 +81,9 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
+    def window_spec(self) -> WindowSpec:
+        return WindowSpec(**{f.name: getattr(self, f.name) for f in fields(WindowSpec)})
 
 
 # A value is parsed by the type of its key's default: int, float or tuple.
@@ -254,31 +257,22 @@ def cmd_sentiment(cfg: RunConfig) -> int:
     return 0
 
 
-def _model_windows(cfg: RunConfig, scaler: ScalerParams | None = None):
+def _model_windows(cfg: RunConfig, spec: WindowSpec, scaler: ScalerParams | None = None):
     series = _load_series(cfg)
     daily = []
-    if cfg.feature_mode == "hisa":
+    if spec.feature_mode == "hisa":
         daily, _ = daily_sentiment(_load_tweets(cfg)[0], series, _load_lexicon(cfg))
-    return model_windows(series, daily, cfg.feature_mode, cfg.lookback, cfg.split_fraction,
-                         cfg.target_field, scaler)
-
-
-def _check_lookback(cfg: RunConfig) -> None:
-    """Refuse a lookback below 1 before any input is read, where
-    ``make_windows`` would refuse it only after parsing them."""
-    if cfg.lookback < 1:
-        raise PipelineError(f"lookback must be positive, got {cfg.lookback}")
+    return model_windows(series, daily, spec, scaler)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    config = cfg.train_config()  # bad settings exit before the inputs are read
-    _check_lookback(cfg)
-    train_windows, _, scaler, _ = _model_windows(cfg)
-    checkpoint = train(train_windows, config, scaler=scaler, feature_mode=cfg.feature_mode)
+    config, spec = cfg.train_config(), cfg.window_spec()  # bad settings exit before the inputs are read
+    train_windows, _, scaler, _ = _model_windows(cfg, spec)
+    checkpoint = train(train_windows, config, scaler=scaler, feature_mode=spec.feature_mode)
     save_checkpoint(checkpoint, out / "checkpoint.json")
     print(
-        f"trained {cfg.feature_mode} model: {cfg.epochs} epochs on {len(train_windows)} windows, "
+        f"trained {spec.feature_mode} model: {cfg.epochs} epochs on {len(train_windows)} windows, "
         f"final training loss {checkpoint.loss_history[-1]:.6g}"
     )
     print(f"wrote {out / 'checkpoint.json'}")
@@ -286,13 +280,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    spec = cfg.window_spec()  # bad settings exit before any input, the checkpoint too, is read
     _require(cfg, "checkpoint")
     out = _out_dir(cfg)
-    _check_lookback(cfg)
     checkpoint = load_checkpoint(cfg.checkpoint)
     if checkpoint.scaler is None:
         raise PipelineError("checkpoint carries no scaler; cannot denormalize predictions")
-    _, test_windows, scaler, dates = _model_windows(cfg, checkpoint.scaler)
+    _, test_windows, scaler, dates = _model_windows(cfg, spec, checkpoint.scaler)
     predicted = predict(checkpoint, test_windows)
     real = invert_target(test_windows.labels, scaler)
     (out / "predictions.csv").write_text(record_plot_csv(dates, real, predicted), encoding="utf-8")
@@ -305,7 +299,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     # run_comparison trains to max(epoch_sizes), so train's epochs key plays no part.
     config = replace(cfg, epochs=1).train_config()  # bad settings exit before the inputs are read
-    _check_lookback(cfg)
+    spec = cfg.window_spec()  # run_comparison trains every mode, but an unknown one is refused here
     series = _load_series(cfg)
     tweets, skipped = _load_tweets(cfg)
     lexicon = _load_lexicon(cfg)
@@ -313,17 +307,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     def sink(variant: str, epochs: int, document: str) -> None:
         (out / f"checkpoint_{variant}_epochs{epochs}.json").write_text(document, encoding="utf-8")
 
-    report = run_comparison(
-        series,
-        tweets,
-        lexicon,
-        cfg.epoch_sizes,
-        config,
-        lookback=cfg.lookback,
-        split_fraction=cfg.split_fraction,
-        target_field=cfg.target_field,
-        checkpoint_sink=sink,
-    )
+    report = run_comparison(series, tweets, lexicon, cfg.epoch_sizes, config, spec, checkpoint_sink=sink)
     (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
     for record in report.records:
         name = f"plot_{record.variant}_epochs{record.epochs}.csv"

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from ._numpy import np
 from .errors import EmptyInput, PipelineError
-from .features import ScalerParams, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
+from .features import ScalerParams, WindowSpec, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, checkpoint_to_json, predict, train
 from .market_data import BarSeries, Tweet, align_to_trading_days
 from .sentiment import DailySentiment, Lexicon, aggregate_daily, score_corpus
@@ -99,20 +99,18 @@ def run_comparison(
     lexicon: Lexicon,
     epoch_sizes: Sequence[int],
     base_config: TrainConfig,
-    lookback: int = 30,
-    split_fraction: float = 0.75,
-    target_field: str = "close",
+    spec: WindowSpec = WindowSpec(),
     checkpoint_sink: Callable[[str, int, str], None] | None = None,
 ) -> EvalReport:
     """Train and score every mode of :data:`VARIANTS` at every epoch size.
 
-    Each run shares the seed, hidden size, lookback, and split; only the
-    feature set and epoch count differ. Each mode is one job: it trains
-    once, to the largest epoch size, and the checkpoint at every smaller
-    size is taken on the way; it is the one a separate run of that many
-    epochs would give. ``base_config.epochs`` is ignored:
-    ``max(epoch_sizes)`` replaces it. Records come out epoch-major, modes
-    in :data:`VARIANTS` order, mirroring the reporting table.
+    Each run shares the seed, hidden size, lookback, split and target; only
+    the feature set and epoch count differ. Each mode is one job: it trains
+    once, to the largest epoch size, taking the checkpoint at every smaller
+    size on the way, the one a separate run of that many epochs would give.
+    ``base_config.epochs`` and ``spec.feature_mode`` are ignored:
+    ``max(epoch_sizes)`` and each mode replace them. Records come out
+    epoch-major, modes in :data:`VARIANTS` order, mirroring the reporting table.
     ``checkpoint_sink`` (variant, epochs, document) receives the text of
     :func:`checkpoint_to_json` once per record, in record order, and only
     after every mode has trained, so callers can persist the trained
@@ -131,7 +129,7 @@ def run_comparison(
 
     daily, dropped = daily_sentiment(sentiment, historical, lexicon)
     config = replace(base_config, epochs=max(epoch_sizes))
-    windows = {variant: model_windows(historical, daily, variant, lookback, split_fraction, target_field)
+    windows = {variant: model_windows(historical, daily, replace(spec, feature_mode=variant))
                for variant in VARIANTS}
     actuals = {v: (invert_target(test.labels, scaler), dates) for v, (_, test, scaler, dates) in windows.items()}
 
@@ -276,19 +274,18 @@ def _run_jobs(job: Callable[[str], object], names: Sequence[str], fork: bool) ->
 
 
 def model_windows(
-    series: BarSeries, daily: Sequence[DailySentiment], mode: str, lookback: int,
-    split_fraction: float, target_field: str, scaler: ScalerParams | None = None,
+    series: BarSeries, daily: Sequence[DailySentiment], spec: WindowSpec, scaler: ScalerParams | None = None,
 ) -> tuple[WindowedDataset, WindowedDataset, ScalerParams, tuple[date, ...]]:
-    """The model's view of the bars: :func:`fuse`, then :func:`scale_dataset`
-    (fitted on the train rows unless ``scaler`` is given), then
-    :func:`make_windows`. ``train``, ``predict`` and ``compare`` all build
-    their data here, so every model sees the same split, imputation range,
-    scaling range, lookback and target.
+    """The model's view of the bars under ``spec``: :func:`fuse`, then
+    :func:`scale_dataset` (fitted on the train rows unless ``scaler`` is
+    given), then :func:`make_windows`. ``train``, ``predict`` and
+    ``compare`` all build their data here, so every model sees the same
+    split, imputation range, scaling range, lookback and target.
 
     Returns (train windows, test windows, scaler, test dates).
     """
-    dataset = scale_dataset(fuse(series, daily, mode, target_field, split_fraction), scaler)
-    train_windows, test_windows = make_windows(dataset, lookback)
+    dataset = scale_dataset(fuse(series, daily, spec), scaler)
+    train_windows, test_windows = make_windows(dataset, spec)
     return train_windows, test_windows, dataset.scaler, dataset.dates[dataset.split_index:]
 
 

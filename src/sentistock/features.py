@@ -7,11 +7,12 @@ Two feature modes exist:
   * ``dlpm``: open, high, low, close prices only (4 columns); sentiment
     input is ignored entirely.
 
-Both modes share the same next-day target so a comparison between them
-isolates the feature set. :func:`fuse` reads the bars one numeric field at
-a time and fills each field's missing cells with its train-side mean, and
-scaling statistics are always fitted on the training rows alone; test rows
-may legitimately land outside [0, 1].
+Both modes share one target, two sessions past a window's last input row
+(:class:`WindowSpec`), so a comparison between them isolates the feature
+set. :func:`fuse` reads the bars one numeric field at a time and fills
+each field's missing cells with its train-side mean, and scaling
+statistics are always fitted on the training rows alone; test rows may
+legitimately land outside [0, 1].
 """
 
 from __future__ import annotations
@@ -30,6 +31,32 @@ FEATURE_MODES = ("hisa", "dlpm")
 HISA_FEATURES = ("open", "pos_pct", "neg_pct")
 DLPM_FEATURES = ("open", "high", "low", "close")
 TARGET_COLUMN = "target"
+
+
+@dataclass(frozen=True)
+class WindowSpec:
+    """The model's data contract, its values checked once, when it is built.
+
+    Window j holds feature rows (bars) j .. j+lookback-1 and is labelled with
+    ``target_field`` of bar j+lookback+1, two sessions after its last input
+    row; the label's row is dated at bar j+lookback, one session before. The
+    split lands at floor(split_fraction * rows).
+    """
+
+    feature_mode: str = "hisa"
+    lookback: int = 30
+    split_fraction: float = 0.75
+    target_field: str = "close"
+
+    def __post_init__(self):
+        if self.feature_mode not in FEATURE_MODES:
+            raise PipelineError(f"unknown feature mode {self.feature_mode!r}")
+        if self.lookback < 1:
+            raise PipelineError(f"lookback must be positive, got {self.lookback}")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {self.split_fraction}")
+        if self.target_field not in NUMERIC_FIELDS:
+            raise PipelineError(f"unknown target field {self.target_field!r}")
 
 
 @dataclass(frozen=True)
@@ -101,34 +128,21 @@ class WindowedDataset:
         return self.sequences.shape[0]
 
 
-def fuse(
-    series: BarSeries,
-    sentiment: Sequence[DailySentiment],
-    mode: str = "hisa",
-    target_field: str = "close",
-    split_fraction: float = 0.75,
-) -> FusedDataset:
+def fuse(series: BarSeries, sentiment: Sequence[DailySentiment], spec: WindowSpec) -> FusedDataset:
     """Merge bars (and, in hisa mode, daily sentiment) into feature rows.
 
-    Row t carries date t's features; its target is ``target_field`` at date
-    t+1, so the final bar contributes only a target. The chronological
+    Row t carries date t's features; its target is ``spec.target_field`` at
+    date t+1, so the final bar contributes only a target. The chronological
     split lands at floor(split_fraction * rows). The bars are read column by
     column: a missing cell takes its field's mean over the train-side bars,
     so no test row informs it. Raw currency values are kept, as float64;
     call :func:`scale_dataset` before windowing for training.
     """
-    if mode not in FEATURE_MODES:
-        raise PipelineError(f"unknown feature mode {mode!r}")
-    if target_field not in NUMERIC_FIELDS:
-        raise PipelineError(f"unknown target field {target_field!r}")
-
-    if not 0.0 < split_fraction < 1.0:
-        raise PipelineError(f"split_fraction must lie strictly between 0 and 1, got {split_fraction}")
     rows = len(series.bars) - 1
-    train_rows = math.floor(split_fraction * rows)
+    train_rows = math.floor(spec.split_fraction * rows)
     if train_rows < 1 or train_rows >= rows:
         raise PipelineError(
-            f"split_fraction {split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
+            f"split_fraction {spec.split_fraction} on {max(rows, 0)} rows leaves an empty train or test side"
         )
     bars = series.bars
     cells = {field: [getattr(b, field) for b in bars] for field in NUMERIC_FIELDS}
@@ -148,8 +162,8 @@ def fuse(
     columns = {field: [means[field] if v is None else v for v in values]
                for field, values in cells.items()}
 
-    name_cols = HISA_FEATURES if mode == "hisa" else DLPM_FEATURES
-    if mode == "hisa":
+    name_cols = HISA_FEATURES if spec.feature_mode == "hisa" else DLPM_FEATURES
+    if spec.feature_mode == "hisa":
         by_date: dict[date, DailySentiment] = {s.date: s for s in sentiment}
         days = [by_date.get(b.date) for b in bars[:rows]]
         if None in days:
@@ -165,7 +179,7 @@ def fuse(
         dates=tuple(b.date for b in bars[:rows]),
         feature_names=tuple(name_cols),
         features=matrix,
-        targets=np.array(columns[target_field][1:], dtype=np.float64),
+        targets=np.array(columns[spec.target_field][1:], dtype=np.float64),
         split_index=train_rows,
     )
 
@@ -206,8 +220,9 @@ def invert_target(values: np.ndarray, scaler: ScalerParams) -> np.ndarray:
     return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
 
-def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset, WindowedDataset]:
-    """Cut the dataset into walk-forward training and test sequences.
+def make_windows(dataset: FusedDataset, spec: WindowSpec) -> tuple[WindowedDataset, WindowedDataset]:
+    """Cut the dataset into walk-forward training and test sequences of
+    ``spec.lookback`` rows.
 
     Window j covers feature rows [j, j+lookback) and is labeled with
     targets[j+lookback], the target row just past the window's end. Train
@@ -215,8 +230,7 @@ def make_windows(dataset: FusedDataset, lookback: int) -> tuple[WindowedDataset,
     back into trailing train rows for history. Counts:
     train = split_index - lookback, test = rows - split_index.
     """
-    if lookback < 1:
-        raise PipelineError(f"lookback must be positive, got {lookback}")
+    lookback = spec.lookback
     rows = len(dataset.dates)
     if rows < lookback + 2:
         raise PipelineError(f"{rows} rows cannot support lookback {lookback} (need {lookback + 2})")

@@ -23,6 +23,7 @@ from sentistock.features import (
     DLPM_FEATURES,
     FusedDataset,
     ScalerParams,
+    WindowSpec,
     WindowedDataset,
     invert_target,
     scale_dataset,
@@ -180,7 +181,7 @@ def test_criterion_5_conservation_suites():
         # accuracy + MAPE = 100 exactly on every record of a comparison.
         series, tweets, lexicon = make_coupled_fixture(n_days=70, seed=55)
         config = TrainConfig(epochs=1, learning_rate=0.02, batch_size=16, seed=55, hidden_size=4)
-        report = run_comparison(series, tweets, lexicon, [1, 2, 3], config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [1, 2, 3], config, spec=WindowSpec(lookback=6))
         for rec in report.records:
             assert rec.mape_pct == mape(rec.real, rec.predicted)
             assert rec.accuracy_pct == 100.0 - rec.mape_pct
@@ -217,7 +218,7 @@ def sentiment_wins(series, tweets, lexicon) -> int:
     for seed in range(10):
         config = TrainConfig(epochs=5, learning_rate=0.02, batch_size=16, seed=seed,
                              grad_clip_norm=5.0, optimizer="adam", hidden_size=32)
-        report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, lookback=15)
+        report = run_comparison(series, tweets, lexicon, [5, 10, 15], config, spec=WindowSpec(lookback=15))
         hisa = report.averages["hisa"]
         dlpm = report.averages["dlpm"]
         wins += hisa >= dlpm

@@ -211,6 +211,16 @@ NUMPY_OUT_OF_MEMORY = "Unable to allocate 298. GiB for an array with shape (4000
 OVERSIZED_ROW = b"2030-01-01," + b"1" * 200_000 + b",1,1,1,1,1\n"
 
 
+#: Each window setting, given in the config file, with a value WindowSpec refuses and its refusal.
+WINDOW_SETTINGS = [
+    pytest.param("feature_mode", "xyz", "unknown feature mode 'xyz'", id="feature-mode-xyz"),
+    pytest.param("target_field", "xyz", "unknown target field 'xyz'", id="target-field-xyz"),
+    pytest.param("split_fraction", 1.5, "split_fraction must lie strictly between 0 and 1, got 1.5",
+                 id="split-fraction-1.5"),
+    pytest.param("lookback", 0, "lookback must be positive, got 0", id="lookback-0"),
+]
+
+
 class TestBadSettingsExit2:
     @pytest.mark.parametrize("argv, prepare", [
         pytest.param(["train", "--epochs", "0"], None, id="train-epochs-0"),
@@ -267,6 +277,22 @@ class TestBadSettingsExit2:
         assert run(argv + ["--config", fixture_config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("command", ["train", "predict", "compare"])
+    @pytest.mark.parametrize("key, value, message", WINDOW_SETTINGS)
+    def test_window_setting_refused_before_any_input_is_read(self, command, key, value, message, tmp_path, capsys):
+        # Neither the price file nor predict's checkpoint exists.
+        argv = [command, "--config", write_cli_fixture(tmp_path, n_days=60, historical="missing.csv", **{key: value})]
+        if command == "predict":
+            argv += ["--checkpoint", tmp_path / "missing.json"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command", ["ingest", "sentiment"])
+    @pytest.mark.parametrize("key, value, message", WINDOW_SETTINGS)
+    def test_window_settings_play_no_part_in_ingest_and_sentiment(self, command, key, value, message, tmp_path):
+        assert run([command, "--config", write_cli_fixture(tmp_path, n_days=60, **{key: value})]) == 0
 
     @pytest.mark.parametrize("error, message", [
         pytest.param(MemoryError(NUMPY_OUT_OF_MEMORY), NUMPY_OUT_OF_MEMORY, id="numpy-allocation"),
@@ -388,6 +414,15 @@ class TestCompare:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: epoch_sizes must be one or more positive integers"), err
 
+    def test_unknown_feature_mode_refused(self, fixture_config, capsys):
+        # compare trains every mode, but a feature_mode it cannot name is a bad setting.
+        text = fixture_config.read_text()
+        assert "\nfeature_mode = hisa\n" in text
+        fixture_config.write_text(text.replace("\nfeature_mode = hisa\n", "\nfeature_mode = xyz\n"))
+        capsys.readouterr()
+        assert run(["compare", "--config", fixture_config, "--epoch-sizes", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: unknown feature mode 'xyz'"]
+
     def test_training_settings_checked_before_inputs_are_read(self, fixture_config, tmp_path, capsys):
         (tmp_path / "prices.csv").write_bytes(b"\xff")
         text = fixture_config.read_text()
@@ -450,15 +485,16 @@ class TestBlasThreads:
 
 
 #: Runs each command given on the command line (a JSON argv list, run with
-#: the config) in one fresh interpreter and prints, as the last line, each
-#: one's exit code and whether numpy had loaded after it.
+#: the config unless it names its own) in one fresh interpreter and prints,
+#: as the last line, each one's exit code and whether numpy had loaded after it.
 LAZY_NUMPY_RUN = """
 import json, sys, types
 from sentistock.cli import main
 config, commands = sys.argv[1], sys.argv[2:]
 results = []
 for command in commands:
-    code = main(json.loads(command) + ["--config", config])
+    argv = json.loads(command)
+    code = main(argv if "--config" in argv else argv + ["--config", config])
     # The lazy module is registered as "numpy" before it loads, so look for
     # a submodule that only a real import brings in.
     results.append([code, "numpy.linalg" in sys.modules and type(sys.modules["numpy"]) is types.ModuleType])
@@ -494,11 +530,13 @@ class TestStartup:
         assert _fresh_python("-c", code) == "[]"
 
     def test_text_commands_never_load_numpy_and_train_does(self, fixture_config):
+        bad_target = fixture_config.with_name("bad_target.ini")
+        bad_target.write_text(fixture_config.read_text().replace("target_field = close", "target_field = xyz"))
         commands = [["ingest"], ["sentiment"], ["train", "--epochs", "0"], ["train", "--lookback", "0"],
-                    ["compare", "--lookback", "0"], ["train"]]
+                    ["compare", "--lookback", "0"], ["train", "--config", str(bad_target)], ["train"]]
         out = _fresh_python("-c", LAZY_NUMPY_RUN, str(fixture_config), *map(json.dumps, commands))
         assert json.loads(out.splitlines()[-1]) == [[0, False], [0, False], [2, False], [2, False], [2, False],
-                                                    [0, True]]
+                                                    [2, False], [0, True]]
 
     def test_no_proxy_left_after_first_forward(self):
         assert _fresh_python("-c", FIRST_FORWARD_RUN) == "_LazyModule module True"

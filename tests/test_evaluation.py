@@ -26,7 +26,7 @@ from sentistock.evaluation import (
     _fork_pays,
     _run_jobs,
 )
-from sentistock.features import fuse, invert_target, make_windows, scale_dataset
+from sentistock.features import WindowSpec, fuse, invert_target, make_windows, scale_dataset
 from sentistock.lstm import TrainConfig, checkpoint_from_json, checkpoint_to_json, predict, train
 
 from fixtures import make_coupled_fixture, write_cli_fixture
@@ -157,9 +157,10 @@ def separate_runs(series, tweets, lexicon, epoch_sizes, config, lookback):
     checkpoints, records = [], []
     for epochs in epoch_sizes:
         for variant in ("dlpm", "hisa"):
-            dataset = fuse(series, daily, mode=variant)
+            spec = WindowSpec(feature_mode=variant, lookback=lookback)
+            dataset = fuse(series, daily, spec)
             scaled = scale_dataset(dataset)
-            train_windows, test_windows = make_windows(scaled, lookback)
+            train_windows, test_windows = make_windows(scaled, spec)
             checkpoint = train(train_windows, replace(config, epochs=epochs),
                                scaler=scaled.scaler, feature_mode=variant)
             checkpoints.append((variant, epochs, checkpoint_to_json(checkpoint)))
@@ -177,7 +178,7 @@ def separate_runs(series, tweets, lexicon, epoch_sizes, config, lookback):
 class TestRunComparison:
     def test_structure(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [2, 3], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [2, 3], small_config, spec=WindowSpec(lookback=6))
         assert len(report.records) == 4
         assert [r.variant for r in report.records] == ["dlpm", "hisa", "dlpm", "hisa"]
         assert [r.epochs for r in report.records] == [2, 2, 3, 3]
@@ -185,14 +186,14 @@ class TestRunComparison:
 
     def test_real_series_shared_across_variants(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
         dlpm, hisa = report.records
         assert dlpm.dates == hisa.dates
         assert dlpm.real == hisa.real
 
     def test_real_series_is_raw_targets(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
         raw_close = [b.close for b in series.bars]
         rec = report.records[0]
         rows = len(series.bars) - 1
@@ -202,13 +203,13 @@ class TestRunComparison:
 
     def test_deterministic_reports(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        a = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
-        b = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        a = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
+        b = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
         assert report_to_json(a) == report_to_json(b)
 
     def test_accuracy_identity_on_records(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
         for rec in report.records:
             assert rec.accuracy_pct == 100.0 - rec.mape_pct
             assert rec.accuracy_pct + rec.mape_pct == 100.0
@@ -220,7 +221,7 @@ class TestRunComparison:
         for forked in (True, False):
             monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
             seen = []
-            run_comparison(series, tweets, lexicon, [2, 3], small_config, lookback=6,
+            run_comparison(series, tweets, lexicon, [2, 3], small_config, spec=WindowSpec(lookback=6),
                            checkpoint_sink=lambda v, e, doc: seen.append((v, e, doc)))
             assert [(v, e) for v, e, _ in seen] == [("dlpm", 2), ("hisa", 2), ("dlpm", 3), ("hisa", 3)]
             for variant, epochs, doc in seen:
@@ -236,7 +237,7 @@ class TestRunComparison:
         for forked in (True, False):
             monkeypatch.setattr(evaluation, "_fork_pays", lambda *sizes: forked)
             seen = []
-            report = run_comparison(series, tweets, lexicon, epoch_sizes, small_config, lookback=6,
+            report = run_comparison(series, tweets, lexicon, epoch_sizes, small_config, spec=WindowSpec(lookback=6),
                                     checkpoint_sink=lambda v, e, doc: seen.append((v, e, doc)))
             assert seen == expected_checkpoints, forked
             assert report_to_json(report) == expected_report, forked
@@ -250,13 +251,13 @@ class TestRunComparison:
 
         monkeypatch.setattr(evaluation, "checkpoint_to_json", refuse)
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, spec=WindowSpec(lookback=6))
         assert len(report.records) == 4
         assert_no_child_left()
 
     def test_report_json_equals_json_dumps_reference(self, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [1, 2], small_config, spec=WindowSpec(lookback=6))
         # The document as json.dumps wrote it before the shared writer.
         doc = {
             "version": 1,
@@ -336,7 +337,7 @@ def comparison_error(inputs, config):
     series, tweets, lexicon = inputs
     written = []
     with pytest.raises(PipelineError) as err:
-        run_comparison(series, tweets, lexicon, [2, 3], config, lookback=6,
+        run_comparison(series, tweets, lexicon, [2, 3], config, spec=WindowSpec(lookback=6),
                        checkpoint_sink=lambda *args: written.append(args))
     assert written == []
     return err.value
@@ -348,7 +349,7 @@ class TestForkedTraining:
 
     def test_normal_return_leaves_no_child(self, either_path, small_inputs, small_config):
         series, tweets, lexicon = small_inputs
-        report = run_comparison(series, tweets, lexicon, [2], small_config, lookback=6)
+        report = run_comparison(series, tweets, lexicon, [2], small_config, spec=WindowSpec(lookback=6))
         assert len(report.records) == 2
         assert_no_child_left()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from datetime import date
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sentistock.cli import RunConfig
 from sentistock.errors import PipelineError
 from sentistock.features import (
     DLPM_FEATURES,
@@ -13,6 +15,7 @@ from sentistock.features import (
     HISA_FEATURES,
     FusedDataset,
     ScalerParams,
+    WindowSpec,
     WindowedDataset,
     fuse,
     invert_target,
@@ -71,17 +74,44 @@ def varied_sentiment(days, seed=3):
     return out
 
 
+class TestWindowSpec:
+    @pytest.mark.parametrize("setting, refused", [
+        ({"feature_mode": "xyz"}, "unknown feature mode 'xyz'"),
+        ({"lookback": 0}, "lookback must be positive, got 0"),
+        ({"split_fraction": 1.5}, "split_fraction must lie strictly between 0 and 1, got 1.5"),
+        ({"split_fraction": 0.0}, "split_fraction must lie strictly between 0 and 1, got 0.0"),
+        ({"split_fraction": float("nan")}, "split_fraction must lie strictly between 0 and 1, got nan"),
+        ({"target_field": "xyz"}, "unknown target field 'xyz'"),
+    ])
+    def test_refusal_text(self, setting, refused):
+        for build in (lambda: WindowSpec(**setting), lambda: replace(WindowSpec(), **setting)):
+            with pytest.raises(PipelineError) as err:
+                build()
+            assert str(err.value) == refused
+
+    def test_frozen(self):
+        spec = WindowSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.lookback = 0
+
+    def test_run_config_defaults_are_the_specs(self):
+        config = RunConfig()
+        defaults = dataclasses.asdict(WindowSpec())
+        assert {name: getattr(config, name) for name in defaults} == defaults
+        assert config.window_spec() == WindowSpec()
+
+
 class TestImputeMean:
     """fuse fills a missing cell with its field's mean over the train-side bars."""
 
     def test_fills_with_training_mean(self):
         series = series_of([10.0, None, 20.0, 30.0, 40.0])  # 4 rows, 3 on the train side
-        ds = fuse(series, [], mode="dlpm")
+        ds = fuse(series, [], WindowSpec(feature_mode="dlpm"))
         assert ds.features[:3, 0].tolist() == [10.0, 15.0, 20.0]
 
     def test_no_missing_is_identity(self):
         series = series_of([10.0, 11.0, 12.0])
-        ds = fuse(series, [], mode="dlpm")
+        ds = fuse(series, [], WindowSpec(feature_mode="dlpm"))
         assert ds.features.tolist() == [[b.open, b.high, b.low, b.close] for b in series.bars[:2]]
         assert ds.targets.tolist() == [b.close for b in series.bars[1:]]
 
@@ -93,7 +123,7 @@ class TestImputeMean:
             for d in days
         )
         with pytest.raises(PipelineError, match="has no present value in the training range"):
-            fuse(BarSeries("T", bars), [], mode="dlpm")
+            fuse(BarSeries("T", bars), [], WindowSpec(feature_mode="dlpm"))
 
     @pytest.mark.parametrize("missing, refused", [
         ({(1, "volume"), (3, "high")}, "2020-01-02: non-finite volume inf"),
@@ -110,12 +140,12 @@ class TestImputeMean:
         bars = tuple(OhlcvBar(day, *[value(k, field) for field in NUMERIC_FIELDS])
                      for k, day in enumerate(trading_days(5)))
         with pytest.raises(PipelineError) as err:
-            fuse(BarSeries("T", bars), [], mode="dlpm")
+            fuse(BarSeries("T", bars), [], WindowSpec(feature_mode="dlpm"))
         assert str(err.value) == refused
 
     def test_train_only_mean_excludes_test_rows(self):
         series = series_of([10.0, None, 50.0, 60.0])  # 3 rows, 2 on the train side
-        ds = fuse(series, [], mode="dlpm")
+        ds = fuse(series, [], WindowSpec(feature_mode="dlpm"))
         # mean over the training range {10.0} only, not the later 50.0
         assert ds.features[1, 0] == 10.0
 
@@ -138,14 +168,15 @@ class TestImputeMean:
             # About one trading day in twenty has no record.
             kept = data.draw(st.lists(st.integers(0, 19), min_size=n_bars, max_size=n_bars))
             sentiment = [data.draw(daily_sentiment(day)) for day, k in zip(days, kept) if k]
+        spec = WindowSpec(feature_mode=mode, split_fraction=split_fraction, target_field=target_field)
         try:
             expected = fuse_by_rows(bars, sentiment, mode, target_field, split_fraction)
         except PipelineError as exc:
             with pytest.raises(PipelineError) as err:
-                fuse(bars, sentiment, mode, target_field, split_fraction)
+                fuse(bars, sentiment, spec)
             assert str(err.value) == str(exc)
             return
-        ds = fuse(bars, sentiment, mode, target_field, split_fraction)
+        ds = fuse(bars, sentiment, spec)
         assert (ds.dates, ds.feature_names, ds.split_index) == expected[:3]
         for got, want in zip((ds.features, ds.targets), expected[3:]):
             assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -156,7 +187,7 @@ class TestImputeMean:
             OhlcvBar(day, 10 + k, 12 + k, 9 + k, 11 + k, 11 + k, None if k == 1 else 100 * k)
             for k, day in enumerate(trading_days(5))))
         for target_field in ("close", "volume"):
-            ds = fuse(bars, [], mode="dlpm", target_field=target_field)
+            ds = fuse(bars, [], WindowSpec(feature_mode="dlpm", target_field=target_field))
             for got in (ds.features, ds.targets):
                 assert got.dtype == np.float64 and got.flags.c_contiguous
         assert ds.features[:, 0].tolist() == [10.0, 11.0, 12.0, 13.0]
@@ -285,7 +316,7 @@ class TestFuse:
     def test_hisa_shape_and_targets(self):
         series = series_of([10, 11, 12, 13, 14])
         daily = varied_sentiment(series.dates())
-        ds = fuse(series, daily, mode="hisa", target_field="close", split_fraction=0.75)
+        ds = fuse(series, daily, WindowSpec(feature_mode="hisa", target_field="close", split_fraction=0.75))
         assert len(ds.dates) == 4
         assert ds.features.shape == (4, 3)
         expected = [series.bars[t + 1].close for t in range(4)]
@@ -295,13 +326,13 @@ class TestFuse:
 
     def test_split_index_three_quarter_fraction(self):
         series = series_of(list(range(10, 23)))  # 13 bars -> 12 rows
-        ds = fuse(series, varied_sentiment(series.dates()), split_fraction=0.75)
+        ds = fuse(series, varied_sentiment(series.dates()), WindowSpec(split_fraction=0.75))
         assert len(ds.dates) == 12
         assert ds.split_index == 9
 
     def test_dlpm_ignores_sentiment(self):
         series = series_of([10, 11, 12, 13, 14])
-        ds = fuse(series, [], mode="dlpm")
+        ds = fuse(series, [], WindowSpec(feature_mode="dlpm"))
         assert ds.features.shape == (4, 4)
         assert ds.feature_names == ("open", "high", "low", "close")
 
@@ -309,12 +340,12 @@ class TestFuse:
         series = series_of([10, 11, 12, 13, 14])
         partial = varied_sentiment(series.dates()[:2])
         with pytest.raises(PipelineError, match="no sentiment record for trading date"):
-            fuse(series, partial, mode="hisa")
-        fuse(series, partial, mode="dlpm")  # no error
+            fuse(series, partial, WindowSpec(feature_mode="hisa"))
+        fuse(series, partial, WindowSpec(feature_mode="dlpm"))  # no error
 
     def test_too_few_rows(self):
         with pytest.raises(PipelineError, match="on 1 rows leaves an empty train or test side"):
-            fuse(series_of([10, 11]), [], mode="dlpm")
+            fuse(series_of([10, 11]), [], WindowSpec(feature_mode="dlpm"))
 
     @pytest.mark.parametrize("n_bars, fraction, match", [
         pytest.param(2, 0.75, "leaves an empty train or test side", id="2-0.75-empty-side"),
@@ -325,15 +356,15 @@ class TestFuse:
     def test_imputation_refuses_the_splits_fuse_refuses(self, n_bars, fraction, match):
         series = series_of(range(10, 10 + n_bars))
         with pytest.raises(PipelineError, match=match):
-            fuse(series, [], mode="dlpm", split_fraction=fraction)
+            fuse(series, [], WindowSpec(feature_mode="dlpm", split_fraction=fraction))
 
     def test_targets_identical_across_modes(self):
         # Even with sentiment held constant on every row, the two modes must
         # differ only through their feature sets, never the targets.
         series, _, _ = make_coupled_fixture(n_days=40)
         daily = neutral_sentiment(series.dates())
-        hisa = fuse(series, daily, mode="hisa")
-        dlpm = fuse(series, daily, mode="dlpm")
+        hisa = fuse(series, daily, WindowSpec(feature_mode="hisa"))
+        dlpm = fuse(series, daily, WindowSpec(feature_mode="dlpm"))
         assert hisa.features.shape[1] == 3 and dlpm.features.shape[1] == 4
         assert np.array_equal(hisa.targets, dlpm.targets)
         assert hisa.dates == dlpm.dates
@@ -343,7 +374,7 @@ class TestFuse:
         series = series_of([10, 11, 12, 13, 14])  # 4 rows, 3 on the train side
         bars = list(series.bars)
         bars[1] = replace(bars[1], close=None)
-        ds = fuse(BarSeries("T", tuple(bars)), varied_sentiment(series.dates()), mode="hisa")
+        ds = fuse(BarSeries("T", tuple(bars)), varied_sentiment(series.dates()), WindowSpec(feature_mode="hisa"))
         # row 0's target is bar 1's close: the mean of bars 0 and 2's closes
         assert ds.targets[0] == (bars[0].close + bars[2].close) / 2 == 11.5
 
@@ -351,7 +382,7 @@ class TestFuse:
 class TestScaleDataset:
     def test_scaled_train_columns_in_unit_interval(self):
         series, _, _ = make_coupled_fixture(n_days=60)
-        ds = fuse(series, varied_sentiment(series.dates()), mode="dlpm")
+        ds = fuse(series, varied_sentiment(series.dates()), WindowSpec(feature_mode="dlpm"))
         scaled = scale_dataset(ds)
         train = scaled.features[: scaled.split_index]
         assert train.min() >= 0.0 and train.max() <= 1.0
@@ -359,13 +390,13 @@ class TestScaleDataset:
 
     def test_constant_sentiment_cannot_scale(self):
         series, _, _ = make_coupled_fixture(n_days=40)
-        ds = fuse(series, neutral_sentiment(series.dates()), mode="hisa")
+        ds = fuse(series, neutral_sentiment(series.dates()), WindowSpec(feature_mode="hisa"))
         with pytest.raises(PipelineError, match="column 'pos_pct' has max"):
             scale_dataset(ds)
 
     def test_double_scaling_rejected(self):
         series, _, _ = make_coupled_fixture(n_days=40)
-        scaled = scale_dataset(fuse(series, varied_sentiment(series.dates()), mode="dlpm"))
+        scaled = scale_dataset(fuse(series, varied_sentiment(series.dates()), WindowSpec(feature_mode="dlpm")))
         with pytest.raises(ValueError):
             scale_dataset(scaled)
 
@@ -377,13 +408,13 @@ class TestMakeWindows:
 
     def test_hand_enumerated_counts(self):
         ds = self.make(10, 7)
-        train, test = make_windows(ds, lookback=3)
+        train, test = make_windows(ds, WindowSpec(lookback=3))
         assert len(train) == 4 and len(test) == 3
         assert train.lookback == test.lookback == 3
 
     def test_window_contents_and_labels(self):
         ds = self.make(10, 7)
-        train, test = make_windows(ds, lookback=3)
+        train, test = make_windows(ds, WindowSpec(lookback=3))
         # window j covers rows [j, j+3) and is labeled with targets[j+3]
         for j in range(4):
             assert np.array_equal(train.sequences[j], ds.features[j:j + 3])
@@ -396,11 +427,11 @@ class TestMakeWindows:
     def test_lookback_too_large(self):
         ds = self.make(10, 7)
         with pytest.raises(PipelineError, match="cannot support lookback 9"):
-            make_windows(ds, lookback=9)
+            make_windows(ds, WindowSpec(lookback=9))
 
     def test_lookback_one(self):
         ds = self.make(10, 7)
-        train, test = make_windows(ds, lookback=1)
+        train, test = make_windows(ds, WindowSpec(lookback=1))
         assert len(train) == 6  # split_index - 1
         assert train.sequences.shape == (6, 1, 4)
         assert train.lookback == test.lookback == 1
@@ -411,12 +442,12 @@ class TestMakeWindows:
 
     def test_test_windows_reach_into_train_history(self):
         ds = self.make(10, 7)
-        _, test = make_windows(ds, lookback=3)
+        _, test = make_windows(ds, WindowSpec(lookback=3))
         # first test window starts at row 4, inside the train region
         assert np.array_equal(test.sequences[0], ds.features[4:7])
 
     def test_train_labels_stay_left_of_split(self):
         ds = self.make(12, 8)
-        train, test = make_windows(ds, lookback=2)
+        train, test = make_windows(ds, WindowSpec(lookback=2))
         assert set(train.labels.tolist()) == {ds.targets[r] for r in range(2, 8)}
         assert set(test.labels.tolist()) == {ds.targets[r] for r in range(8, 12)}
