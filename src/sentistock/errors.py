@@ -3,7 +3,7 @@
 Every recoverable input, validation, or numerical failure raises
 :class:`PipelineError`, and its message names the check that failed. The
 subclasses are the failures a caller handles differently: an empty input
-stream and a training run whose loss diverged.
+stream and a run that diverged to a non-finite number.
 """
 
 
@@ -16,9 +16,11 @@ class EmptyInput(PipelineError):
 
 
 class NonFiniteLoss(PipelineError):
-    """Training loss became NaN or infinite; carries the offending epoch."""
+    """A number the run would report became NaN or infinite: the training
+    loss, a prediction, or a value of an artifact. Carries the offending
+    epoch, or None when the number is not one epoch's."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int | None, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training loss became non-finite at epoch {epoch}")
 

@@ -18,7 +18,7 @@ from datetime import date
 from typing import Callable, Sequence
 
 from ._numpy import np
-from .errors import EmptyInput, PipelineError
+from .errors import EmptyInput, NonFiniteLoss, PipelineError
 from .features import ScalerParams, WindowSpec, WindowedDataset, fuse, invert_target, make_windows, scale_dataset
 from .lstm import Checkpoint, TrainConfig, checkpoint_to_json, predict, train
 from .market_data import BarSeries, Tweet, align_to_trading_days
@@ -321,6 +321,8 @@ def render_table(report: EvalReport) -> str:
 
 
 def report_to_json(report: EvalReport) -> str:
+    """The report document as JSON with sorted keys and an indent of 2; a NaN
+    or infinity, which strict JSON cannot hold, raises :class:`NonFiniteLoss`."""
     doc = {
         "version": 1,
         "records": [
@@ -338,7 +340,10 @@ def report_to_json(report: EvalReport) -> str:
         ],
         "averages": report.averages,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteLoss(None, "report would hold a non-finite number") from exc
 
 
 def record_plot_csv(dates: Sequence[date], real: Sequence[float], predicted: Sequence[float]) -> str:

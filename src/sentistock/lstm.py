@@ -436,6 +436,14 @@ class _Sgd:
         theta -= g
 
 
+def _checked_squared_error(err: np.ndarray, epoch: int) -> float:
+    """The sum of ``err``'s squares; :class:`NonFiniteLoss` when it is not finite."""
+    batch_sq = float(np.add.reduce(err * err))
+    if not math.isfinite(batch_sq):
+        raise NonFiniteLoss(epoch)
+    return batch_sq
+
+
 def train(
     windows: WindowedDataset,
     config: TrainConfig,
@@ -447,7 +455,10 @@ def train(
 
     Mini-batches are drawn in a seeded shuffled order each epoch; the
     recorded per-epoch loss is the mean squared error over all samples as
-    encountered (before each batch's update). ``scaler`` and
+    encountered (before each batch's update). A batch loss that is not
+    finite raises :class:`NonFiniteLoss`; after the last update, the last
+    batch is run forward once more for that check, since no later batch
+    makes it. ``scaler`` and
     ``feature_mode`` are carried into the checkpoint so predictions can be
     denormalized and replayed later.
 
@@ -492,10 +503,7 @@ def train(
                     workspace = _Workspace(F, H, len(idx), lookback)
                 labels = y[idx]
                 err = workspace.forward(X[idx], params) - labels
-                batch_sq = float(np.add.reduce(err * err))
-                if not math.isfinite(batch_sq):
-                    raise NonFiniteLoss(epoch)
-                sq_sum += batch_sq
+                sq_sum += _checked_squared_error(err, epoch)
                 workspace.backward((2.0 / len(labels)) * err, params, grad)
                 # Clip to a global L2 norm of max_norm. Each tensor's squares
                 # are summed in its own shape (axis None, as np.sum does) and
@@ -506,6 +514,8 @@ def train(
                 if not (norm <= max_norm or norm == 0.0):
                     grad *= max_norm / norm
                 optimizer.step(theta, grad, scratch)
+            if epoch == config.epochs - 1:
+                _checked_squared_error(workspace.forward(X[idx], params) - labels, epoch)
         loss_history.append(sq_sum / n)
         if on_epoch is not None:
             on_epoch(
@@ -531,13 +541,21 @@ def predict(checkpoint: Checkpoint, windows: WindowedDataset) -> np.ndarray:
     """Predictions in currency units (inverse target scaling applied).
 
     Without a scaler on the checkpoint, raw normalized outputs come back.
-    An empty window set yields an empty vector.
+    An empty window set yields an empty vector. A prediction that is not
+    finite raises :class:`NonFiniteLoss` with the checkpoint's last epoch.
     """
     X = np.asarray(windows.sequences, dtype=np.float64)
-    yhat, _ = forward(X, checkpoint.params, keep_steps=False)
-    if checkpoint.scaler is None:
-        return yhat
-    return invert_target(yhat, checkpoint.scaler)
+    # A diverged model's products overflow; the check below reports it, so
+    # numpy stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        yhat, _ = forward(X, checkpoint.params, keep_steps=False)
+        if checkpoint.scaler is not None:
+            yhat = invert_target(yhat, checkpoint.scaler)
+    bad = len(yhat) - int(np.count_nonzero(np.isfinite(yhat)))
+    if bad:
+        raise NonFiniteLoss(checkpoint.config.epochs - 1,
+                            f"prediction became non-finite in {bad} of {len(yhat)} windows")
+    return yhat
 
 
 # Checkpoint persistence: versioned JSON with flattened row-major weights.
@@ -571,7 +589,12 @@ def _checkpoint_document(checkpoint: Checkpoint) -> dict:
 
 
 def checkpoint_to_json(checkpoint: Checkpoint) -> str:
-    return json.dumps(_checkpoint_document(checkpoint), sort_keys=True)
+    """The checkpoint document as compact JSON with sorted keys; a NaN or
+    infinity, which strict JSON cannot hold, raises :class:`NonFiniteLoss`."""
+    try:
+        return json.dumps(_checkpoint_document(checkpoint), sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteLoss(checkpoint.config.epochs - 1, "checkpoint would hold a non-finite number") from exc
 
 
 def _json_int(value, name: str) -> int:
@@ -644,9 +667,11 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Write :func:`checkpoint_to_json`'s text to ``path`` in one write."""
+    """Write :func:`checkpoint_to_json`'s text to ``path`` in one write;
+    nothing is written when encoding fails."""
+    text = checkpoint_to_json(checkpoint)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(checkpoint_to_json(checkpoint))
+        fh.write(text)
 
 
 def load_checkpoint(path) -> Checkpoint:

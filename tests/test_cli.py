@@ -1,17 +1,22 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sentistock.cli as cli
+import sentistock.evaluation as evaluation
 import sentistock.lstm as lstm
 from sentistock.cli import main
+from sentistock.evaluation import EvalReport
 
 from fixtures import write_cli_fixture
 
@@ -167,6 +172,61 @@ class TestPredict:
 
     def test_missing_checkpoint(self, fixture_config):
         assert run(["predict", "--config", fixture_config]) == 2
+
+
+class TestNonFiniteExit3:
+    """A run that would write a non-finite number exits 3 with one
+    ``error:`` line and writes no such artifact."""
+
+    @staticmethod
+    def outcome(capsys, argv, out):
+        """main's exit code, its stderr lines and the files it left in ``out``."""
+        capsys.readouterr()
+        code = run(argv + ["--out", out])
+        return code, capsys.readouterr().err.splitlines(), sorted(p.name for p in out.rglob("*") if p.is_file())
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_divergence_in_the_last_update(self, command, tmp_path, capsys):
+        # One batch and one epoch: the only update is the last one, and no
+        # later batch checks its loss.
+        config = write_cli_fixture(tmp_path, n_days=60, feature_mode="dlpm", batch_size=100000,
+                                   learning_rate=1e308, epochs=1, epoch_sizes="1")
+        code, err, written = self.outcome(capsys, [command, "--config", config], tmp_path / "out")
+        assert (code, written) == (3, [])
+        assert len(err) == 1 and err[0].startswith("error: training loss became non-finite"), err
+
+    def test_predict_with_weights_of_1e306(self, tmp_path, capsys):
+        # At hidden 200 the output unit adds 201 terms of about 1e306.
+        config = write_cli_fixture(tmp_path, n_days=60, hidden_size=200, epochs=1)
+        assert run(["train", "--config", config]) == 0
+        path = tmp_path / "huge.json"
+        doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+        doc["params"] = {name: [1e306] * len(values) for name, values in doc["params"].items()}
+        path.write_text(json.dumps(doc))
+        code, err, written = self.outcome(capsys, ["predict", "--config", config, "--checkpoint", path],
+                                          tmp_path / "predict")
+        assert (code, err, written) == (3, ["error: prediction became non-finite in 15 of 15 windows"], [])
+
+    def test_checkpoint_with_an_infinite_loss(self, fixture_config, tmp_path, monkeypatch, capsys):
+        def infinite_loss(*args, **kwargs):
+            checkpoint = lstm.train(*args, **kwargs)
+            checkpoint.loss_history = (math.inf,) * len(checkpoint.loss_history)
+            return checkpoint
+
+        monkeypatch.setattr(cli, "train", infinite_loss)
+        code, err, written = self.outcome(capsys, ["train", "--config", fixture_config], tmp_path / "out")
+        assert (code, err, written) == (3, ["error: checkpoint would hold a non-finite number"], [])
+
+    def test_report_with_a_nan(self, fixture_config, tmp_path, monkeypatch, capsys):
+        def nan_rmse(*args, **kwargs):
+            report = evaluation.run_comparison(*args, **kwargs)
+            return EvalReport(tuple(replace(record, rmse=math.nan) for record in report.records))
+
+        monkeypatch.setattr(cli, "run_comparison", nan_rmse)
+        code, err, written = self.outcome(capsys, ["compare", "--config", fixture_config, "--epoch-sizes", "1"],
+                                          tmp_path / "out")
+        assert (code, err) == (3, ["error: report would hold a non-finite number"])
+        assert written == ["checkpoint_dlpm_epochs1.json", "checkpoint_hisa_epochs1.json"]
 
 
 def bad_checkpoint(build):
