@@ -304,11 +304,18 @@ def cmd_compare(cfg: RunConfig) -> int:
     tweets, skipped = _load_tweets(cfg)
     lexicon = _load_lexicon(cfg)
 
+    # The checkpoints are written only once the report has encoded, so a
+    # report refused for a non-finite number leaves no file of the run.
+    checkpoints = {}
+
     def sink(variant: str, epochs: int, document: str) -> None:
-        (out / f"checkpoint_{variant}_epochs{epochs}.json").write_text(document, encoding="utf-8")
+        checkpoints[f"checkpoint_{variant}_epochs{epochs}.json"] = document
 
     report = run_comparison(series, tweets, lexicon, cfg.epoch_sizes, config, spec, checkpoint_sink=sink)
-    (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    report_text = report_to_json(report)
+    for name, document in checkpoints.items():
+        (out / name).write_text(document, encoding="utf-8")
+    (out / "report.json").write_text(report_text, encoding="utf-8")
     for record in report.records:
         name = f"plot_{record.variant}_epochs{record.epochs}.csv"
         csv_text = record_plot_csv(record.dates, record.real, record.predicted)

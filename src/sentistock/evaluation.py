@@ -26,16 +26,20 @@ from .sentiment import DailySentiment, Lexicon, aggregate_daily, score_corpus
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean absolute percentage error: 100 * mean(|a - p| / |a|)."""
+    """Mean absolute percentage error: 100 * mean(|a - p| / |a|). A term
+    that overflows makes it infinite, without a numpy warning (as in
+    :func:`rmse`); :func:`report_to_json` refuses the number."""
     a, p = _paired(actual, predicted)
     if np.any(a == 0.0):
         raise PipelineError("actual series contains a zero; MAPE is undefined")
-    return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
 
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     a, p = _paired(actual, predicted)
-    return float(np.sqrt(np.mean((a - p) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.mean((a - p) ** 2)))
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,12 @@ One LSTM layer feeds a linear output unit. Everything runs in double
 precision on plain numpy and is bit-reproducible given a seed and a fixed
 BLAS thread count: parameter init, batch shuffling, and optimizer state all
 derive from the config seed and nothing else. (The matrix products go
-through BLAS, whose summation order may depend on its thread count.)
+through BLAS, whose summation order may depend on its thread count.) The
+init and the shuffles are drawn from the package's own PCG64 stream
+(``_pcg64.PCG64``), which equals numpy's ``default_rng(seed)`` as of
+numpy 2.4.6 and no longer follows numpy's releases; so training never
+imports ``numpy.random``, and ``init_params`` writes its draws straight
+into W and W_y, one block of at most ``_pcg64.CHUNK`` at a time.
 
 Gate equations, with z = concat(x_t, h_{t-1}):
 
@@ -92,6 +97,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 from ._numpy import np
+from ._pcg64 import PCG64
 from .errors import NonFiniteLoss, PipelineError
 from .features import FEATURE_MODES, ScalerParams, WindowedDataset, invert_target
 
@@ -124,7 +130,8 @@ class LstmParams:
         if self.W_y.shape != (1, h) or self.b_y.shape != (1,):
             raise PipelineError("output projection must be (1, hidden) with scalar bias")
         for name, tensor in self.tensors():
-            if not np.all(np.isfinite(tensor)):
+            # min and max pass a NaN or an infinity on, and allocate nothing.
+            if tensor.size and not (math.isfinite(tensor.min()) and math.isfinite(tensor.max())):
                 raise PipelineError(f"{name} contains non-finite entries")
 
     def tensors(self) -> tuple[tuple[str, np.ndarray], ...]:
@@ -175,27 +182,29 @@ class Checkpoint:
 
 
 def init_params(input_size: int, hidden_size: int, seed: int) -> LstmParams:
-    """Xavier-uniform weights from a seeded generator.
+    """Xavier-uniform weights from the seed's PCG64 stream.
 
     One draw fills the (4H, F+H) weights of the gate matrix W, then one
     fills W_y, so identical seeds give bit-identical parameters. Every gate
     block gets the Xavier limit of its own (H, F+H) shape, so the weights
     are the four per-gate draws stacked. The bias column starts at 1.0 in
-    the forget rows and at 0 in every other.
+    the forget rows and at 0 in every other. W is allocated before any
+    draw, and the draws are written straight into W and W_y.
     """
     if input_size < 1 or hidden_size < 1:
         raise ValueError("input_size and hidden_size must be positive")
-    rng = np.random.default_rng(seed)
     h, z = hidden_size, input_size + hidden_size
-    gate_limit = math.sqrt(6.0 / (h + z))
     try:
         W = np.zeros((4 * h, z + 1))
-        W[:, :z] = rng.uniform(-gate_limit, gate_limit, size=(4 * h, z))
     except ValueError as exc:  # numpy refuses a shape past its maximum dimension
         raise PipelineError(f"hidden_size {hidden_size} needs a ({4 * h}, {z + 1}) gate matrix: {exc}") from exc
+    stream = PCG64(seed)
+    gate_limit = math.sqrt(6.0 / (h + z))
+    stream.uniform(-gate_limit, gate_limit, W[:, :z])
     W[:h, z] = 1.0
     out_limit = math.sqrt(6.0 / (1 + h))
-    W_y = rng.uniform(-out_limit, out_limit, size=(1, h))
+    W_y = np.empty((1, h))
+    stream.uniform(-out_limit, out_limit, W_y)
     return LstmParams(W=W, W_y=W_y, b_y=np.zeros(1), input_size=input_size, hidden_size=hidden_size)
 
 
@@ -484,14 +493,14 @@ def train(
     squares = tuple(_tensor_views(scratch, F, H).values())
     max_norm = config.grad_clip_norm
     optimizer = _Adam(config.learning_rate, theta.size) if config.optimizer == "adam" else _Sgd(config.learning_rate)
-    rng = np.random.default_rng(config.seed)
+    shuffles = PCG64(config.seed)
 
     # One workspace at a time, rebuilt only when the batch size changes
     # (around a short last batch); the old one is dropped first.
     workspace = None
     loss_history = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
+        order = shuffles.permutation(n)
         sq_sum = 0.0
         # A diverging run overflows here before its loss turns non-finite;
         # the loss check reports it as NonFiniteLoss, so numpy stays quiet.

@@ -225,8 +225,14 @@ class TestNonFiniteExit3:
         monkeypatch.setattr(cli, "run_comparison", nan_rmse)
         code, err, written = self.outcome(capsys, ["compare", "--config", fixture_config, "--epoch-sizes", "1"],
                                           tmp_path / "out")
-        assert (code, err) == (3, ["error: report would hold a non-finite number"])
-        assert written == ["checkpoint_dlpm_epochs1.json", "checkpoint_hisa_epochs1.json"]
+        assert (code, err, written) == (3, ["error: report would hold a non-finite number"], [])
+
+    def test_finite_predictions_whose_errors_overflow(self, fixture_config, tmp_path, monkeypatch, capsys):
+        # (a - p)**2 overflows in rmse; numpy's warning would be a second line.
+        monkeypatch.setattr(evaluation, "predict", lambda checkpoint, windows: lstm.np.full(len(windows), 1e200))
+        code, err, written = self.outcome(capsys, ["compare", "--config", fixture_config, "--epoch-sizes", "1"],
+                                          tmp_path / "out")
+        assert (code, err, written) == (3, ["error: report would hold a non-finite number"], [])
 
 
 def bad_checkpoint(build):
@@ -572,6 +578,19 @@ lstm.forward(lstm.np.zeros((2, 5, 3)), params)
 print(before, type(lstm.np).__name__, lstm.np is sys.modules["numpy"])
 """
 
+#: Runs train, predict on train's checkpoint and compare in one fresh
+#: interpreter with the config given on the command line, and prints, as
+#: the last line, each one's exit code and whether numpy.random had loaded.
+NO_NUMPY_RANDOM_RUN = """
+import json, sys
+from sentistock.cli import main
+config, checkpoint = sys.argv[1], sys.argv[2]
+results = []
+for argv in (["train"], ["predict", "--checkpoint", checkpoint], ["compare", "--epoch-sizes", "1,2"]):
+    results.append([main(argv + ["--config", config]), "numpy.random" in sys.modules])
+print(json.dumps(results))
+"""
+
 
 def _fresh_python(*args: str) -> str:
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -597,6 +616,12 @@ class TestStartup:
         out = _fresh_python("-c", LAZY_NUMPY_RUN, str(fixture_config), *map(json.dumps, commands))
         assert json.loads(out.splitlines()[-1]) == [[0, False], [0, False], [2, False], [2, False], [2, False],
                                                     [2, False], [0, True]]
+
+    def test_train_predict_and_compare_never_load_numpy_random(self, fixture_config, tmp_path):
+        # The init and the shuffles come from sentistock._pcg64.
+        checkpoint = str(tmp_path / "out" / "checkpoint.json")
+        out = _fresh_python("-c", NO_NUMPY_RANDOM_RUN, str(fixture_config), checkpoint)
+        assert json.loads(out.splitlines()[-1]) == [[0, False], [0, False], [0, False]]
 
     def test_no_proxy_left_after_first_forward(self):
         assert _fresh_python("-c", FIRST_FORWARD_RUN) == "_LazyModule module True"

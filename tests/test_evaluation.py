@@ -51,6 +51,11 @@ class TestMape:
         with pytest.raises(EmptyInput):
             mape([], [])
 
+    def test_overflow_is_infinite_and_quiet(self):
+        # The suite runs with warnings as errors, so numpy's "overflow
+        # encountered in divide" would raise here.
+        assert mape([1e-300, 101.0], [1e300, 1e200]) == math.inf
+
 
 class TestAccuracy:
     def test_average_of_reference_accuracies(self):
@@ -68,6 +73,10 @@ class TestRmse:
 
     def test_single_element(self):
         assert rmse([1.0], [3.0]) == 2.0
+
+    def test_overflow_is_infinite_and_quiet(self):
+        # numpy's "overflow encountered in square" would raise here.
+        assert rmse([100.0, 101.0], [1e200, 1e200]) == math.inf
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)

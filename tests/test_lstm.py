@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sentistock._pcg64 import CHUNK, _jump_tables
 from sentistock.errors import NonFiniteLoss, PipelineError
 from sentistock.features import ScalerParams, WindowedDataset, invert_target
 from sentistock.lstm import (
@@ -532,6 +533,14 @@ class TestBoundedMemory:
         _, cache = forward(rng.normal(size=(B, L, F)), p)
         gradient = 8 * sum(tensor.size for _, tensor in p.tensors())
         assert traced_peak(backward, cache, rng.normal(size=B), p) <= 1.5 * gradient
+
+    def test_init_params_allocates_the_parameters_and_one_block(self):
+        # The draws go straight into W and W_y, a block of at most CHUNK
+        # outputs at a time; a full-size draw copied into W would add W again.
+        _jump_tables()  # built once per process
+        for H in (self.H, 2 * self.H):
+            parameters = 8 * sum(tensor.size for _, tensor in init_params(self.F, H, seed=33).tensors())
+            assert traced_peak(init_params, self.F, H, seed=33) <= parameters + 16 * 8 * CHUNK
 
     def test_inference_forward_peak(self):
         X = np.random.default_rng(31).normal(size=(500, self.L, self.F))
