@@ -29,6 +29,10 @@ exits 1.
    a leaked numpy warning into an exception, a user sees text) and must
    exit 3 with exactly one stderr line, the ``error: training loss became
    non-finite`` one, and write no file.
+5. compare and train run on compare_paper's inputs with ``grad_clip_norm =
+   inf``, each in a fresh interpreter as in check 4, and must exit 2 with
+   exactly one stderr line, the ``error: grad_clip_norm`` one, and write no
+   file.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ WORKLOADS = ("compare_paper", "sentiment_corpus", "train_predict_wide")
 CHECKPOINTS = 7
 DIVERGING = {"learning_rate": "1e308"}
 ONE_BATCH = {**DIVERGING, "feature_mode": "dlpm", "batch_size": "100000", "epochs": "1", "epoch_sizes": "1"}
+INFINITE_CLIP = {"grad_clip_norm": "inf"}
 
 
 class SmokeFailure(Exception):
@@ -148,13 +153,10 @@ def _config_with(config: Path, settings: dict[str, str]) -> str:
     return "\n".join(lines + [f"{key} = {value}" for key, value in left.items()]) + "\n"
 
 
-def diverging_runs() -> None:
-    cases = (
-        ("compare_paper", "compare", DIVERGING),
-        ("train_predict_wide", "train", DIVERGING),
-        ("compare_paper", "compare", ONE_BATCH),
-        ("compare_paper", "train", ONE_BATCH),
-    )
+def _refused_runs(cases, code: int, message: str) -> None:
+    """Run each (workload, command, settings) case in a fresh interpreter;
+    each must exit ``code`` with one stderr line starting ``message`` and
+    write no file."""
     with tempfile.TemporaryDirectory() as tmp:
         for n, (workload, command, settings) in enumerate(cases):
             # The new config sits beside the original, so its input paths
@@ -162,23 +164,38 @@ def diverging_runs() -> None:
             # hash a later benchmark run records does not see it; --out
             # keeps the smoke runs' trees untouched.
             inputs = BENCH_OUT / workload / "inputs"
-            diverging = inputs / "diverging.ini"
-            diverging.write_text(_config_with(inputs / "config.ini", settings), encoding="utf-8")
+            edited = inputs / "edited.ini"
+            edited.write_text(_config_with(inputs / "config.ini", settings), encoding="utf-8")
             out = Path(tmp) / f"{n}-{command}"
             try:
-                proc = _python("-m", "sentistock", command, "--config", diverging, "--out", out,
+                proc = _python("-m", "sentistock", command, "--config", edited, "--out", out,
                                stderr=subprocess.PIPE)
             finally:
-                diverging.unlink()
+                edited.unlink()
             print(proc.stderr, end="")
             err = proc.stderr.splitlines()
             written = sorted(p.name for p in out.rglob("*") if p.is_file())
-            if (proc.returncode != 3 or len(err) != 1 or not err[0].startswith("error: training loss became non-finite")
-                    or written):
+            if proc.returncode != code or len(err) != 1 or not err[0].startswith(message) or written:
                 setting = ", ".join(f"{key} = {value}" for key, value in settings.items())
                 raise SmokeFailure(f"{command} on {workload} with {setting} exited {proc.returncode} with "
-                                   f"{len(err)} stderr lines and wrote {written}; expected 3, one error: line "
-                                   "and no file")
+                                   f"{len(err)} stderr lines and wrote {written}; expected {code}, one "
+                                   f"{message!r} line and no file")
+
+
+def diverging_runs() -> None:
+    _refused_runs((
+        ("compare_paper", "compare", DIVERGING),
+        ("train_predict_wide", "train", DIVERGING),
+        ("compare_paper", "compare", ONE_BATCH),
+        ("compare_paper", "train", ONE_BATCH),
+    ), 3, "error: training loss became non-finite")
+
+
+def infinite_clip_norm_refused() -> None:
+    _refused_runs((
+        ("compare_paper", "compare", INFINITE_CLIP),
+        ("compare_paper", "train", INFINITE_CLIP),
+    ), 2, "error: grad_clip_norm")
 
 
 CHECKS = (
@@ -187,6 +204,7 @@ CHECKS = (
     ("A copied run tree replays", compare_tree_replays),
     ("A copied run tree replays predict", predict_tree_replays),
     ("A diverging run prints one error line", diverging_runs),
+    ("An infinite clip norm is refused", infinite_clip_norm_refused),
 )
 
 

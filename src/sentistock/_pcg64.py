@@ -17,6 +17,13 @@ equals ``numpy.random.default_rng(seed)`` as of numpy 2.4.6.
   steps the 128-bit state s to s * M + inc (mod 2**128) and outputs the
   xor of its two halves rotated right by its top 6 bits.
 
+The generator serves the order in which training draws: any number of
+:meth:`PCG64.uniform` calls (``init_params``), then any number of
+:meth:`PCG64.permutation` calls (``train``'s shuffles, on a stream of their
+own). A permutation draws a whole block ahead, so the stream stands past
+outputs it has not used yet, and a ``uniform`` call after one that drew
+anything raises ``ValueError``.
+
 The state is a Python int between blocks of up to :data:`CHUNK` outputs.
 A block's states come at once from numpy operations on uint64 words:
 s_k = M**k * s_0 + (M**(k-1) + ... + 1) * inc (mod 2**128) for k = 1 ..
@@ -136,20 +143,6 @@ def _mul_add(a: tuple[np.ndarray, np.ndarray], s: int, c: tuple[np.ndarray, np.n
     return lo, hi
 
 
-def _outputs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The 64-bit outputs of states given as word arrays, a new uint64
-    array: each state's halves xored, rotated right by its top 6 bits."""
-    out = np.bitwise_xor(hi, lo)
-    rot = np.right_shift(hi, 58)
-    low_part = np.right_shift(out, rot)
-    # The bits shifted out on the right come back on the left.
-    np.subtract(64, rot, out=rot)
-    rot &= 63
-    out <<= rot
-    out |= low_part
-    return out
-
-
 @functools.cache
 def _jump_tables() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """M**k and M**(k-1) + ... + 1 (mod 2**128) for k = 1 .. CHUNK, as words."""
@@ -165,7 +158,8 @@ def _jump_tables() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.
 
 class PCG64:
     """The PCG64 stream of ``numpy.random.default_rng(seed)``, with the two
-    draws training makes: :meth:`uniform` and :meth:`permutation`."""
+    draws training makes: :meth:`uniform` calls, then :meth:`permutation`
+    calls."""
 
     def __init__(self, seed):
         words = seed_words(seed)
@@ -174,62 +168,44 @@ class PCG64:
         self._state = ((inc + initstate) * _MULT + inc) & _MASK128
         self._powers, sums = _jump_tables()
         self._offsets = _mul_add(sums, inc)  # (M**(k-1) + ... + 1) * inc
-        # 32-bit draws in numpy's order, of which the first ``_used`` are
-        # taken: the upper half of an output whose lower half a 32-bit draw
-        # took, or the lower and upper halves of a block :meth:`permutation`
-        # drew. While they are a block's, ``_block`` holds its states, and
-        # the stream stands past the whole block.
+        # The lower and upper halves of the block :meth:`permutation` last
+        # drew, in numpy's order of 32-bit draws, of which the first
+        # ``_used`` are taken; the stream stands past the whole block.
         self._halves: list[int] = []
         self._used = 0
-        self._block: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _settle(self) -> None:
-        """Move the stream back to just past the last output a 32-bit draw
-        took from a block, keeping its upper half when only its lower half
-        was taken, as numpy's 32-bit draw keeps it for the next."""
-        used = self._used
-        if self._block is None:
-            self._halves = self._halves[used:]
-        else:
-            lo, hi = self._block
-            taken = (used + 1) // 2  # at least 1: a block is drawn to be drawn from
-            self._state = int(hi[taken - 1]) << 64 | int(lo[taken - 1])
-            self._halves = self._halves[used:used + used % 2]
-            self._block = None
-        self._used = 0
-
-    def _states(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next m (1 <= m <= CHUNK) states as (low, high) word arrays;
-        the stream moves past them."""
+    def _outputs(self, m: int) -> np.ndarray:
+        """The next m (1 <= m <= CHUNK) 64-bit outputs, a new uint64 array:
+        each state's halves xored, rotated right by its top 6 bits. The
+        stream moves past them."""
         (p_lo, p_hi), (c_lo, c_hi) = self._powers, self._offsets
         lo, hi = _mul_add((p_lo[:m], p_hi[:m]), self._state, (c_lo[:m], c_hi[:m]))
         self._state = int(hi[-1]) << 64 | int(lo[-1])
-        return lo, hi
+        out = np.bitwise_xor(hi, lo)
+        rot = np.right_shift(hi, 58)
+        low_part = np.right_shift(out, rot)
+        # The bits shifted out on the right come back on the left.
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        out <<= rot
+        out |= low_part
+        return out
 
     def uniform(self, low: float, high: float, out: np.ndarray) -> None:
-        """Fill ``out``, a 1-d or 2-d float64 array that may be a strided
+        """Fill ``out``, a float64 array of any shape that may be a strided
         view, in row-major order with ``default_rng(seed).uniform(low,
         high, out.shape)``'s values: low + (high - low) * u, where u is an
-        output's top 53 bits times 2**-53."""
-        if out.ndim not in (1, 2):
-            raise ValueError(f"uniform fills a 1-d or 2-d array, got {out.ndim}-d")
-        if not out.size:
-            return
-        self._settle()
-        rows = out.reshape(1, -1) if out.ndim == 1 else out
-        n_rows, n_cols = rows.shape
-        span = high - low
-        if n_cols <= CHUNK:  # blocks of whole rows
-            step = CHUNK // n_cols
-            blocks = (rows[r:r + step] for r in range(0, n_rows, step))
-        else:  # blocks within a row
-            blocks = (rows[r, c:c + CHUNK][None] for r in range(n_rows) for c in range(0, n_cols, CHUNK))
-        for block in blocks:
-            bits = _outputs(*self._states(block.size))
+        output's top 53 bits times 2**-53. After a :meth:`permutation` that
+        drew, it raises ``ValueError``: that draw took a block ahead."""
+        if self._halves:
+            raise ValueError("uniform cannot follow a permutation that drew from the stream")
+        for start in range(0, out.size, CHUNK):
+            bits = self._outputs(min(CHUNK, out.size - start))
             bits >>= 11
-            np.multiply(bits.reshape(block.shape), 2.0 ** -53, out=block)
-            block *= span
-            block += low
+            values = np.multiply(bits, 2.0 ** -53)
+            values *= high - low
+            values += low
+            out.flat[start:start + values.size] = values
 
     def permutation(self, n: int) -> np.ndarray:
         """``default_rng(seed).permutation(n)``: numpy's Fisher-Yates
@@ -250,8 +226,7 @@ class PCG64:
             while True:
                 if used == len(halves):
                     # A whole block, which later calls go on drawing from.
-                    self._block = self._states(CHUNK)
-                    halves = _outputs(*self._block).astype("<u8", copy=False).view("<u4").tolist()
+                    halves = self._outputs(CHUNK).astype("<u8", copy=False).view("<u4").tolist()
                     used = 0
                 j = halves[used] & mask
                 used += 1

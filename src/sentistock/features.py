@@ -108,8 +108,7 @@ class FusedDataset:
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Supervised sequences: (samples, lookback, features) plus labels;
-    ``lookback`` reads the sequences' second axis."""
+    """Supervised sequences: (samples, lookback, features) plus labels."""
 
     sequences: np.ndarray
     labels: np.ndarray
@@ -119,10 +118,6 @@ class WindowedDataset:
             raise PipelineError(f"sequences shape {self.sequences.shape} is not (samples, lookback, features)")
         if self.labels.shape != (self.sequences.shape[0],):
             raise PipelineError("one label per sequence required")
-
-    @property
-    def lookback(self) -> int:
-        return self.sequences.shape[1]
 
     def __len__(self) -> int:
         return self.sequences.shape[0]

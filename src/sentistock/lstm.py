@@ -8,8 +8,10 @@ through BLAS, whose summation order may depend on its thread count.) The
 init and the shuffles are drawn from the package's own PCG64 stream
 (``_pcg64.PCG64``), which equals numpy's ``default_rng(seed)`` as of
 numpy 2.4.6 and no longer follows numpy's releases; so training never
-imports ``numpy.random``, and ``init_params`` writes its draws straight
-into W and W_y, one block of at most ``_pcg64.CHUNK`` at a time.
+imports ``numpy.random``. The stream serves uniform fills, then
+permutations: ``init_params`` fills W and W_y from a fresh stream, one
+block of at most ``_pcg64.CHUNK`` at a time, and ``train`` draws its
+shuffles from a stream of its own.
 
 Gate equations, with z = concat(x_t, h_{t-1}):
 
@@ -94,7 +96,7 @@ import copy
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from ._numpy import np
 from ._pcg64 import PCG64
@@ -156,8 +158,8 @@ class TrainConfig:
             raise PipelineError("learning_rate must be a positive finite number")
         if self.batch_size < 1:
             raise PipelineError("batch_size must be a positive integer")
-        if not self.grad_clip_norm > 0:
-            raise PipelineError("grad_clip_norm must be positive")
+        if not 0 < self.grad_clip_norm < math.inf:
+            raise PipelineError("grad_clip_norm must be a positive finite number")
         if self.optimizer not in OPTIMIZERS:
             raise PipelineError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.hidden_size < 1:
@@ -618,9 +620,10 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
     """Rebuild a checkpoint; a document this code cannot read raises
     :class:`PipelineError`.
 
-    The sizes must be JSON integers, ``config.hidden_size`` must equal
-    ``hidden_size``, and the feature mode must be ``hisa``, ``dlpm`` or
-    null.
+    The sizes and the config's integer fields must be JSON integers, its
+    float fields numbers other than true and false, ``config.hidden_size``
+    must equal ``hidden_size``, and the feature mode must be ``hisa``,
+    ``dlpm`` or null.
     """
     try:
         doc = json.loads(text)
@@ -653,7 +656,14 @@ def checkpoint_from_json(text: str | bytes) -> Checkpoint:
             hidden_size=hidden_size,
         )
         config = TrainConfig(**doc["config"])
-        if _json_int(config.hidden_size, "config.hidden_size") != hidden_size:
+        # TrainConfig compares its numbers but does not check their types.
+        for field in fields(config):
+            value = getattr(config, field.name)
+            if field.type == "int":
+                _json_int(value, f"config.{field.name}")
+            elif field.type == "float" and type(value) is bool:
+                raise PipelineError(f"config.{field.name} must be a number, got {value!r}")
+        if config.hidden_size != hidden_size:
             raise PipelineError(f"config.hidden_size {config.hidden_size} != hidden_size {hidden_size}")
         feature_mode = doc.get("feature_mode")
         if feature_mode is not None and feature_mode not in FEATURE_MODES:

@@ -321,6 +321,13 @@ class TestBadSettingsExit2:
                      id="predict-hidden-size-fraction"),
         pytest.param(["predict"], edited_checkpoint(lambda doc: doc["config"].update(hidden_size=2 * doc["hidden_size"])),
                      id="predict-config-hidden-size-differs"),
+        # epochs = true equals 1, so with a history of one loss only its type is wrong.
+        pytest.param(["predict"], edited_checkpoint(lambda doc: doc.update(loss_history=doc["loss_history"][:1],
+                                                                           config={**doc["config"], "epochs": True})),
+                     id="predict-config-epochs-true"),
+        *[pytest.param(["predict"], edited_checkpoint(lambda doc, field=field, value=value: doc["config"].update({field: value})),
+                       id=f"predict-config-{field}-{value}")
+          for field, value in [("batch_size", 2.5), ("seed", 0.5), ("learning_rate", True), ("grad_clip_norm", True)]],
         pytest.param(["predict"], bad_checkpoint(lambda config, tmp_path: "[" * 100_000 + "]" * 100_000),
                      id="predict-deeply-nested-checkpoint"),
         pytest.param(["ingest"], edited_file("config.ini", lambda ini: ini + b"seed = 8\n"),
@@ -495,6 +502,8 @@ class TestCompare:
         for line, bad, message in [
             ("hidden_size = 8", "hidden_size = 0", "hidden_size must be a positive integer"),
             ("learning_rate = 0.01", "learning_rate = inf", "learning_rate must be a positive finite number"),
+            # The fixture leaves the clip norm at its default; the case adds the line.
+            ("batch_size = 16", "batch_size = 16\ngrad_clip_norm = inf", "grad_clip_norm must be a positive finite number"),
         ]:
             assert f"\n{line}\n" in text
             fixture_config.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))

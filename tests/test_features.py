@@ -410,7 +410,7 @@ class TestMakeWindows:
         ds = self.make(10, 7)
         train, test = make_windows(ds, WindowSpec(lookback=3))
         assert len(train) == 4 and len(test) == 3
-        assert train.lookback == test.lookback == 3
+        assert train.sequences.shape[1] == test.sequences.shape[1] == 3
 
     def test_window_contents_and_labels(self):
         ds = self.make(10, 7)
@@ -434,7 +434,7 @@ class TestMakeWindows:
         train, test = make_windows(ds, WindowSpec(lookback=1))
         assert len(train) == 6  # split_index - 1
         assert train.sequences.shape == (6, 1, 4)
-        assert train.lookback == test.lookback == 1
+        assert train.sequences.shape[1] == test.sequences.shape[1] == 1
 
     def test_two_dimensional_sequences_refused(self):
         with pytest.raises(PipelineError, match="is not \\(samples, lookback, features\\)"):

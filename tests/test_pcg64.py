@@ -20,19 +20,17 @@ LENGTHS = st.one_of(
     st.integers(0, 3 * CHUNK).map(lambda n: n | 1),
 )
 
-#: (rows, cols) of a 2-d fill: whole-row blocks (cols up to CHUNK) and
-#: blocks within a row (cols above it).
-SHAPES_2D = st.tuples(st.integers(1, 40), st.one_of(st.integers(1, 300), st.sampled_from([CHUNK, CHUNK + 1])))
-
-CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("uniform"), st.one_of(LENGTHS.map(lambda n: (n,)), SHAPES_2D),
-                  st.floats(-10, 10), st.floats(1e-3, 10)),
-        st.tuples(st.just("permutation"), st.integers(0, 3000)),
-    ),
-    min_size=1,
-    max_size=8,
+#: Shapes of a fill: 1-d, 2-d (filled through a strided view, as init_params
+#: fills W's weight columns), including rows wider than CHUNK, and 3-d.
+SHAPES = st.one_of(
+    LENGTHS.map(lambda n: (n,)),
+    st.tuples(st.integers(1, 40), st.one_of(st.integers(1, 300), st.sampled_from([CHUNK, CHUNK + 1]))),
+    st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 300)),
 )
+
+#: Training's order of draws: uniform fills, then permutations.
+UNIFORMS = st.lists(st.tuples(SHAPES, st.floats(-10, 10), st.floats(1e-3, 10)), max_size=4)
+PERMUTATIONS = st.lists(st.integers(0, 3000), max_size=5)
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -42,32 +40,26 @@ def bits(values: np.ndarray) -> np.ndarray:
 def package_uniform(stream: PCG64, shape, low: float, high: float) -> np.ndarray:
     """Fill a strided view, as init_params fills W's weight columns; the
     column beside it must stay untouched."""
-    if len(shape) == 1:
-        out = np.empty(shape)
-        stream.uniform(low, high, out)
-        return out
-    wide = np.full((shape[0], shape[1] + 1), np.nan)
-    stream.uniform(low, high, wide[:, :-1])
-    assert np.isnan(wide[:, -1]).all()
-    return wide[:, :-1]
+    wide = np.full((*shape[:-1], shape[-1] + 1), np.nan)
+    stream.uniform(low, high, wide[..., :-1])
+    assert np.isnan(wide[..., -1]).all()
+    return wide[..., :-1]
 
 
 class TestSameStreamAsNumpy:
     @settings(derandomize=True, max_examples=120, deadline=None)
-    @given(SEEDS, CALLS)
-    def test_random_call_sequences(self, seed, calls):
+    @given(SEEDS, UNIFORMS, PERMUTATIONS)
+    def test_uniform_calls_then_permutations(self, seed, uniforms, permutations):
         ours, theirs = PCG64(seed), np.random.default_rng(seed)
-        for call in calls:
-            if call[0] == "uniform":
-                _, shape, low, width = call
-                expected = theirs.uniform(low, low + width, size=shape)
-                got = package_uniform(ours, shape, low, low + width)
-                assert got.shape == expected.shape
-                assert np.array_equal(bits(got), bits(expected)), call
-            else:
-                expected, got = theirs.permutation(call[1]), ours.permutation(call[1])
-                assert got.dtype == expected.dtype
-                assert np.array_equal(bits(got), bits(expected)), call
+        for shape, low, width in uniforms:
+            expected = theirs.uniform(low, low + width, size=shape)
+            got = package_uniform(ours, shape, low, low + width)
+            assert got.shape == expected.shape
+            assert np.array_equal(bits(got), bits(expected)), shape
+        for n in permutations:
+            expected, got = theirs.permutation(n), ours.permutation(n)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(bits(got), bits(expected)), n
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 2**200 + 12345])
     def test_seed_words(self, seed):
@@ -77,14 +69,10 @@ class TestSameStreamAsNumpy:
 
     def test_odd_permutations_carry_the_upper_half(self):
         # permutation(2) makes one 32-bit draw, so every other call starts
-        # from the upper half the call before it kept; a uniform draw in
-        # between leaves that half in place.
+        # from the upper half the call before it kept.
         ours, theirs = PCG64(11), np.random.default_rng(11)
         for n in (2, 2, 3, 2):
             assert np.array_equal(ours.permutation(n), theirs.permutation(n))
-            out = np.empty(3)
-            ours.uniform(0.0, 1.0, out)
-            assert np.array_equal(bits(out), bits(theirs.uniform(0.0, 1.0, size=3)))
 
 
 class TestSeed:
@@ -107,7 +95,17 @@ class TestSeed:
             PCG64(7.0)
 
 
-class TestUniformArguments:
-    def test_three_dimensional_out_is_refused(self):
-        with pytest.raises(ValueError, match="1-d or 2-d"):
-            PCG64(0).uniform(0.0, 1.0, np.empty((2, 2, 2)))
+class TestOrderOfDraws:
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_uniform_after_a_permutation_that_drew_nothing(self, n):
+        ours, theirs = PCG64(3), np.random.default_rng(3)
+        assert np.array_equal(ours.permutation(n), theirs.permutation(n))
+        out = np.empty(5)
+        ours.uniform(0.0, 1.0, out)
+        assert np.array_equal(bits(out), bits(theirs.uniform(0.0, 1.0, size=5)))
+
+    def test_uniform_after_a_permutation_that_drew_raises(self):
+        stream = PCG64(3)
+        stream.permutation(2)
+        with pytest.raises(ValueError, match="cannot follow a permutation"):
+            stream.uniform(0.0, 1.0, np.empty(5))
